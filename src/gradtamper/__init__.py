@@ -44,14 +44,9 @@ from .harness import (
     write_transform_csv,
 )
 from .lossgrad import (
-    LabelSpec,
     batch_cross_entropy,
-    clip_gradient,
-    cross_entropy,
     smooth_label_rows,
-    smooth_labels,
     softmax,
-    softmax_ce_grad,
     tampered_dlogits,
 )
 from .net import (
@@ -94,15 +89,10 @@ __all__ = [
     "threshold_partition",
     "threshold_monotonicity_check",
     # loss / gradients
-    "LabelSpec",
     "softmax",
-    "smooth_labels",
     "smooth_label_rows",
-    "cross_entropy",
     "batch_cross_entropy",
-    "softmax_ce_grad",
     "tampered_dlogits",
-    "clip_gradient",
     # network
     "DenseLayer",
     "DenseNet",

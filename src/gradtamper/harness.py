@@ -3,15 +3,17 @@
 ``train`` wires the dense net, the loss/gradient stage, the schedule, and a
 dataset into a deterministic single-threaded run that emits one metrics
 record per epoch.  Tampering enters in exactly one place: the logit gradient
-handed to the backward pass is ``(p' - q) / batch`` instead of
-``(p - q) / batch`` once the configured start epoch is reached.  The forward
-pass, the reported loss, and the accuracies never see the transform.
+handed to the backward pass is ``(softmax(alpha * z) - q) / batch``, with
+``alpha = 1`` (the plain ``softmax(z) - q``) until the configured start epoch
+is reached.  The forward pass, the reported loss, and the accuracies never
+see the transform.
 
 ``grid_search`` sweeps tampering strengths and seeds with incremental CSV
 persistence, so an interrupted sweep resumes by skipping finished cells.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
-finite-difference gradient oracles.
+finite-difference gradient oracles, on the same functions the training loop
+calls.
 
 CSV conventions: floats are written with ``repr``, which is the shortest
 string that round-trips the exact float64 value; identical runs therefore
@@ -29,7 +31,7 @@ import numpy as np
 from .data import Dataset, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
-    clip_gradient,
+    log_softmax,
     smooth_label_rows,
     softmax,
     tampered_dlogits,
@@ -137,7 +139,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if isinstance(self.hidden, list):
             object.__setattr__(self, "hidden", tuple(self.hidden))
-        if any(int(h) != h or h < 1 for h in self.hidden):
+        if not all(
+            isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1
+            for h in self.hidden
+        ):
             raise ValueError("hidden layer widths must be positive integers")
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -214,8 +219,7 @@ def _evaluate(net: DenseNet, ds: Dataset, epsilon: float) -> tuple[float, float,
         logits, _ = forward(net, ds.inputs)
     if not np.all(np.isfinite(logits)):
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
-    probs = softmax(logits, axis=-1)
-    loss = batch_cross_entropy(probs, ds.labels, epsilon)
+    loss = batch_cross_entropy(logits, smooth_label_rows(ds.labels, logits.shape[1], epsilon))
     acc = float(np.mean(np.argmax(logits, axis=1) == ds.labels))
     norm = float(np.mean(np.linalg.norm(logits, axis=1)))
     return float(loss), acc, norm
@@ -252,8 +256,8 @@ def train(
     step = 0
     for epoch in range(config.epochs):
         # Tampering is backward-only and gated on the start epoch; alpha=1 is
-        # the untouched baseline regardless of the gate.
-        tamper_on = epoch >= config.tamper.start_epoch and config.tamper.alpha < 1.0
+        # the untouched baseline.
+        alpha = config.tamper.alpha if epoch >= config.tamper.start_epoch else 1.0
         perm = rng.permutation(n)
         last_lr = math.nan
         for b in range(n_batches):
@@ -266,25 +270,22 @@ def train(
             # DivergenceError below, so numpy's warnings add nothing here.
             with np.errstate(over="ignore", invalid="ignore"):
                 logits, cache = forward(net, xb)
-            # The stable softmax and clamped log keep the loss finite right up
-            # until the logits themselves overflow, so divergence is detected
-            # on the logits: a non-finite entry means the loss is about to be
-            # meaningless (NaN after the inf - inf in the softmax shift).
+            # The logsumexp loss stays finite right up until the logits
+            # themselves overflow, so divergence is detected on the logits: a
+            # non-finite entry means the loss is about to be meaningless (NaN
+            # after the inf - inf in the max shift).
             if not np.all(np.isfinite(logits)):
                 raise DivergenceError(
                     f"non-finite logits (diverged) at step {step} (epoch {epoch}, batch {b})"
                 )
-            probs = softmax(logits, axis=-1)
-            batch_loss = batch_cross_entropy(probs, yb, config.label_smoothing)
+            q = smooth_label_rows(yb, logits.shape[1], config.label_smoothing)
+            batch_loss = batch_cross_entropy(logits, q)
             if math.isnan(batch_loss):
                 raise DivergenceError(
                     f"training loss became NaN at step {step} (epoch {epoch}, batch {b})"
                 )
 
-            dlogits = (
-                tampered_dlogits(probs, yb, config.label_smoothing, config.tamper, tamper_on)
-                / idx.size
-            )
+            dlogits = tampered_dlogits(logits, q, alpha) / idx.size
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = backward(net, cache, dlogits)
                 if config.clip_lambda is not None:
@@ -565,19 +566,9 @@ class VerifyReport:
         return all(p.passed for p in self.properties)
 
 
-def _row_thresholds(p: np.ndarray, alpha: float) -> np.ndarray:
-    """Stationary level per row, vectorised; alpha in [0, 1)."""
-    c = p.shape[1]
-    if alpha == 0.0:
-        return np.full(p.shape[0], 1.0 / c)
-    totals = np.exp(alpha * np.log(p)).sum(axis=1)
-    return np.clip(np.exp(np.log(totals) / (alpha - 1.0)), 1.0 / c, 1.0)
-
-
 def _ce_rows(logit_rows: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Cross-entropy of softmax(scale * row) against q, one value per row."""
-    probs = softmax(scale * logit_rows, axis=-1)
-    return -(q * np.log(np.maximum(probs, 1e-300))).sum(axis=-1)
+    return -(q * log_softmax(scale * logit_rows)).sum(axis=-1)
 
 
 def _fd_logit_grad(z: np.ndarray, q: np.ndarray, scale: float = 1.0, h: float = 1e-5) -> np.ndarray:
@@ -648,8 +639,9 @@ def verify_claims(
     """Check every analytic property on random inputs; never raises on failure.
 
     Samples ``trials`` random probability vectors (Dirichlet) and logit
-    vectors (normal) per class count, sweeps the tampering strength over a
-    coarse grid, and accumulates one :class:`PropertyResult` per claim.
+    vectors (normal, sigma 3, plus up to 50 wide ones at sigma 300) per class
+    count, sweeps the tampering strength over a coarse grid, and accumulates
+    one :class:`PropertyResult` per claim.
     Finite-difference oracles use central differences with step 1e-4 and a
     relative-error floor of 3e-4; see :func:`max_relative_error` for how the
     floor is set by the cancellation-noise budget.
@@ -661,9 +653,8 @@ def verify_claims(
 
     rng = np.random.default_rng(seed)
     coarse = np.round(np.arange(11) * 0.1, 10)  # 0.0, 0.1, ..., 1.0
-    interior = coarse[(coarse > 0.0)]  # (0, 1]
-    sub_one = coarse[coarse < 1.0]  # [0, 1)
-    mono_grid = np.arange(1, 100) / 100.0
+    # 0.0, 0.01, ..., 0.99: holds every coarse alpha below 1 at a stride of 10.
+    mono_grid = np.arange(100) / 100.0
 
     accs = {
         "normalization": _Acc(
@@ -691,7 +682,10 @@ def verify_claims(
             "uniform-fixed-point", "max |p' - p| for the uniform vector", "max", 1e-12
         ),
         "temperature-equivalence": _Acc(
-            "temperature-equivalence", "max |transform(softmax(z)) - softmax(alpha z)|", "max", 1e-10
+            "temperature-equivalence",
+            "max |transform(softmax(z)) - (tampered_dlogits(z) + q)|",
+            "max",
+            1e-10,
         ),
         "gradient-zero-sum": _Acc(
             "gradient-zero-sum", "max |sum of gradient entries|", "max", 1e-12
@@ -702,6 +696,12 @@ def verify_claims(
         "tampered-gradient-surrogate": _Acc(
             "tampered-gradient-surrogate",
             "max relative error vs scaled finite differences",
+            "max",
+            1e-6,
+        ),
+        "wide-logit-gradient": _Acc(
+            "wide-logit-gradient",
+            "max relative error vs finite differences at alpha*z, sigma=300",
             "max",
             1e-6,
         ),
@@ -720,6 +720,13 @@ def verify_claims(
         targets = rng.integers(0, c, size=trials)
         order_ref = np.argsort(probs, axis=1, kind="stable")
 
+        # Threshold of every row at every grid alpha, in one call; monotone
+        # in alpha, one sample per row.
+        mono = threshold_monotonicity_check(probs, mono_grid)
+        accs["threshold-monotonicity"].add(np.diff(mono.thresholds, axis=1).min(axis=1))
+        min_threshold_diff = min(min_threshold_diff, mono.min_successive_diff)
+        tau_at = dict(zip(mono_grid[::10], mono.thresholds[:, ::10].T))
+
         for alpha in coarse:
             alpha = float(alpha)
             t = power_transform_rows(probs, alpha)
@@ -732,7 +739,7 @@ def verify_claims(
                 mism = (np.argsort(t, axis=1, kind="stable") != order_ref).sum(axis=1)
                 accs["order-preservation"].add(mism.astype(np.float64))
             if alpha < 1.0:
-                tau = _row_thresholds(probs, alpha)
+                tau = tau_at[alpha]
                 accs["threshold-bounds"].add(
                     np.minimum(tau - 1.0 / c, 1.0 - tau)
                 )
@@ -752,57 +759,70 @@ def verify_claims(
             t = transform_probabilities(u, float(alpha))
             accs["uniform-fixed-point"].add(np.abs(t - u).max())
 
-        # Monotonicity of the threshold in alpha, one row at a time.
-        for i in range(trials):
-            report = threshold_monotonicity_check(probs[i], mono_grid)
-            accs["threshold-monotonicity"].add(report.min_successive_diff)
-            min_threshold_diff = min(min_threshold_diff, report.min_successive_diff)
-
-        # Temperature equivalence on raw logits.
+        # Gradient properties of the engine's own logit gradient, with and
+        # without label smoothing.
         p_of_z = softmax(logits, axis=-1)
-        for alpha in interior:
-            alpha = float(alpha)
-            lhs = power_transform_rows(p_of_z, alpha)
-            rhs = softmax(alpha * logits, axis=-1)
-            accs["temperature-equivalence"].add(np.abs(lhs - rhs).max(axis=1))
-
-        # Gradient properties, with and without label smoothing.
         for eps in (0.0, 0.1):
             q_rows = smooth_label_rows(targets, c, eps)
             for alpha in coarse:
                 alpha = float(alpha)
-                g = tampered_dlogits(p_of_z, targets, eps, TamperSpec(alpha), True)
+                g = tampered_dlogits(logits, q_rows, alpha)
                 accs["gradient-zero-sum"].add(np.abs(g.sum(axis=1)))
+                if alpha > 0.0 and eps == 0.0:
+                    # Temperature equivalence: the transform of softmax(z) is
+                    # the engine's softmax(alpha z).
+                    lhs = power_transform_rows(p_of_z, alpha)
+                    accs["temperature-equivalence"].add(np.abs(lhs - (g + q_rows)).max(axis=1))
 
             # Step 1e-4 balances truncation (~h^2) against cancellation noise
             # (~|CE| * 1e-16 / 2h); the floor is widened to 3e-4 because the
             # logits here are deliberately wild (CE values up to ~30).
             fd_trials = min(trials, 50)
+            grad_at = {
+                alpha: tampered_dlogits(logits[:fd_trials], q_rows[:fd_trials], alpha)
+                for alpha in (1.0, 0.3, 0.5)
+            }
             for i in range(fd_trials):
                 q = q_rows[i]
-                analytic = p_of_z[i] - q
                 fd = _fd_logit_grad(logits[i], q, h=1e-4)
-                accs["gradient-matches-fd"].add(max_relative_error(analytic, fd, floor=3e-4))
+                accs["gradient-matches-fd"].add(
+                    max_relative_error(grad_at[1.0][i], fd, floor=3e-4)
+                )
                 for alpha in (0.3, 0.5):
-                    tampered = power_transform_rows(p_of_z[i][None, :], alpha)[0] - q
                     fd_scaled = _fd_logit_grad(logits[i], q, scale=alpha, h=1e-4) / alpha
                     accs["tampered-gradient-surrogate"].add(
-                        max_relative_error(tampered, fd_scaled, floor=3e-4)
+                        max_relative_error(grad_at[alpha][i], fd_scaled, floor=3e-4)
                     )
 
-        # Clipping facts on random gradients.
+        # Clipping facts on random gradients, through the engine's global
+        # clip applied to a one-layer gradient (weights row, then bias).
         g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
         lams = rng.uniform(0.5, 2.0, size=trials)
         for i in range(min(trials, 200)):
             g = g_rows[i]
             lam = float(lams[i])
-            clipped = clip_gradient(g, lam)
+            [(dw, db)] = clip_grads_global([(g[None, :-1], g[-1:])], lam)
+            clipped = np.concatenate([dw[0], db])
             gn = float(np.linalg.norm(g))
             cn = float(np.linalg.norm(clipped))
             # Norm never grows, and never ends above min(original, cap).
             accs["clip-norm-cap"].add(max((cn - gn) / gn, (cn - min(gn, lam)) / lam))
             cos = float(np.dot(g, clipped) / (gn * cn)) if cn > 0 else 1.0
             accs["clip-direction"].add(cos)
+
+        # Wide logits, the regime strong tampering drives training into:
+        # softmax(z) underflows to exact zeros while softmax(alpha z) does
+        # not.  The reference is the finite-difference gradient of the
+        # cross-entropy taken at the scaled logits alpha*z, where it is well
+        # conditioned.
+        wide = rng.normal(0.0, 300.0, size=(min(trials, 50), c))
+        for eps in (0.0, 0.1):
+            q_rows = smooth_label_rows(targets[: wide.shape[0]], c, eps)
+            for alpha in (0.01, 0.02):
+                g = tampered_dlogits(wide, q_rows, alpha)
+                for i in range(wide.shape[0]):
+                    fd = _fd_logit_grad(alpha * wide[i], q_rows[i], h=1e-4)
+                    accs["wide-logit-gradient"].add(max_relative_error(g[i], fd, floor=3e-4))
 
     trend = _logit_norm_trend() if include_trend else None
     return VerifyReport(

@@ -1,61 +1,31 @@
 """Softmax, cross-entropy, and the gradient of the loss at the logits.
 
-The one non-standard piece is ``softmax_ce_grad``: when tampering is active
-it substitutes the power-transformed probabilities for the predicted ones in
-the usual ``p - q`` expression, so the gradient flowing back from the softmax
-stage is ``transform(p, alpha) - q`` while the forward pass (loss values,
-probabilities, accuracy) is untouched.  Label smoothing and norm clipping,
-the two baseline interventions the transform is usually compared against,
-live here as well.
+Everything works on logit rows.  The loss is ``-sum_i q_i log softmax(z)_i``
+with the log-softmax taken through logsumexp, so it stays exact when
+``softmax(z)`` underflows to zero.  The one non-standard piece is
+``tampered_dlogits``: the power transform of ``softmax(z)`` with strength
+``alpha`` is ``softmax(alpha * z)``, so the tampered gradient
+``p' - q`` is computed straight from the scaled logits, which keeps real mass
+on entries whose ``softmax(z)`` is an exact zero.  The forward pass (loss
+values, probabilities, accuracy) is untouched.
 
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .transform import TamperSpec, power_transform_rows, prob_vec, transform_probabilities
+# The benchmark's span tracer wraps this import site (bench/spans.py TARGETS).
+from .transform import power_transform_rows  # noqa: F401
 
 __all__ = [
-    "LOG_CLAMP",
-    "LabelSpec",
     "softmax",
-    "cross_entropy",
-    "smooth_labels",
+    "log_softmax",
     "smooth_label_rows",
     "batch_cross_entropy",
-    "softmax_ce_grad",
-    "clip_gradient",
+    "tampered_dlogits",
 ]
-
-# Probabilities are clamped to at least this before any log, keeping the loss
-# finite without perturbing realistic values.
-LOG_CLAMP = 1e-30
-
-
-@dataclass(frozen=True)
-class LabelSpec:
-    """Ground-truth target: class index plus optional smoothing strength.
-
-    ``smoothing_epsilon = 0`` means a one-hot target; otherwise the induced
-    distribution puts ``1 - epsilon`` on the target class and spreads
-    ``epsilon`` evenly over the rest.
-    """
-
-    target_index: int
-    smoothing_epsilon: float = 0.0
-
-    def __post_init__(self) -> None:
-        idx = self.target_index
-        if not (isinstance(idx, (int, np.integer)) and not isinstance(idx, bool) and idx >= 0):
-            raise ValueError(f"target_index must be a non-negative int, got {idx!r}")
-        eps = self.smoothing_epsilon
-        if not (isinstance(eps, (int, float, np.floating)) and math.isfinite(eps) and 0.0 <= eps < 1.0):
-            raise ValueError(f"smoothing_epsilon must lie in [0, 1), got {eps!r}")
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
@@ -71,35 +41,17 @@ def softmax(z, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def smooth_labels(labels: LabelSpec, num_classes: int) -> np.ndarray:
-    """Distribution induced by a label: 1-eps on the target, eps/(C-1) elsewhere."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if not 0 <= labels.target_index < num_classes:
-        raise ValueError(
-            f"target_index {labels.target_index} out of range for {num_classes} classes"
-        )
-    eps = labels.smoothing_epsilon
-    q = np.full(num_classes, eps / (num_classes - 1))
-    q[labels.target_index] = 1.0 - eps
-    return q
-
-
-def cross_entropy(p, labels: LabelSpec) -> float:
-    """Cross-entropy ``-sum_i q_i log p_i`` of predicted ``p`` against a label.
-
-    For one-hot labels this is ``-log p_y``.  Probabilities pass through the
-    LOG_CLAMP floor so a zero prediction yields a large finite loss rather
-    than infinity.
-    """
-    p = prob_vec(p)
-    q = smooth_labels(labels, p.size)
-    return float(-(q * np.log(np.maximum(p, LOG_CLAMP))).sum())
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise ``z - logsumexp(z)`` along the last axis; finite for finite z."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> np.ndarray:
-    """Rowwise smoothed one-hot matrix for a batch of integer targets."""
+    """Rowwise smoothed one-hot matrix: 1-eps on the target, eps/(C-1) elsewhere."""
     targets = np.asarray(targets)
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"smoothing epsilon must lie in [0, 1), got {epsilon!r}")
     q = np.full((targets.size, num_classes), epsilon / (num_classes - 1))
@@ -107,66 +59,18 @@ def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> 
     return q
 
 
-def batch_cross_entropy(probs: np.ndarray, targets: np.ndarray, epsilon: float = 0.0) -> float:
-    """Mean cross-entropy of probability rows against integer targets."""
-    logp = np.log(np.maximum(probs, LOG_CLAMP))
-    q = smooth_label_rows(targets, probs.shape[1], epsilon)
-    return float(-(q * logp).sum(axis=1).mean())
+def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float:
+    """Mean cross-entropy of ``softmax(logits)`` rows against target rows ``q``."""
+    # "+ 0.0" turns the -0.0 of a perfectly fit batch into 0.0.
+    return float(-(q * log_softmax(logits)).sum(axis=1).mean()) + 0.0
 
 
-def softmax_ce_grad(
-    z,
-    labels: LabelSpec,
-    tamper: TamperSpec | None = None,
-    tamper_active: bool = False,
-) -> np.ndarray:
-    """Gradient of the cross-entropy loss with respect to the logits.
+def tampered_dlogits(logits: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Batched ``softmax(alpha * logits) - q`` rows; no 1/N scaling.
 
-    Untampered (no spec, flag off, or alpha = 1) this is the classic
-    ``softmax(z) - q``.  With tampering active the predicted probabilities
-    are power-transformed first, giving ``transform(softmax(z), alpha) - q``;
-    nothing about the forward pass changes.  Entries sum to zero whenever the
-    label distribution sums to one.
+    This is ``p' - q`` with ``p'`` the power transform of ``softmax(logits)``;
+    ``alpha = 1`` gives the plain cross-entropy gradient ``softmax(z) - q``.
     """
-    p = softmax(np.asarray(z, dtype=np.float64))
-    if p.ndim != 1:
-        raise ValueError(f"expected a single logit vector, got shape {p.shape}")
-    if tamper_active and tamper is not None and tamper.alpha < 1.0:
-        p = transform_probabilities(p, tamper.alpha)
-    q = smooth_labels(labels, p.size)
-    return p - q
-
-
-def tampered_dlogits(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    epsilon: float,
-    tamper: TamperSpec | None,
-    tamper_active: bool,
-) -> np.ndarray:
-    """Batched ``p' - q`` rows for the engine's backward pass; no 1/N scaling."""
-    if tamper_active and tamper is not None and tamper.alpha < 1.0:
-        probs = power_transform_rows(probs, tamper.alpha)
-    q = smooth_label_rows(targets, probs.shape[1], epsilon)
-    return probs - q
-
-
-def clip_gradient(g, clip_norm: float) -> np.ndarray:
-    """Rescale ``g`` to L2 norm ``clip_norm`` if it exceeds it, else pass through.
-
-    Direction is always preserved; a gradient exactly at the threshold is
-    left unchanged.
-    """
-    if not (
-        isinstance(clip_norm, (int, float, np.floating))
-        and math.isfinite(clip_norm)
-        and clip_norm > 0
-    ):
-        raise ValueError(f"clip norm must be a positive real, got {clip_norm!r}")
-    g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient contains NaN or Inf")
-    norm = float(np.linalg.norm(g))
-    if norm > clip_norm:
-        return g * (clip_norm / norm)
-    return g
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return softmax(alpha * logits) - q

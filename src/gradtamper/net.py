@@ -2,7 +2,7 @@
 
 The network is a list of (weights, biases, activation) layers; the last
 layer's outputs are the logits.  Training mutates a network from a single
-thread; read-only evaluation can run concurrently on a ``clone()``.
+thread.
 
 Checkpoint layout (all little-endian): magic ``b"DNET"``, uint32 version (1),
 uint32 layer count; then per layer a uint8 activation code (0 identity,
@@ -90,14 +90,6 @@ class DenseNet:
     def num_classes(self) -> int:
         return self.layers[-1].weights.shape[0]
 
-    def clone(self) -> "DenseNet":
-        return DenseNet(
-            [
-                DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-
 
 def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "relu") -> DenseNet:
     """Build a network with the given layer sizes, e.g. [20, 64, 10].
@@ -137,12 +129,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     return h, cache
 
 
-def backward(
-    net: DenseNet,
-    cache: list,
-    dlogits: np.ndarray,
-    return_input_grad: bool = False,
-):
+def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> list:
     """Chain-rule the logit gradient back into per-parameter gradients.
 
     ``dlogits`` is the gradient of the scalar loss at the logits (any batch
@@ -163,9 +150,8 @@ def backward(
         inp, s = cache[k]
         ds = d * (s > 0.0) if layer.activation == "relu" else d
         grads[k] = (ds.T @ inp, ds.sum(axis=0))
-        d = ds @ layer.weights
-    if return_input_grad:
-        return grads, d
+        if k:  # nothing consumes the gradient at the network's input
+            d = ds @ layer.weights
     return grads
 
 
@@ -174,14 +160,13 @@ class OptState:
     """SGD state: velocity buffers mirroring the parameters, plus settings.
 
     Weight decay is applied as gradient augmentation ``g + wd * w`` (coupled
-    L2), uniformly to weights and, unless ``decay_biases`` is off, biases.
+    L2), uniformly to weights and biases.
     """
 
     velocities: list[LayerGrads]
     momentum: float = 0.9
     weight_decay: float = 5e-4
     nesterov: bool = True
-    decay_biases: bool = True
 
 
 def init_opt_state(
@@ -189,10 +174,9 @@ def init_opt_state(
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
     nesterov: bool = True,
-    decay_biases: bool = True,
 ) -> OptState:
     vel = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    return OptState(vel, momentum, weight_decay, nesterov, decay_biases)
+    return OptState(vel, momentum, weight_decay, nesterov)
 
 
 def sgd_step(net: DenseNet, grads: list, state: OptState, lr: float) -> tuple[DenseNet, OptState]:
@@ -207,7 +191,7 @@ def sgd_step(net: DenseNet, grads: list, state: OptState, lr: float) -> tuple[De
         if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
             raise ValueError("gradient shapes do not match parameter shapes")
         gw = dw + wd * layer.weights if wd else dw
-        gb = db + wd * layer.biases if wd and state.decay_biases else db
+        gb = db + wd * layer.biases if wd else db
         vw *= mu
         vw += gw
         vb *= mu

@@ -71,16 +71,25 @@ def prob_vec(values, *, tol: float = SIMPLEX_TOL) -> np.ndarray:
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
-    if p.size < 2:
-        raise ValueError(f"probability vector needs at least 2 entries, got {p.size}")
+    return _check_simplex(p, tol).copy()
+
+
+def _check_simplex(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Check that every slice of ``p`` along the last axis is a probability
+    vector (see :func:`prob_vec`); returns ``p`` itself."""
+    if p.shape[-1] < 2:
+        raise ValueError(f"probability vector needs at least 2 entries, got {p.shape[-1]}")
     if not np.all(np.isfinite(p)):
         raise ValueError("probability vector contains NaN or Inf")
     if np.any(p < 0.0):
         raise ValueError(f"probability vector has negative entries (min {p.min()!r})")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probability vector sums to {total!r}, expected 1 within {tol}")
-    return p.copy()
+    totals = np.ravel(p.sum(axis=-1))
+    worst = int(np.argmax(np.abs(totals - 1.0)))
+    if abs(totals[worst] - 1.0) > tol:
+        raise ValueError(
+            f"probability vector sums to {float(totals[worst])!r}, expected 1 within {tol}"
+        )
+    return p
 
 
 def _check_alpha(alpha: float, *, exclude_one: bool = False) -> float:
@@ -124,6 +133,28 @@ def transform_probabilities(p, alpha: float) -> np.ndarray:
     return power_transform_rows(p, alpha)
 
 
+def _threshold_rows(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Stationary threshold of every row of ``p`` at every alpha, shape (N, A).
+
+    The one kernel behind the public threshold functions; alphas in [0, 1),
+    rows already validated.  It loops over alphas so that no N x A x C
+    temporary is built.  Zero entries contribute nothing for alpha > 0, and
+    alpha = 0 is the uniform limit 1/C.  Both ends of [1/C, 1] are clamped
+    to guard against last-ulp rounding, since both are attained.
+    """
+    c = p.shape[1]
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    taus = np.empty((p.shape[0], alphas.size))
+    for j, alpha in enumerate(alphas):
+        if alpha == 0.0:
+            taus[:, j] = 1.0 / c
+        else:
+            totals = np.exp(alpha * logp).sum(axis=1)
+            taus[:, j] = np.exp(np.log(totals) / (alpha - 1.0))
+    return np.clip(taus, 1.0 / c, 1.0, out=taus)
+
+
 def stationary_threshold(p, alpha: float) -> float:
     """Crossover probability ``(sum_j p_j**alpha) ** (1 / (alpha - 1))``.
 
@@ -131,18 +162,11 @@ def stationary_threshold(p, alpha: float) -> float:
     entries above it strictly decrease.  Defined for alpha in [0, 1); alpha=1
     is rejected because the exponent is singular there (the transform is the
     identity and every point is stationary).  The result always lies in
-    [1/C, 1]; both ends are clamped to guard against last-ulp rounding since
-    the bounds are attained (at alpha = 0 and at uniform ``p``).
+    [1/C, 1].
     """
     p = prob_vec(p)
     alpha = _check_alpha(alpha, exclude_one=True)
-    c = p.size
-    if alpha == 0.0:
-        return 1.0 / c
-    pos = p[p > 0.0]
-    total = float(np.exp(alpha * np.log(pos)).sum())
-    tau = math.exp(math.log(total) / (alpha - 1.0))
-    return min(max(tau, 1.0 / c), 1.0)
+    return float(_threshold_rows(p[None, :], np.array([alpha]))[0, 0])
 
 
 def threshold_partition(p, alpha: float) -> tuple[set[int], set[int]]:
@@ -172,11 +196,18 @@ class MonotonicityReport:
 def threshold_monotonicity_check(p, alpha_grid) -> MonotonicityReport:
     """Evaluate the stationary threshold across an increasing alpha grid.
 
-    Passes iff every successive difference of the threshold is at least
+    ``p`` is one probability vector or an (N, C) batch of them; the report's
+    ``thresholds`` then has shape (A,) or (N, A), and its minimum successive
+    difference is taken over every row.  Passes iff that minimum is at least
     ``MONOTONE_TOL`` (the tolerance absorbs double-precision rounding; the
     threshold is analytically non-decreasing in alpha).
     """
-    p = prob_vec(p)
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[0] == 0:
+        raise ValueError(
+            f"expected a probability vector or a non-empty (N, C) batch, got shape {p.shape}"
+        )
+    _check_simplex(p)
     grid = np.asarray(alpha_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("alpha grid must be a non-empty 1-D sequence")
@@ -187,17 +218,10 @@ def threshold_monotonicity_check(p, alpha_grid) -> MonotonicityReport:
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("alpha grid must be strictly increasing")
 
-    c = p.size
-    logp = np.log(p[p > 0.0])
-    # sum_j p_j**a for the whole grid at once; a = 0 rows use the uniform-limit
-    # convention where zero entries still count toward C.
-    totals = np.exp(grid[:, None] * logp[None, :]).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        taus = np.exp(np.log(totals) / (grid - 1.0))
-    taus = np.clip(taus, 1.0 / c, 1.0)
-    taus[grid == 0.0] = 1.0 / c
-
-    min_diff = float(np.diff(taus).min()) if grid.size > 1 else math.inf
+    taus = _threshold_rows(np.atleast_2d(p), grid)
+    if p.ndim == 1:
+        taus = taus[0]
+    min_diff = float(np.diff(taus, axis=-1).min()) if grid.size > 1 else math.inf
     return MonotonicityReport(
         alphas=grid.copy(),
         thresholds=taus,

@@ -6,6 +6,8 @@ first principles (power/log/exp on exact decimal expansions of the float64
 inputs), and the finite-difference helpers probe gradients numerically.
 """
 
+import copy
+
 import numpy as np
 from mpmath import mp, mpf, exp, log, power
 
@@ -42,9 +44,10 @@ def softmax_mp(z):
     return np.array([float(x / s) for x in e])
 
 
-def cross_entropy_mp(p, q):
-    """-sum q_i log p_i at 50 digits, for float64 p and q."""
-    return float(-sum(mpf_of(qi) * log(mpf_of(pi)) for qi, pi in zip(q, p)))
+def cross_entropy_mp(z, q):
+    """-sum q_i log softmax(z)_i at 50 digits, for float64 logits z and q."""
+    lse = log(sum(exp(mpf_of(x)) for x in z))
+    return float(sum(mpf_of(qi) * (lse - mpf_of(x)) for qi, x in zip(q, z)))
 
 
 def max_rel_err(a, b, floor=1e-4):
@@ -89,18 +92,19 @@ def set_flat_params(net, theta):
 def net_loss(net, x, y, eps=0.0, alpha=None):
     """Mean CE of the net on (x, y); with alpha set, the scaled-logit
     surrogate (1/alpha) CE(softmax(alpha z)) whose gradient is the tampered one."""
-    from gradtamper.lossgrad import batch_cross_entropy, softmax
+    from gradtamper.lossgrad import batch_cross_entropy, smooth_label_rows
     from gradtamper.net import forward
 
     logits, _ = forward(net, x)
+    q = smooth_label_rows(y, logits.shape[1], eps)
     if alpha is None:
-        return batch_cross_entropy(softmax(logits, axis=-1), y, eps)
-    return batch_cross_entropy(softmax(alpha * logits, axis=-1), y, eps) / alpha
+        return batch_cross_entropy(logits, q)
+    return batch_cross_entropy(alpha * logits, q) / alpha
 
 
 def fd_param_grad(net, x, y, eps=0.0, alpha=None, h=1e-5):
-    """Central differences through every parameter of a (cloned) net."""
-    probe = net.clone()
+    """Central differences through every parameter of a copy of the net."""
+    probe = copy.deepcopy(net)
     theta = flat_params(probe)
     g = np.empty_like(theta)
     for i in range(theta.size):
@@ -118,14 +122,12 @@ def fd_param_grad(net, x, y, eps=0.0, alpha=None, h=1e-5):
 
 def analytic_param_grad(net, x, y, eps=0.0, alpha=None):
     """Backprop parameter gradient, flattened to match ``fd_param_grad``."""
-    from gradtamper.lossgrad import softmax, tampered_dlogits
+    from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
     from gradtamper.net import backward, forward
-    from gradtamper.transform import TamperSpec
 
     logits, cache = forward(net, x)
-    probs = softmax(logits, axis=-1)
-    tamper = None if alpha is None else TamperSpec(alpha)
-    d = tampered_dlogits(probs, y, eps, tamper, tamper is not None) / x.shape[0]
+    q = smooth_label_rows(y, logits.shape[1], eps)
+    d = tampered_dlogits(logits, q, 1.0 if alpha is None else alpha) / x.shape[0]
     grads = backward(net, cache, d)
     return np.concatenate([np.r_[dw.ravel(), db] for dw, db in grads])
 

@@ -23,8 +23,14 @@ from gradtamper.harness import (
     write_metrics_csv,
     write_transform_csv,
 )
+from gradtamper.lossgrad import softmax
 from gradtamper.schedule import ScheduleSpec
-from gradtamper.transform import TamperSpec, stationary_threshold, transform_probabilities
+from gradtamper.transform import (
+    TamperSpec,
+    power_transform_rows,
+    stationary_threshold,
+    transform_probabilities,
+)
 
 TINY_DATA = DataSpec(kind="blobs", classes=4, per_class=20, features=6, spread=1.0, seed=11)
 TINY_SCHED = ScheduleSpec(
@@ -104,6 +110,14 @@ class TestTrain:
         )
         with pytest.raises(DivergenceError, match=r"non-finite logits.*step"):
             train(tiny_config(schedule=hot))
+
+    def test_fitted_desk_run_records_no_negative_zero_loss(self):
+        # At alpha=0.05 the desk run fits its training split so tightly that
+        # the loss is exactly zero in most epochs; it must read 0.0, not -0.0.
+        _, records = train(TrainConfig(tamper=TamperSpec(0.05)))
+        losses = [r.train_loss for r in records]
+        assert 0.0 in losses
+        assert all(math.copysign(1.0, loss) == 1.0 for loss in losses)
 
 
 class TestMetricsCsv:
@@ -190,12 +204,26 @@ class TestVerify:
         assert report.passed
         names = {p.name for p in report.properties}
         assert "gradient-matches-fd" in names
+        assert "wide-logit-gradient" in names
         assert "threshold-monotonicity" in names
         assert "temperature-equivalence" in names
         assert report.min_threshold_diff >= -1e-10
         for prop in report.properties:
             assert prop.failures == 0
             assert prop.samples > 0
+
+    def test_wide_band_rejects_transform_of_underflowed_softmax(self, monkeypatch):
+        # Computing the tampered gradient as transform(softmax(z)) - q keeps
+        # the exact zeros of an underflowed softmax; only the wide band sees it.
+        import gradtamper.harness as harness
+
+        def transformed_softmax(logits, q, alpha):
+            return power_transform_rows(softmax(logits, axis=-1), alpha) - q
+
+        monkeypatch.setattr(harness, "tampered_dlogits", transformed_softmax)
+        report = verify_claims(seed=0, trials=20, class_counts=(10, 100))
+        failing = [p.name for p in report.properties if not p.passed]
+        assert failing == ["wide-logit-gradient"]
 
     def test_single_trial_runs(self):
         assert verify_claims(seed=3, trials=1, class_counts=(3,)).passed
@@ -236,6 +264,8 @@ class TestConfigValidation:
             dict(clip_lambda=0.0),
             dict(activation="tanh"),
             dict(hidden=(0,)),
+            dict(hidden=(8.0,)),
+            dict(hidden=(True,)),
             dict(weight_decay=-1e-3),
         ):
             with pytest.raises(ValueError):

@@ -1,26 +1,24 @@
-"""Softmax, cross-entropy, label smoothing, gradients, clipping.
+"""Softmax, logsumexp cross-entropy, label smoothing, the logit gradient,
+and global-norm clipping.
 
 Gradient checks compare the closed forms against central finite differences
 of the actual loss function; point values are frozen 50-digit evaluations.
 """
+
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gradtamper.lossgrad import (
-    LOG_CLAMP,
-    LabelSpec,
     batch_cross_entropy,
-    clip_gradient,
-    cross_entropy,
     smooth_label_rows,
-    smooth_labels,
     softmax,
-    softmax_ce_grad,
     tampered_dlogits,
 )
-from gradtamper.transform import TamperSpec, transform_probabilities
+from gradtamper.net import clip_grads_global, global_grad_norm
+from gradtamper.transform import transform_probabilities
 from helpers import central_diff, cross_entropy_mp, max_rel_err, softmax_mp
 
 Z3 = np.array([1.0, 2.0, 3.0])
@@ -38,6 +36,18 @@ CE_P3_Y0_EPS01 = 0.51660859981626651428
 CE_SOFTMAX_Z3_Y0 = 2.407605964444380304483
 TAMPERED_GRAD_A05 = [0.18632372322584757702, 0.30719588571849839707, -0.4935196089443459741]
 TAMPERED_GRAD_A03 = [0.2396944792058497716217, 0.3235537038833594441728, -0.5632481830892092157945]
+# softmax(0.01 * [0, -800, -5]): softmax of the raw logits has an exact zero
+# in the middle, the scaled logits do not.
+WIDE_Z = np.array([0.0, -800.0, -5.0])
+WIDE_SOFTMAX_A001 = [0.51240930116923942, 0.00017189417073192269, 0.48741880466002866]
+
+
+def one_hot(target, c, eps=0.0):
+    return smooth_label_rows(np.array([target]), c, eps)
+
+
+def row_loss(z, q_row):
+    return batch_cross_entropy(np.asarray(z)[None, :], q_row[None, :])
 
 
 class TestSoftmax:
@@ -75,10 +85,10 @@ class TestSoftmax:
 
 class TestLabels:
     def test_one_hot(self):
-        assert_array_equal(smooth_labels(LabelSpec(1), 3), [0.0, 1.0, 0.0])
+        assert_array_equal(one_hot(1, 3), [[0.0, 1.0, 0.0]])
 
     def test_smoothing_splits_epsilon_evenly(self):
-        q = smooth_labels(LabelSpec(0, 0.1), 3)
+        q = one_hot(0, 3, 0.1)[0]
         assert q[0] == 1.0 - 0.1
         assert q[1] == q[2] == 0.1 / 2
         assert_allclose(q.sum(), 1.0, rtol=0, atol=1e-15)
@@ -86,64 +96,67 @@ class TestLabels:
     def test_rows_match_single(self):
         rows = smooth_label_rows(np.array([2, 0, 1]), 4, 0.2)
         for i, y in enumerate([2, 0, 1]):
-            assert_array_equal(rows[i], smooth_labels(LabelSpec(y, 0.2), 4))
+            assert_array_equal(rows[i], one_hot(y, 4, 0.2)[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LabelSpec(-1)
+            smooth_label_rows(np.array([0]), 3, 1.0)
         with pytest.raises(ValueError):
-            LabelSpec(0, 1.0)
+            smooth_label_rows(np.array([0]), 3, -0.1)
         with pytest.raises(ValueError):
-            smooth_labels(LabelSpec(5), 3)  # index out of range
-        with pytest.raises(ValueError):
-            smooth_labels(LabelSpec(0), 1)  # need >= 2 classes
+            smooth_label_rows(np.array([0]), 1, 0.0)  # need >= 2 classes
 
     def test_numpy_integer_targets_accepted(self):
-        q = smooth_labels(LabelSpec(int(np.int64(1))), 3)
-        assert q[1] == 1.0
-        # and the raw numpy scalar works too
-        assert smooth_labels(LabelSpec(np.int64(2)), 3)[2] == 1.0
+        assert smooth_label_rows(np.array([2], dtype=np.int64), 3, 0.0)[0, 2] == 1.0
+        assert smooth_label_rows([np.int64(1)], 3, 0.0)[0, 1] == 1.0
 
 
 class TestCrossEntropy:
     def test_frozen_values(self):
-        p = np.array([0.7, 0.2, 0.1])
-        assert_allclose(cross_entropy(p, LabelSpec(0)), CE_P3_Y0, rtol=1e-15)
-        assert_allclose(cross_entropy(p, LabelSpec(0, 0.1)), CE_P3_Y0_EPS01, rtol=1e-15)
-        assert_allclose(cross_entropy(softmax(Z3), LabelSpec(0)), CE_SOFTMAX_Z3_Y0, rtol=1e-14)
+        z = np.log([0.7, 0.2, 0.1])  # softmax(z) = [0.7, 0.2, 0.1]
+        assert_allclose(row_loss(z, one_hot(0, 3)[0]), CE_P3_Y0, rtol=1e-15)
+        assert_allclose(row_loss(z, one_hot(0, 3, 0.1)[0]), CE_P3_Y0_EPS01, rtol=1e-15)
+        assert_allclose(row_loss(Z3, one_hot(0, 3)[0]), CE_SOFTMAX_Z3_Y0, rtol=1e-15)
 
     def test_matches_mpmath(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             c = int(rng.integers(2, 10))
-            p = rng.dirichlet(np.ones(c))
+            z = rng.normal(0, 5, size=c)
             y = int(rng.integers(0, c))
             for eps in (0.0, 0.05, 0.3):
-                q = smooth_labels(LabelSpec(y, eps), c)
-                assert_allclose(
-                    cross_entropy(p, LabelSpec(y, eps)), cross_entropy_mp(p, q), rtol=1e-13
-                )
+                q = one_hot(y, c, eps)[0]
+                assert_allclose(row_loss(z, q), cross_entropy_mp(z, q), rtol=1e-13)
 
     def test_zero_probability_is_finite(self):
-        # The clamp turns log(0) into log(LOG_CLAMP).
-        p = np.array([0.0, 0.5, 0.5])
-        loss = cross_entropy(p, LabelSpec(0))
-        assert np.isfinite(loss)
-        assert_allclose(loss, -np.log(LOG_CLAMP), rtol=1e-12)
+        # softmax puts an exact 0 on the target; logsumexp still gives the
+        # exact loss 800 + log 2 instead of a clamped one.
+        z = np.array([-800.0, 0.0, 0.0])
+        assert softmax(z)[0] == 0.0
+        assert_allclose(row_loss(z, one_hot(0, 3)[0]), 800.0 + math.log(2.0), rtol=1e-15)
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(9)
-        probs = rng.dirichlet(np.ones(5), size=7)
+        z = rng.normal(0, 3, size=(7, 5))
         targets = rng.integers(0, 5, size=7)
         for eps in (0.0, 0.1):
-            per_row = [cross_entropy(probs[i], LabelSpec(int(targets[i]), eps)) for i in range(7)]
-            assert_allclose(batch_cross_entropy(probs, targets, eps), np.mean(per_row), rtol=1e-14)
+            q = smooth_label_rows(targets, 5, eps)
+            per_row = [row_loss(z[i], q[i]) for i in range(7)]
+            assert_allclose(batch_cross_entropy(z, q), np.mean(per_row), rtol=1e-14)
+
+    def test_perfect_fit_is_positive_zero(self):
+        # Every non-target exp underflows next to the target's, so the loss
+        # is exactly zero, and it must be +0.0, not the -0.0 of a negated 0.
+        z = np.array([[0.0, -800.0, -900.0], [-800.0, 0.0, -750.0]])
+        loss = batch_cross_entropy(z, smooth_label_rows(np.array([0, 1]), 3, 0.0))
+        assert loss == 0.0
+        assert math.copysign(1.0, loss) == 1.0
 
 
 class TestGradient:
     def test_untampered_is_p_minus_q(self):
-        g = softmax_ce_grad(Z3, LabelSpec(2))
-        assert_allclose(g, softmax(Z3) - smooth_labels(LabelSpec(2), 3), rtol=0, atol=0)
+        q = one_hot(2, 3)
+        assert_array_equal(tampered_dlogits(Z3[None, :], q, 1.0), softmax(Z3)[None, :] - q)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -152,89 +165,104 @@ class TestGradient:
             z = rng.normal(0, 2, size=c)
             y = int(rng.integers(0, c))
             for eps in (0.0, 0.1):
-                spec = LabelSpec(y, eps)
-                g = softmax_ce_grad(z, spec)
-                fd = central_diff(lambda v: cross_entropy(softmax(v), spec), z)
+                q = one_hot(y, c, eps)
+                g = tampered_dlogits(z[None, :], q, 1.0)[0]
+                fd = central_diff(lambda v: row_loss(v, q[0]), z)
                 assert max_rel_err(g, fd) < 1e-6
 
     def test_tampered_frozen_values(self):
-        g05 = softmax_ce_grad(Z3, LabelSpec(2), tamper=TamperSpec(0.5), tamper_active=True)
-        assert_allclose(g05, TAMPERED_GRAD_A05, rtol=0, atol=5e-16)
-        g03 = softmax_ce_grad(Z3, LabelSpec(2), tamper=TamperSpec(0.3), tamper_active=True)
-        assert_allclose(g03, TAMPERED_GRAD_A03, rtol=0, atol=5e-16)
+        q = one_hot(2, 3)
+        assert_allclose(tampered_dlogits(Z3[None, :], q, 0.5)[0], TAMPERED_GRAD_A05,
+                        rtol=0, atol=5e-16)
+        assert_allclose(tampered_dlogits(Z3[None, :], q, 0.3)[0], TAMPERED_GRAD_A03,
+                        rtol=0, atol=5e-16)
 
     def test_tampered_equals_transform_minus_q(self):
         rng = np.random.default_rng(22)
         z = rng.normal(0, 2, size=6)
-        g = softmax_ce_grad(z, LabelSpec(3, 0.1), tamper=TamperSpec(0.4), tamper_active=True)
-        expected = transform_probabilities(softmax(z), 0.4) - smooth_labels(LabelSpec(3, 0.1), 6)
-        assert_array_equal(g, expected)
+        q = one_hot(3, 6, 0.1)
+        g = tampered_dlogits(z[None, :], q, 0.4)[0]
+        expected = transform_probabilities(softmax(z), 0.4) - q[0]
+        assert_allclose(g, expected, rtol=0, atol=1e-15)
 
     def test_inactive_or_alpha_one_leaves_gradient_alone(self):
-        baseline = softmax_ce_grad(Z3, LabelSpec(1))
-        off = softmax_ce_grad(Z3, LabelSpec(1), tamper=TamperSpec(0.3), tamper_active=False)
-        unity = softmax_ce_grad(Z3, LabelSpec(1), tamper=TamperSpec(1.0), tamper_active=True)
-        assert_array_equal(off, baseline)
-        assert_array_equal(unity, baseline)
+        # An inactive tamper is run as alpha = 1: bit for bit softmax(z) - q.
+        rng = np.random.default_rng(26)
+        z = rng.normal(0, 4, size=(5, 7))
+        q = smooth_label_rows(rng.integers(0, 7, size=5), 7, 0.1)
+        assert_array_equal(tampered_dlogits(z, q, 1.0), softmax(z, axis=-1) - q)
 
     def test_entries_sum_to_zero(self):
         rng = np.random.default_rng(23)
         for alpha in (0.2, 0.6, 1.0):
-            z = rng.normal(0, 3, size=9)
-            g = softmax_ce_grad(z, LabelSpec(4, 0.05), tamper=TamperSpec(alpha), tamper_active=True)
+            z = rng.normal(0, 3, size=(1, 9))
+            g = tampered_dlogits(z, one_hot(4, 9, 0.05), alpha)
             assert abs(g.sum()) < 1e-12
 
     def test_scaled_logits_surrogate_identity(self):
-        # transform(softmax(z), a) - q  ==  (1/a) * d/dz CE(softmax(a z), q),
-        # checked against finite differences of the scaled-logit loss.
+        # softmax(a z) - q  ==  (1/a) * d/dz CE(softmax(a z), q), checked
+        # against finite differences of the scaled-logit loss.
         rng = np.random.default_rng(24)
         z = rng.normal(0, 2, size=5)
+        q = one_hot(1, 5)
         for alpha in (0.3, 0.5):
-            spec = LabelSpec(1)
-            g = softmax_ce_grad(z, spec, tamper=TamperSpec(alpha), tamper_active=True)
-            fd = central_diff(lambda v: cross_entropy(softmax(alpha * v), spec), z) / alpha
+            g = tampered_dlogits(z[None, :], q, alpha)[0]
+            fd = central_diff(lambda v: row_loss(alpha * v, q[0]), z) / alpha
             assert max_rel_err(g, fd) < 1e-6
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(25)
         z = rng.normal(0, 2, size=(6, 4))
         targets = rng.integers(0, 4, size=6)
-        probs = softmax(z, axis=-1)
-        rows = tampered_dlogits(probs, targets, 0.1, TamperSpec(0.5), True)
+        q = smooth_label_rows(targets, 4, 0.1)
+        rows = tampered_dlogits(z, q, 0.5)
         for i in range(6):
-            single = softmax_ce_grad(
-                z[i], LabelSpec(int(targets[i]), 0.1), tamper=TamperSpec(0.5), tamper_active=True
-            )
+            single = tampered_dlogits(z[i : i + 1], q[i : i + 1], 0.5)[0]
             assert_allclose(rows[i], single, rtol=0, atol=1e-15)
+
+    def test_wide_logits_keep_underflowed_mass(self):
+        # softmax(z) is exactly 0 in the middle; the transform of it would
+        # keep that 0, the temperature form gives the true 1.7e-4.
+        q = one_hot(0, 3)
+        assert softmax(WIDE_Z)[1] == 0.0
+        got = tampered_dlogits(WIDE_Z[None, :], q, 0.01)[0] + q[0]
+        assert_allclose(got, WIDE_SOFTMAX_A001, rtol=1e-15, atol=0)
+
+    def test_alpha_validation(self):
+        for alpha in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                tampered_dlogits(Z3[None, :], one_hot(0, 3), alpha)
 
 
 class TestClip:
+    """Global-norm clipping, the baseline intervention tampering is compared
+    against; the engine clips a gradient given as [(dweights, dbiases), ...]."""
+
     def test_long_gradient_rescaled_exactly(self):
-        g = np.array([3.0, 4.0])  # norm 5
-        out = clip_gradient(g, 2.0)
-        assert_allclose(out, g * (2.0 / 5.0), rtol=0, atol=0)
-        assert_allclose(np.linalg.norm(out), 2.0, rtol=1e-15)
+        grads = [(np.array([[3.0]]), np.array([4.0]))]  # norm 5
+        [(dw, db)] = clip_grads_global(grads, 2.0)
+        assert dw[0, 0] == 3.0 * (2.0 / 5.0) and db[0] == 4.0 * (2.0 / 5.0)
+        assert_allclose(global_grad_norm([(dw, db)]), 2.0, rtol=1e-15)
 
     def test_short_gradient_untouched(self):
-        g = np.array([0.3, 0.4])
-        assert_array_equal(clip_gradient(g, 2.0), g)
+        grads = [(np.array([[0.3]]), np.array([0.4]))]
+        assert clip_grads_global(grads, 2.0) is grads
 
     def test_boundary_untouched(self):
-        g = np.array([3.0, 4.0])
-        assert_array_equal(clip_gradient(g, 5.0), g)
+        grads = [(np.array([[3.0]]), np.array([4.0]))]
+        assert clip_grads_global(grads, 5.0) is grads
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = rng.normal(0, 3, size=8)
-            out = clip_gradient(g, 1.0)
+            [(dw, db)] = clip_grads_global([(g[None, :-1], g[-1:])], 1.0)
+            out = np.concatenate([dw[0], db])
             cos = np.dot(g, out) / (np.linalg.norm(g) * np.linalg.norm(out))
             assert cos > 1.0 - 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_gradient(np.ones(3), 0.0)
-        with pytest.raises(ValueError):
-            clip_gradient(np.ones(3), -1.0)
-        with pytest.raises(ValueError):
-            clip_gradient(np.array([np.nan, 1.0]), 1.0)
+        grads = [(np.ones((1, 2)), np.ones(1))]
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                clip_grads_global(grads, bad)

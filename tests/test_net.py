@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gradtamper.lossgrad import batch_cross_entropy, smooth_label_rows, softmax, tampered_dlogits
+from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
 from gradtamper.net import (
     DenseLayer,
     DenseNet,
@@ -19,15 +19,12 @@ from gradtamper.net import (
     save_checkpoint,
     sgd_step,
 )
-from gradtamper.transform import TamperSpec
 from helpers import (
     analytic_param_grad,
     fd_param_grad,
-    flat_params,
     kink_free_case,
     max_rel_err,
     net_loss,
-    set_flat_params,
 )
 
 
@@ -118,21 +115,6 @@ class TestBackward:
         fd = fd_param_grad(net, x, y, alpha=alpha)
         assert max_rel_err(analytic, fd, floor=1e-3) < 1e-6
 
-    def test_input_gradient_shape_and_fd(self):
-        rng = np.random.default_rng(45)
-        net, x, y = kink_free_case(rng, [3, 5, 2], "relu", batch=1)
-        logits, cache = forward(net, x)
-        d = tampered_dlogits(softmax(logits, axis=-1), y, 0.0, None, False)
-        _, dx = backward(net, cache, d, return_input_grad=True)
-        assert dx.shape == x.shape
-        fd = np.empty(3)
-        for i in range(3):
-            up, dn = x.copy(), x.copy()
-            up[0, i] += 1e-5
-            dn[0, i] -= 1e-5
-            fd[i] = (net_loss(net, up, y) - net_loss(net, dn, y)) / 2e-5
-        assert max_rel_err(dx[0], fd, floor=1e-3) < 1e-6
-
     def test_dlogits_shape_mismatch_rejected(self):
         rng = np.random.default_rng(46)
         net = init_dense_net([3, 2], rng)
@@ -167,14 +149,6 @@ class TestSgd:
         sgd_step(net, [(g, np.zeros(1))], state, 0.1)
         assert_array_equal(net.layers[0].weights, np.array([[1.0, 2.0]]) - 0.1 * g)
 
-    def test_decay_biases_toggle(self):
-        net = DenseNet([DenseLayer(np.array([[1.0]]), np.array([4.0]))])
-        state = init_opt_state(net, momentum=0.0, weight_decay=0.1, nesterov=False,
-                               decay_biases=False)
-        sgd_step(net, [(np.zeros((1, 1)), np.zeros(1))], state, 1.0)
-        assert net.layers[0].biases[0] == 4.0  # untouched without bias decay
-        assert net.layers[0].weights[0, 0] == 1.0 - 0.1 * 1.0
-
     def test_velocity_buffers_updated_in_place(self):
         rng = np.random.default_rng(50)
         net = init_dense_net([3, 2], rng)
@@ -200,7 +174,7 @@ class TestSgd:
         first = net_loss(net, x, y)
         for _ in range(60):
             logits, cache = forward(net, x)
-            d = tampered_dlogits(softmax(logits, axis=-1), y, 0.0, None, False) / 64
+            d = tampered_dlogits(logits, smooth_label_rows(y, 2, 0.0), 1.0) / 64
             sgd_step(net, backward(net, cache, d), state, 0.1)
         assert net_loss(net, x, y) < first * 0.5
 
@@ -260,9 +234,3 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
-
-    def test_clone_is_independent(self):
-        net = init_dense_net([3, 2], np.random.default_rng(73))
-        twin = net.clone()
-        twin.layers[0].weights[0, 0] += 1.0
-        assert net.layers[0].weights[0, 0] != twin.layers[0].weights[0, 0]

@@ -199,6 +199,28 @@ class TestMonotonicity:
             p = rng.dirichlet(np.ones(int(rng.integers(2, 30))))
             assert threshold_monotonicity_check(p, grid).passed
 
+    def test_batch_matches_per_row_calls(self):
+        rng = np.random.default_rng(4)
+        rows = rng.dirichlet(np.ones(7), size=30)
+        grid = np.arange(100) / 100.0
+        report = threshold_monotonicity_check(rows, grid)
+        assert report.thresholds.shape == (30, grid.size)
+        singles = [threshold_monotonicity_check(row, grid) for row in rows]
+        for i, single in enumerate(singles):
+            assert_array_equal(report.thresholds[i], single.thresholds)
+            assert report.thresholds[i, 37] == stationary_threshold(rows[i], 0.37)
+        assert report.min_successive_diff == min(r.min_successive_diff for r in singles)
+        assert report.passed
+
+    def test_batch_validation(self):
+        grid = np.array([0.2, 0.5])
+        with pytest.raises(ValueError, match="sums to"):
+            threshold_monotonicity_check(np.array([[0.5, 0.5], [0.6, 0.5]]), grid)
+        with pytest.raises(ValueError):
+            threshold_monotonicity_check(np.empty((0, 3)), grid)
+        with pytest.raises(ValueError):
+            threshold_monotonicity_check(np.full((2, 2, 2), 0.5), grid)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             threshold_monotonicity_check(P3, np.array([]))
