@@ -353,7 +353,7 @@ def _format_grid_row(row: GridRow) -> str:
 
 def _parse_grid_row(line: str) -> GridRow:
     parts = line.split(",")
-    if len(parts) != 7:
+    if len(parts) != 7 or parts[6] not in ("ok", "diverged"):
         raise ValueError(f"malformed grid row: {line!r}")
     return GridRow(
         alpha=float(parts[0]),
@@ -378,8 +378,10 @@ def grid_search(
     Cells are run sequentially in the given order.  If ``csv_path`` already
     holds rows (same header), those (alpha, seed) cells are skipped and the
     stored rows are returned in their place, so a killed sweep resumes where
-    it stopped.  A diverging cell is recorded with status ``diverged`` and
-    NaN metrics; it does not stop the sweep.
+    it stopped.  A last line without its newline is a row the kill cut short:
+    it is cut off the file and its cell runs again.  A diverging cell is
+    recorded with status ``diverged`` and NaN metrics; it does not stop the
+    sweep.
     """
     if not alphas:
         raise ValueError("grid needs at least one alpha")
@@ -389,15 +391,19 @@ def grid_search(
     done: dict[tuple[str, int], GridRow] = {}
     fresh = True
     if os.path.exists(csv_path) and os.path.getsize(csv_path) > 0:
-        with open(csv_path, "r", newline="") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != GRID_HEADER:
-            raise ValueError(
-                f"{csv_path} exists but does not start with the grid header {GRID_HEADER!r}"
-            )
-        for ln in lines[1:]:
-            row = _parse_grid_row(ln)
-            done[(repr(row.alpha), row.seed)] = row
+        with open(csv_path, "r+b") as fh:
+            blob = fh.read()
+            end = blob.rfind(b"\n") + 1  # every complete row ends in a newline
+            lines = [ln.strip() for ln in blob[:end].decode().splitlines() if ln.strip()]
+            if not lines or lines[0] != GRID_HEADER:
+                raise ValueError(
+                    f"{csv_path} exists but does not start with the grid header {GRID_HEADER!r}"
+                )
+            for ln in lines[1:]:
+                row = _parse_grid_row(ln)
+                done[(repr(row.alpha), row.seed)] = row
+            if end < len(blob):
+                fh.truncate(end)
         fresh = False
 
     if datasets is None:
@@ -794,15 +800,14 @@ def verify_claims(
                         max_relative_error(grad_at[alpha][i], fd_scaled, floor=3e-4)
                     )
 
-        # Clipping facts on random gradients, through the engine's global
-        # clip applied to a one-layer gradient (weights row, then bias).
+        # Clipping facts on random gradient vectors, through the engine's
+        # global clip.
         g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
         lams = rng.uniform(0.5, 2.0, size=trials)
         for i in range(min(trials, 200)):
             g = g_rows[i]
             lam = float(lams[i])
-            [(dw, db)] = clip_grads_global([(g[None, :-1], g[-1:])], lam)
-            clipped = np.concatenate([dw[0], db])
+            clipped = clip_grads_global(g, lam)
             gn = float(np.linalg.norm(g))
             cn = float(np.linalg.norm(clipped))
             # Norm never grows, and never ends above min(original, cap).

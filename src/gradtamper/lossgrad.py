@@ -54,6 +54,11 @@ def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> 
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"smoothing epsilon must lie in [0, 1), got {epsilon!r}")
+    # Checked here because numpy indexing would wrap a negative target.
+    if targets.dtype.kind not in "iu":
+        raise ValueError(f"targets must be integers, got dtype {targets.dtype}")
+    if targets.size and not (targets.min() >= 0 and targets.max() < num_classes):
+        raise ValueError(f"targets must lie in [0, {num_classes})")
     q = np.full((targets.size, num_classes), epsilon / (num_classes - 1))
     q[np.arange(targets.size), targets] = 1.0 - epsilon
     return q

@@ -4,6 +4,14 @@ The network is a list of (weights, biases, activation) layers; the last
 layer's outputs are the logits.  Training mutates a network from a single
 thread.
 
+Parameter layout: every parameter lives in one contiguous float64 vector,
+``DenseNet.params``, layer by layer, each layer's weights row-major and then
+its biases (the checkpoint's order).  Each ``DenseLayer.weights``/``.biases``
+is a view into that vector, so writing through either name changes both;
+rebinding a layer's attribute to a new array unties it.  Gradients
+(``backward``) and the momentum velocity (``OptState``) are vectors in the
+same layout, so the optimizer and the clip never loop over layers.
+
 Checkpoint layout (all little-endian): magic ``b"DNET"``, uint32 version (1),
 uint32 layer count; then per layer a uint8 activation code (0 identity,
 1 relu), uint32 output size, uint32 input size, float64 weights row-major,
@@ -28,7 +36,6 @@ __all__ = [
     "forward",
     "backward",
     "sgd_step",
-    "global_grad_norm",
     "clip_grads_global",
     "save_checkpoint",
     "load_checkpoint",
@@ -40,11 +47,6 @@ _CHECKPOINT_MAGIC = b"DNET"
 _CHECKPOINT_VERSION = 1
 _ACT_CODES = {"identity": 0, "relu": 1}
 _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
-
-# One layer's gradients as (dweights, dbiases); a network gradient is a list
-# of these, mirroring DenseNet.layers.
-LayerGrads = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass
 class DenseLayer:
@@ -70,7 +72,10 @@ class DenseLayer:
 
 @dataclass
 class DenseNet:
+    """The layers, packed on construction into one parameter vector."""
+
     layers: list[DenseLayer] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -81,6 +86,14 @@ class DenseNet:
                     f"layer input size {cur.weights.shape[1]} does not match "
                     f"previous output size {prev.weights.shape[0]}"
                 )
+        self.params = np.concatenate([np.r_[l.weights.ravel(), l.biases] for l in self.layers])
+        for layer, (w, b) in zip(self.layers, _layer_views(self, self.params)):
+            layer.weights, layer.biases = w, b
+
+    def __deepcopy__(self, memo) -> DenseNet:
+        # Copying field by field would copy each view on its own, untied from
+        # the copied params; repacking copies the values and ties them again.
+        return DenseNet([DenseLayer(l.weights, l.biases, l.activation) for l in self.layers])
 
     @property
     def input_dim(self) -> int:
@@ -89,6 +102,17 @@ class DenseNet:
     @property
     def num_classes(self) -> int:
         return self.layers[-1].weights.shape[0]
+
+
+def _layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, biases) views into a vector in the ``params`` layout."""
+    views, pos = [], 0
+    for layer in net.layers:
+        out_size, in_size = layer.weights.shape
+        end = pos + out_size * in_size
+        views.append((flat[pos:end].reshape(out_size, in_size), flat[end : end + out_size]))
+        pos = end + out_size
+    return views
 
 
 def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "relu") -> DenseNet:
@@ -129,12 +153,13 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     return h, cache
 
 
-def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> list:
-    """Chain-rule the logit gradient back into per-parameter gradients.
+def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
+    """Chain-rule the logit gradient back into the parameter gradient.
 
     ``dlogits`` is the gradient of the scalar loss at the logits (any batch
     scaling included by the caller); this is the only seam through which a
-    tampered gradient enters, the rest is plain backprop.
+    tampered gradient enters, the rest is plain backprop.  Returns one vector
+    in the ``params`` layout.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     n_out = net.layers[-1].weights.shape[0]
@@ -143,13 +168,15 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> list:
             f"dlogits shape {dlogits.shape} does not match logits "
             f"{(cache[-1][1].shape[0], n_out)}"
         )
-    grads: list[LayerGrads | None] = [None] * len(net.layers)
+    grads = np.empty_like(net.params)
+    views = _layer_views(net, grads)
     d = dlogits
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         inp, s = cache[k]
         ds = d * (s > 0.0) if layer.activation == "relu" else d
-        grads[k] = (ds.T @ inp, ds.sum(axis=0))
+        np.matmul(ds.T, inp, out=views[k][0])
+        ds.sum(axis=0, out=views[k][1])
         if k:  # nothing consumes the gradient at the network's input
             d = ds @ layer.weights
     return grads
@@ -157,13 +184,13 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> list:
 
 @dataclass
 class OptState:
-    """SGD state: velocity buffers mirroring the parameters, plus settings.
+    """SGD state: a velocity vector in the ``params`` layout, plus settings.
 
     Weight decay is applied as gradient augmentation ``g + wd * w`` (coupled
     L2), uniformly to weights and biases.
     """
 
-    velocities: list[LayerGrads]
+    velocity: np.ndarray
     momentum: float = 0.9
     weight_decay: float = 5e-4
     nesterov: bool = True
@@ -175,53 +202,42 @@ def init_opt_state(
     weight_decay: float = 5e-4,
     nesterov: bool = True,
 ) -> OptState:
-    vel = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    return OptState(vel, momentum, weight_decay, nesterov)
+    return OptState(np.zeros_like(net.params), momentum, weight_decay, nesterov)
 
 
-def sgd_step(net: DenseNet, grads: list, state: OptState, lr: float) -> tuple[DenseNet, OptState]:
+def sgd_step(
+    net: DenseNet, grads: np.ndarray, state: OptState, lr: float
+) -> tuple[DenseNet, OptState]:
     """One SGD update with Nesterov momentum; mutates net and state in place."""
     if not lr > 0.0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")
-    if len(grads) != len(net.layers):
-        raise ValueError("gradient list does not match layer count")
+    if np.shape(grads) != net.params.shape:
+        raise ValueError(f"gradient shape {np.shape(grads)} != params {net.params.shape}")
     mu = state.momentum
     wd = state.weight_decay
-    for layer, (dw, db), (vw, vb) in zip(net.layers, grads, state.velocities):
-        if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
-            raise ValueError("gradient shapes do not match parameter shapes")
-        gw = dw + wd * layer.weights if wd else dw
-        gb = db + wd * layer.biases if wd else db
-        vw *= mu
-        vw += gw
-        vb *= mu
-        vb += gb
-        if state.nesterov:
-            layer.weights -= lr * (gw + mu * vw)
-            layer.biases -= lr * (gb + mu * vb)
-        else:
-            layer.weights -= lr * vw
-            layer.biases -= lr * vb
+    g = grads + wd * net.params if wd else grads
+    v = state.velocity
+    v *= mu
+    v += g
+    net.params -= lr * (g + mu * v) if state.nesterov else lr * v
     return net, state
 
 
-def global_grad_norm(grads: list) -> float:
-    """L2 norm of the full parameter gradient, all layers concatenated."""
-    total = 0.0
-    for dw, db in grads:
-        total += float((dw * dw).sum()) + float((db * db).sum())
-    return math.sqrt(total)
+def clip_grads_global(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale the gradient vector to norm ``clip_norm`` if it exceeds it.
 
-
-def clip_grads_global(grads: list, clip_norm: float) -> list:
-    """Scale the whole gradient to norm ``clip_norm`` if it exceeds it."""
+    Returns ``grads`` itself when it is short enough, a new array otherwise.
+    """
     if not clip_norm > 0.0:
         raise ValueError(f"clip norm must be positive, got {clip_norm!r}")
-    norm = global_grad_norm(grads)
+    if np.ndim(grads) != 1:
+        raise ValueError(f"gradient must be a vector, got shape {np.shape(grads)}")
+    # numpy's own reduction, not a BLAS dot, so the sum does not depend on
+    # the BLAS thread count.
+    norm = math.sqrt(float((grads * grads).sum()))
     if norm <= clip_norm:
         return grads
-    scale = clip_norm / norm
-    return [(dw * scale, db * scale) for dw, db in grads]
+    return grads * (clip_norm / norm)
 
 
 def save_checkpoint(net: DenseNet, path) -> None:
@@ -257,7 +273,8 @@ def load_checkpoint(path) -> DenseNet:
         offset += w_bytes
         b = np.frombuffer(blob, dtype="<f8", count=out_size, offset=offset)
         offset += out_size * 8
-        layers.append(DenseLayer(w.reshape(out_size, in_size).copy(), b.copy(), _ACT_NAMES[code]))
+        # No copy: DenseNet packs the read-only buffer views into its params.
+        layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after layer data")
     return DenseNet(layers)

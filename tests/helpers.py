@@ -72,23 +72,6 @@ def central_diff(f, x, h=1e-5):
     return g
 
 
-def flat_params(net):
-    """All weights and biases of a net as one flat vector, layer by layer."""
-    return np.concatenate([np.r_[l.weights.ravel(), l.biases] for l in net.layers])
-
-
-def set_flat_params(net, theta):
-    pos = 0
-    for layer in net.layers:
-        n = layer.weights.size
-        layer.weights[...] = theta[pos : pos + n].reshape(layer.weights.shape)
-        pos += n
-        n = layer.biases.size
-        layer.biases[...] = theta[pos : pos + n]
-        pos += n
-    assert pos == theta.size
-
-
 def net_loss(net, x, y, eps=0.0, alpha=None):
     """Mean CE of the net on (x, y); with alpha set, the scaled-logit
     surrogate (1/alpha) CE(softmax(alpha z)) whose gradient is the tampered one."""
@@ -105,31 +88,27 @@ def net_loss(net, x, y, eps=0.0, alpha=None):
 def fd_param_grad(net, x, y, eps=0.0, alpha=None, h=1e-5):
     """Central differences through every parameter of a copy of the net."""
     probe = copy.deepcopy(net)
-    theta = flat_params(probe)
+    theta = probe.params  # the layers are views into it
     g = np.empty_like(theta)
     for i in range(theta.size):
         theta[i] += h
-        set_flat_params(probe, theta)
         up = net_loss(probe, x, y, eps, alpha)
         theta[i] -= 2 * h
-        set_flat_params(probe, theta)
         dn = net_loss(probe, x, y, eps, alpha)
         theta[i] += h
         g[i] = (up - dn) / (2.0 * h)
-    set_flat_params(probe, theta)
     return g
 
 
 def analytic_param_grad(net, x, y, eps=0.0, alpha=None):
-    """Backprop parameter gradient, flattened to match ``fd_param_grad``."""
+    """Backprop parameter gradient, in the layout of ``fd_param_grad``."""
     from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
     from gradtamper.net import backward, forward
 
     logits, cache = forward(net, x)
     q = smooth_label_rows(y, logits.shape[1], eps)
     d = tampered_dlogits(logits, q, 1.0 if alpha is None else alpha) / x.shape[0]
-    grads = backward(net, cache, d)
-    return np.concatenate([np.r_[dw.ravel(), db] for dw, db in grads])
+    return backward(net, cache, d)
 
 
 def kink_free_case(rng, sizes, activation, batch, margin=1e-3):

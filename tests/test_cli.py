@@ -154,6 +154,19 @@ class TestGridCommand:
         assert csv.read_bytes() == complete
         capsys.readouterr()
 
+    @pytest.mark.parametrize("cut", [7, 2], ids=["mid-row", "in-status"])
+    def test_resume_after_a_cut_row(self, tmp_path, capsys, cut):
+        # A sweep killed while writing its last row leaves it without a
+        # newline: cut inside the numbers or inside the "ok" status.
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
+        csv = tmp_path / "grid-000" / "grid.csv"
+        complete = csv.read_bytes()
+        csv.write_bytes(complete[:-cut])
+        code = main(["grid", "--resume", str(csv), *TINY, *self.GRID_ARGS])
+        assert code == 0, capsys.readouterr().err
+        assert csv.read_bytes() == complete
+        capsys.readouterr()
+
     def test_resume_missing_csv(self, tmp_path, capsys):
         code = main(["grid", "--resume", str(tmp_path / "nope.csv"), *TINY])
         assert code == 3

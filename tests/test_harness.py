@@ -168,6 +168,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid header"):
             grid_search(tiny_config(), [1.0], [0], p)
 
+    def test_unknown_status_rejected(self, tmp_path):
+        # A complete row is never a cut one: its status must be a real one.
+        p = tmp_path / "grid.csv"
+        p.write_text(GRID_HEADER + "\n1.0,0,1.0,1.0,0.0,3.0,o\n")
+        with pytest.raises(ValueError, match="malformed grid row"):
+            grid_search(tiny_config(), [1.0], [0], p)
+        assert p.read_text().endswith(",o\n")  # left as it was
+
     def test_empty_axes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="alpha"):
             grid_search(tiny_config(), [], [0], tmp_path / "g.csv")

@@ -17,7 +17,7 @@ from gradtamper.lossgrad import (
     softmax,
     tampered_dlogits,
 )
-from gradtamper.net import clip_grads_global, global_grad_norm
+from gradtamper.net import clip_grads_global
 from gradtamper.transform import transform_probabilities
 from helpers import central_diff, cross_entropy_mp, max_rel_err, softmax_mp
 
@@ -105,6 +105,9 @@ class TestLabels:
             smooth_label_rows(np.array([0]), 3, -0.1)
         with pytest.raises(ValueError):
             smooth_label_rows(np.array([0]), 1, 0.0)  # need >= 2 classes
+        for bad in ([-1, 0], [3], [0.0, 1.0], [1.5]):  # C = 3
+            with pytest.raises(ValueError, match="targets"):
+                smooth_label_rows(bad, 3, 0.0)
 
     def test_numpy_integer_targets_accepted(self):
         assert smooth_label_rows(np.array([2], dtype=np.int64), 3, 0.0)[0, 2] == 1.0
@@ -236,33 +239,34 @@ class TestGradient:
 
 class TestClip:
     """Global-norm clipping, the baseline intervention tampering is compared
-    against; the engine clips a gradient given as [(dweights, dbiases), ...]."""
+    against; the engine clips the whole parameter-gradient vector."""
 
     def test_long_gradient_rescaled_exactly(self):
-        grads = [(np.array([[3.0]]), np.array([4.0]))]  # norm 5
-        [(dw, db)] = clip_grads_global(grads, 2.0)
-        assert dw[0, 0] == 3.0 * (2.0 / 5.0) and db[0] == 4.0 * (2.0 / 5.0)
-        assert_allclose(global_grad_norm([(dw, db)]), 2.0, rtol=1e-15)
+        grads = np.array([3.0, 4.0])  # norm 5
+        out = clip_grads_global(grads, 2.0)
+        assert out[0] == 3.0 * (2.0 / 5.0) and out[1] == 4.0 * (2.0 / 5.0)
+        assert_allclose(np.linalg.norm(out), 2.0, rtol=1e-15)
 
     def test_short_gradient_untouched(self):
-        grads = [(np.array([[0.3]]), np.array([0.4]))]
+        grads = np.array([0.3, 0.4])
         assert clip_grads_global(grads, 2.0) is grads
 
     def test_boundary_untouched(self):
-        grads = [(np.array([[3.0]]), np.array([4.0]))]
+        grads = np.array([3.0, 4.0])
         assert clip_grads_global(grads, 5.0) is grads
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = rng.normal(0, 3, size=8)
-            [(dw, db)] = clip_grads_global([(g[None, :-1], g[-1:])], 1.0)
-            out = np.concatenate([dw[0], db])
+            out = clip_grads_global(g, 1.0)
             cos = np.dot(g, out) / (np.linalg.norm(g) * np.linalg.norm(out))
             assert cos > 1.0 - 1e-12
 
     def test_validation(self):
-        grads = [(np.ones((1, 2)), np.ones(1))]
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                clip_grads_global(grads, bad)
+                clip_grads_global(np.ones(3), bad)
+        for bad_shape in (np.ones((1, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                clip_grads_global(bad_shape, 1.0)

@@ -1,5 +1,7 @@
-"""Dense network: forward oracle, backprop vs finite differences, optimizer
-arithmetic, checkpoint round-trips."""
+"""Dense network: parameter layout, forward oracle, backprop vs finite
+differences, optimizer arithmetic, checkpoint round-trips."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from gradtamper.net import (
     backward,
     clip_grads_global,
     forward,
-    global_grad_norm,
     init_dense_net,
     init_opt_state,
     load_checkpoint,
@@ -51,6 +52,42 @@ class TestInit:
     def test_too_few_sizes_rejected(self):
         with pytest.raises(ValueError):
             init_dense_net([5], np.random.default_rng(0))
+
+
+class TestLayout:
+    def test_layers_are_views_in_checkpoint_order(self):
+        net = init_dense_net([5, 4, 3], np.random.default_rng(3))
+        assert net.params.dtype == np.float64 and net.params.shape == (4 * 5 + 4 + 3 * 4 + 3,)
+        pos = 0
+        for layer in net.layers:
+            for part in (layer.weights, layer.biases):
+                assert np.shares_memory(part, net.params)
+                assert_array_equal(part.ravel(), net.params[pos : pos + part.size])
+                pos += part.size
+        assert pos == net.params.size
+
+    def test_params_write_reaches_forward(self):
+        net = init_dense_net([3, 4, 2], np.random.default_rng(4))
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        before, _ = forward(net, x)
+        net.params[-1] += 1.0  # the last layer's last bias
+        after, _ = forward(net, x)
+        assert_array_equal(after[:, 0], before[:, 0])
+        assert_allclose(after[:, 1], before[:, 1] + 1.0, rtol=0, atol=1e-15)
+
+    def test_deepcopy_is_tied_and_independent(self):
+        net = init_dense_net([3, 4, 2], np.random.default_rng(6))
+        original = net.params.copy()
+        clone = copy.deepcopy(net)
+        assert_array_equal(clone.params, original)
+        clone.params[0] += 1.0
+        assert clone.layers[0].weights[0, 0] == original[0] + 1.0
+        assert_array_equal(net.params, original)
+        for a, b in zip(net.layers, clone.layers):
+            assert np.shares_memory(b.weights, clone.params)
+            assert np.shares_memory(b.biases, clone.params)
+            assert not np.shares_memory(b.weights, net.params)
+            assert a.activation == b.activation
 
 
 class TestForward:
@@ -132,7 +169,7 @@ class TestSgd:
         w, b = 2.0, 0.5
         vw = vb = 0.0
         for lr, (dw, db) in [(0.1, (0.3, -0.2)), (0.05, (-0.1, 0.4))]:
-            sgd_step(net, [(np.array([[dw]]), np.array([db]))], state, lr)
+            sgd_step(net, np.array([dw, db]), state, lr)
             gw = dw + 5e-4 * w
             gb = db + 5e-4 * b
             vw = 0.9 * vw + gw
@@ -146,24 +183,30 @@ class TestSgd:
         net = DenseNet([DenseLayer(np.array([[1.0, 2.0]]), np.array([0.0]))])
         state = init_opt_state(net, momentum=0.0, weight_decay=0.0, nesterov=False)
         g = np.array([[0.5, -1.0]])
-        sgd_step(net, [(g, np.zeros(1))], state, 0.1)
+        sgd_step(net, np.r_[g.ravel(), 0.0], state, 0.1)
         assert_array_equal(net.layers[0].weights, np.array([[1.0, 2.0]]) - 0.1 * g)
 
     def test_velocity_buffers_updated_in_place(self):
         rng = np.random.default_rng(50)
         net = init_dense_net([3, 2], rng)
         state = init_opt_state(net, momentum=0.9, weight_decay=0.0)
-        before = [vw for vw, _ in state.velocities]
-        g = [(np.ones((2, 3)), np.ones(2))]
-        sgd_step(net, g, state, 0.01)
-        assert state.velocities[0][0] is before[0]  # same buffer
-        assert_array_equal(state.velocities[0][0], np.ones((2, 3)))
+        before = state.velocity
+        sgd_step(net, np.ones(8), state, 0.01)
+        assert state.velocity is before  # same buffer
+        assert_array_equal(state.velocity, np.ones(8))
 
     def test_nonpositive_lr_rejected(self):
         net = init_dense_net([2, 2], np.random.default_rng(0))
         state = init_opt_state(net)
         with pytest.raises(ValueError):
-            sgd_step(net, [(np.zeros((2, 2)), np.zeros(2))], state, 0.0)
+            sgd_step(net, np.zeros(6), state, 0.0)
+
+    def test_wrong_gradient_shape_rejected(self):
+        net = init_dense_net([2, 2], np.random.default_rng(0))
+        state = init_opt_state(net)
+        for bad in (np.zeros(5), np.zeros(7), np.zeros((1, 6))):
+            with pytest.raises(ValueError):
+                sgd_step(net, bad, state, 0.1)
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(51)
@@ -180,21 +223,14 @@ class TestSgd:
 
 
 class TestGradUtils:
-    def test_global_norm_matches_concatenation(self):
-        rng = np.random.default_rng(60)
-        grads = [(rng.normal(size=(3, 4)), rng.normal(size=3)),
-                 (rng.normal(size=(2, 3)), rng.normal(size=2))]
-        flat = np.concatenate([np.r_[dw.ravel(), db] for dw, db in grads])
-        assert_allclose(global_grad_norm(grads), np.linalg.norm(flat), rtol=1e-15)
-
     def test_clip_scales_to_target_norm(self):
-        grads = [(np.full((2, 2), 3.0), np.zeros(2))]  # norm 6
+        grads = np.r_[np.full(4, 3.0), np.zeros(2)]  # norm 6
         clipped = clip_grads_global(grads, 1.5)
-        assert_allclose(global_grad_norm(clipped), 1.5, rtol=1e-15)
-        assert_allclose(clipped[0][0], grads[0][0] * (1.5 / 6.0), rtol=0, atol=0)
+        assert_allclose(np.linalg.norm(clipped), 1.5, rtol=1e-15)
+        assert_array_equal(clipped, grads * (1.5 / 6.0))
 
     def test_clip_leaves_short_gradients_alone(self):
-        grads = [(np.ones((2, 2)) * 0.1, np.zeros(2))]
+        grads = np.r_[np.full(4, 0.1), np.zeros(2)]
         assert clip_grads_global(grads, 10.0) is grads
 
 
@@ -208,6 +244,8 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
+        assert_array_equal(loaded.params, net.params)
+        assert loaded.params.flags.writeable
         assert len(loaded.layers) == len(net.layers)
         for a, b in zip(net.layers, loaded.layers):
             assert a.activation == b.activation
