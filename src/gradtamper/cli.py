@@ -5,7 +5,9 @@ key has a built-in default; a ``--config FILE`` overrides defaults, and an
 explicit command-line flag overrides both, key by key.  ``train`` and
 ``grid`` create a fresh run directory ``<out>/<subcommand>-NNN`` and write a
 ``manifest.cfg`` holding the fully resolved configuration; feeding that file
-back via ``--config`` reproduces the run exactly.  The output root is taken
+back via ``--config`` reproduces the run exactly.  ``grid --resume CSV``
+instead reads the manifest next to the CSV as the sweep's configuration and
+rejects any explicit key that would change it.  The output root is taken
 from ``--out``, else the ``GRADTAMPER_OUT`` environment variable, else
 ``./runs``.
 
@@ -186,20 +188,28 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict[str, str]) -> dict[str, str]:
-    """Defaults, then config-file entries, then explicit flags — per key."""
-    kv = dict(defaults)
-    if getattr(args, "config", None):
-        file_kv = parse_config_file(args.config)
-        unknown = sorted(set(file_kv) - set(kv))
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-        kv.update(file_kv)
-    for key in kv:
+def _read_config(path: str, keys: dict[str, str]) -> dict[str, str]:
+    """A config file's entries; a key not in ``keys`` raises ConfigError."""
+    file_kv = parse_config_file(path)
+    unknown = sorted(set(file_kv) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    return file_kv
+
+
+def _explicit_config(args: argparse.Namespace, keys: dict[str, str]) -> dict[str, str]:
+    """The keys set on the command line: config-file entries, then flags."""
+    kv = _read_config(args.config, keys) if getattr(args, "config", None) else {}
+    for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             kv[key] = str(flag_value)
     return kv
+
+
+def resolve_config(args: argparse.Namespace, defaults: dict[str, str]) -> dict[str, str]:
+    """Defaults, then config-file entries, then explicit flags — per key."""
+    return {**defaults, **_explicit_config(args, defaults)}
 
 
 def build_train_config(kv: dict[str, str]) -> TrainConfig:
@@ -314,23 +324,48 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
-    defaults = dict(_TRAIN_DEFAULTS)
-    defaults.update(_GRID_DEFAULTS)
-    kv = resolve_config(args, defaults)
+def _build_grid(kv: dict[str, str]) -> tuple[TrainConfig, list[float], list[int]]:
     alphas = parse_value_list(kv["grid_alphas"], "grid_alphas")
     seeds = [int(s) for s in parse_value_list(kv["grid_seeds"], "grid_seeds", integral=True)]
-    base = build_train_config(kv)
+    return build_train_config(kv), alphas, seeds
 
+
+def _resume_grid(
+    args: argparse.Namespace, defaults: dict[str, str], manifest: str
+) -> tuple[TrainConfig, list[float], list[int]]:
+    """The resumed run's manifest, checked against every key set explicitly.
+
+    A key conflicts when putting its value into the manifest changes the
+    built sweep (the TrainConfig, alphas or seeds); a value that builds the
+    same sweep, such as ``0.10`` for ``0.1``, is accepted.
+    """
+    if not os.path.exists(manifest):
+        raise ConfigError(f"--resume: no manifest.cfg in {os.path.dirname(manifest)}")
+    kv = {**defaults, **_read_config(manifest, defaults)}
+    built = _build_grid(kv)
+    for key, value in _explicit_config(args, defaults).items():
+        if _build_grid({**kv, key: value}) != built:
+            raise ConfigError(
+                f"--resume: {key} = {value} conflicts with {kv[key]!r} in {manifest}"
+            )
+    return built
+
+
+def _cmd_grid(args: argparse.Namespace) -> int:
+    defaults = {**_TRAIN_DEFAULTS, **_GRID_DEFAULTS}
     if args.resume:
+        # The run's manifest is its configuration; it is read, never rewritten.
         csv_path = args.resume
         if not os.path.exists(csv_path):
             raise ConfigError(f"--resume: {csv_path} does not exist")
         run_dir = os.path.dirname(os.path.abspath(csv_path))
+        base, alphas, seeds = _resume_grid(args, defaults, os.path.join(run_dir, "manifest.cfg"))
     else:
+        kv = resolve_config(args, defaults)
+        base, alphas, seeds = _build_grid(kv)
         run_dir = _make_run_dir(_output_root(args), "grid")
         csv_path = os.path.join(run_dir, "grid.csv")
-    write_manifest(os.path.join(run_dir, "manifest.cfg"), "grid", kv)
+        write_manifest(os.path.join(run_dir, "manifest.cfg"), "grid", kv)
 
     rows = grid_search(base, alphas, seeds, csv_path)
 
@@ -360,11 +395,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         p = [float(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--p: expected comma-separated numbers, got {args.p!r}") from None
-    alphas = parse_value_list(args.alphas, "--alphas")
-    try:
-        rows = analyze_transform(p, alphas)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = analyze_transform(p, parse_value_list(args.alphas, "--alphas"))
 
     print("alpha      threshold    transformed")
     for row in rows:
@@ -379,15 +410,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     classes = [int(c) for c in parse_value_list(args.classes, "--classes", integral=True)]
-    try:
-        report = verify_claims(
-            seed=args.seed,
-            trials=args.trials,
-            class_counts=tuple(classes),
-            include_trend=args.trend,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = verify_claims(seed=args.seed, trials=args.trials, class_counts=tuple(classes))
     print(format_verify_report(report))
     return 0 if report.passed else 6
 
@@ -405,6 +428,9 @@ def _add_config_flags(sub: argparse.ArgumentParser, keys: dict[str, str]) -> Non
                          help=f"override config key {key} (default {default or repr('')})")
 
 
+_OUT_HELP = "output root (default $GRADTAMPER_OUT or ./runs)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradtamper",
@@ -416,14 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = subs.add_parser("train", help="run one training job")
     _add_config_flags(p_train, _TRAIN_DEFAULTS)
-    p_train.add_argument("--out", metavar="DIR", help="output root (default $GRADTAMPER_OUT or ./runs)")
+    p_train.add_argument("--out", metavar="DIR", help=_OUT_HELP)
 
     p_grid = subs.add_parser("grid", help="sweep tampering strengths x seeds")
     merged = dict(_TRAIN_DEFAULTS)
     merged.update(_GRID_DEFAULTS)
     _add_config_flags(p_grid, merged)
-    p_grid.add_argument("--out", metavar="DIR", help="output root (default $GRADTAMPER_OUT or ./runs)")
-    p_grid.add_argument("--resume", metavar="CSV", help="append to an existing grid CSV, skipping finished cells")
+    p_grid.add_argument("--out", metavar="DIR", help=_OUT_HELP)
+    p_grid.add_argument("--resume", metavar="CSV",
+                        help="finish the sweep of an existing grid CSV, configured by the "
+                        "manifest.cfg next to it; skips finished cells")
 
     p_an = subs.add_parser("analyze", help="tabulate the transform on one distribution")
     p_an.add_argument("--p", required=True, metavar="P0,P1,...", help="probability vector")
@@ -434,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = subs.add_parser("verify", help="check the analytic claims on random inputs")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=1000, help="random vectors per class count")
-    p_ver.add_argument("--classes", default="2,10,100", metavar="LIST", help="class counts to sample")
-    p_ver.add_argument("--trend", action="store_true",
-                       help="also run the (slow, informational) logit-norm trend comparison")
+    p_ver.add_argument("--classes", default="2,10,100", metavar="LIST",
+                       help="class counts to sample")
 
     return parser
 
@@ -453,11 +480,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
-        # Validation raised by the dataclasses themselves.
+        # ConfigError, and the validation raised by the dataclasses themselves.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

@@ -13,7 +13,9 @@ persistence, so an interrupted sweep resumes by skipping finished cells.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
-calls.
+calls; its report has one line per property and an overall verdict.
+Comparisons between trained runs, such as the logit-norm trend, are
+``grid_search`` sweeps.
 
 CSV conventions: floats are written with ``repr``, which is the shortest
 string that round-trips the exact float64 value; identical runs therefore
@@ -504,58 +506,38 @@ class PropertyResult:
     ``kind`` says how ``observed`` relates to ``tolerance``: for ``"max"``
     properties the worst (largest) observed value must stay <= tolerance;
     for ``"min"`` properties the worst (smallest) value must stay >=.
+    ``observed`` starts at -inf or +inf by kind when not given, so the first
+    :meth:`add` sets it.
     """
 
     name: str
     metric: str
     kind: str
     tolerance: float
-    observed: float
+    observed: float | None = None
     samples: int = 0
     failures: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("max", "min"):
+            raise ValueError(f"property kind must be 'max' or 'min', got {self.kind!r}")
+        if self.observed is None:
+            self.observed = -math.inf if self.kind == "max" else math.inf
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-
-class _Acc:
-    def __init__(self, name: str, metric: str, kind: str, tolerance: float) -> None:
-        if kind not in ("max", "min"):
-            raise ValueError(kind)
-        self.result = PropertyResult(
-            name=name,
-            metric=metric,
-            kind=kind,
-            tolerance=tolerance,
-            observed=-math.inf if kind == "max" else math.inf,
-        )
-
     def add(self, values) -> None:
+        """Count each value as one check and fold it into ``observed``."""
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        r = self.result
-        r.samples += values.size
-        if r.kind == "max":
-            r.observed = max(r.observed, float(values.max()))
-            r.failures += int(np.count_nonzero(~(values <= r.tolerance)))
+        self.samples += values.size
+        if self.kind == "max":
+            self.observed = max(self.observed, float(values.max()))
+            self.failures += int(np.count_nonzero(~(values <= self.tolerance)))
         else:
-            r.observed = min(r.observed, float(values.min()))
-            r.failures += int(np.count_nonzero(~(values >= r.tolerance)))
-
-
-@dataclass(frozen=True)
-class TrendResult:
-    """Informational logit-norm comparison between tampered and baseline runs."""
-
-    tampered_alpha: float
-    baseline_alpha: float
-    tampered_mean_norm: float
-    baseline_mean_norm: float
-    seeds: tuple[int, ...]
-
-    @property
-    def holds(self) -> bool:
-        return self.tampered_mean_norm > self.baseline_mean_norm
+            self.observed = min(self.observed, float(values.min()))
+            self.failures += int(np.count_nonzero(~(values >= self.tolerance)))
 
 
 @dataclass
@@ -564,8 +546,6 @@ class VerifyReport:
     trials: int
     class_counts: tuple[int, ...]
     properties: list[PropertyResult]
-    min_threshold_diff: float
-    trend: TrendResult | None = None
 
     @property
     def passed(self) -> bool:
@@ -577,7 +557,9 @@ def _ce_rows(logit_rows: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.nd
     return -(q * log_softmax(scale * logit_rows)).sum(axis=-1)
 
 
-def _fd_logit_grad(z: np.ndarray, q: np.ndarray, scale: float = 1.0, h: float = 1e-5) -> np.ndarray:
+def _fd_logit_grad(
+    z: np.ndarray, q: np.ndarray, scale: float = 1.0, h: float = 1e-5
+) -> np.ndarray:
     """Central-difference gradient of z -> CE(softmax(scale*z), q)."""
     eye = np.eye(z.size) * h
     return (_ce_rows(z + eye, q, scale) - _ce_rows(z - eye, q, scale)) / (2.0 * h)
@@ -599,48 +581,10 @@ def max_relative_error(a, b, floor: float = 1e-4) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
-def _trend_config(alpha: float, seed: int) -> TrainConfig:
-    sched = ScheduleSpec(
-        kind="warmup_cosine_cooldown",
-        base_lr=1e-4,
-        peak_lr=0.1,
-        warmup_epochs=1,
-        total_epochs=12,
-        cooldown_epochs=2,
-    )
-    return TrainConfig(
-        hidden=(32,),
-        epochs=12,
-        batch_size=32,
-        schedule=sched,
-        tamper=TamperSpec(alpha),
-        seed=seed,
-        data=DataSpec(kind="blobs", classes=10, per_class=60, features=20, spread=1.0, seed=7),
-    )
-
-
-def _logit_norm_trend(tampered_alpha: float = 0.25, baseline_alpha: float = 1.0) -> TrendResult:
-    seeds = (0, 1, 2, 3, 4)
-    datasets = load_datasets(_trend_config(baseline_alpha, 0).data)
-    norms = {tampered_alpha: [], baseline_alpha: []}
-    for alpha in (tampered_alpha, baseline_alpha):
-        for seed in seeds:
-            _, records = train(_trend_config(alpha, seed), datasets)
-            norms[alpha].append(records[-1].mean_logit_norm)
-    return TrendResult(
-        tampered_alpha=tampered_alpha,
-        baseline_alpha=baseline_alpha,
-        tampered_mean_norm=float(np.mean(norms[tampered_alpha])),
-        baseline_mean_norm=float(np.mean(norms[baseline_alpha])),
-        seeds=seeds,
-    )
-
-
 def verify_claims(
     seed: int = 0,
     trials: int = 1000,
     class_counts: tuple[int, ...] = (2, 10, 100),
-    include_trend: bool = False,
 ) -> VerifyReport:
     """Check every analytic property on random inputs; never raises on failure.
 
@@ -662,63 +606,31 @@ def verify_claims(
     # 0.0, 0.01, ..., 0.99: holds every coarse alpha below 1 at a stride of 10.
     mono_grid = np.arange(100) / 100.0
 
-    accs = {
-        "normalization": _Acc(
-            "normalization", "max |sum(p') - 1|", "max", 1e-12
-        ),
-        "identity-at-alpha-1": _Acc(
-            "identity-at-alpha-1", "max |p' - p| at alpha=1", "max", 1e-15
-        ),
-        "uniform-at-alpha-0": _Acc(
-            "uniform-at-alpha-0", "max |p' - 1/C| at alpha=0", "max", 0.0
-        ),
-        "order-preservation": _Acc(
-            "order-preservation", "stable argsort mismatches per vector", "max", 0.0
-        ),
-        "threshold-sign-agreement": _Acc(
-            "threshold-sign-agreement", "entries moving against the threshold side", "max", 0.0
-        ),
-        "threshold-bounds": _Acc(
-            "threshold-bounds", "min margin of tau inside [1/C, 1]", "min", 0.0
-        ),
-        "threshold-monotonicity": _Acc(
-            "threshold-monotonicity", "min successive tau difference over alpha", "min", MONOTONE_TOL
-        ),
-        "uniform-fixed-point": _Acc(
-            "uniform-fixed-point", "max |p' - p| for the uniform vector", "max", 1e-12
-        ),
-        "temperature-equivalence": _Acc(
-            "temperature-equivalence",
-            "max |transform(softmax(z)) - (tampered_dlogits(z) + q)|",
-            "max",
-            1e-10,
-        ),
-        "gradient-zero-sum": _Acc(
-            "gradient-zero-sum", "max |sum of gradient entries|", "max", 1e-12
-        ),
-        "gradient-matches-fd": _Acc(
-            "gradient-matches-fd", "max relative error vs central differences", "max", 1e-6
-        ),
-        "tampered-gradient-surrogate": _Acc(
-            "tampered-gradient-surrogate",
-            "max relative error vs scaled finite differences",
-            "max",
-            1e-6,
-        ),
-        "wide-logit-gradient": _Acc(
-            "wide-logit-gradient",
-            "max relative error vs finite differences at alpha*z, sigma=300",
-            "max",
-            1e-6,
-        ),
-        "clip-norm-cap": _Acc(
-            "clip-norm-cap", "max relative norm excess after clipping", "max", 1e-12
-        ),
-        "clip-direction": _Acc(
-            "clip-direction", "min cosine between g and clipped g", "min", 1.0 - 1e-12
-        ),
-    }
-    min_threshold_diff = math.inf
+    # One entry per property, in report order.
+    props = {p.name: p for p in [
+        PropertyResult("normalization", "max |sum(p') - 1|", "max", 1e-12),
+        PropertyResult("identity-at-alpha-1", "max |p' - p| at alpha=1", "max", 1e-15),
+        PropertyResult("uniform-at-alpha-0", "max |p' - 1/C| at alpha=0", "max", 0.0),
+        PropertyResult("order-preservation", "stable argsort mismatches per vector", "max", 0.0),
+        PropertyResult("threshold-sign-agreement", "entries moving against the threshold side",
+                       "max", 0.0),
+        PropertyResult("threshold-bounds", "min margin of tau inside [1/C, 1]", "min", 0.0),
+        PropertyResult("threshold-monotonicity", "min successive tau difference over alpha",
+                       "min", MONOTONE_TOL),
+        PropertyResult("uniform-fixed-point", "max |p' - p| for the uniform vector", "max", 1e-12),
+        PropertyResult("temperature-equivalence",
+                       "max |transform(softmax(z)) - (tampered_dlogits(z) + q)|", "max", 1e-10),
+        PropertyResult("gradient-zero-sum", "max |sum of gradient entries|", "max", 1e-12),
+        PropertyResult("gradient-matches-fd", "max relative error vs central differences",
+                       "max", 1e-6),
+        PropertyResult("tampered-gradient-surrogate",
+                       "max relative error vs scaled finite differences", "max", 1e-6),
+        PropertyResult("wide-logit-gradient",
+                       "max relative error vs finite differences at alpha*z, sigma=300",
+                       "max", 1e-6),
+        PropertyResult("clip-norm-cap", "max relative norm excess after clipping", "max", 1e-12),
+        PropertyResult("clip-direction", "min cosine between g and clipped g", "min", 1.0 - 1e-12),
+    ]}
 
     for c in class_counts:
         probs = rng.dirichlet(np.ones(c), size=trials)
@@ -729,26 +641,23 @@ def verify_claims(
         # Threshold of every row at every grid alpha, in one call; monotone
         # in alpha, one sample per row.
         mono = threshold_monotonicity_check(probs, mono_grid)
-        accs["threshold-monotonicity"].add(np.diff(mono.thresholds, axis=1).min(axis=1))
-        min_threshold_diff = min(min_threshold_diff, mono.min_successive_diff)
+        props["threshold-monotonicity"].add(np.diff(mono.thresholds, axis=1).min(axis=1))
         tau_at = dict(zip(mono_grid[::10], mono.thresholds[:, ::10].T))
 
         for alpha in coarse:
             alpha = float(alpha)
             t = power_transform_rows(probs, alpha)
-            accs["normalization"].add(np.abs(t.sum(axis=1) - 1.0))
+            props["normalization"].add(np.abs(t.sum(axis=1) - 1.0))
             if alpha == 1.0:
-                accs["identity-at-alpha-1"].add(np.abs(t - probs).max(axis=1))
+                props["identity-at-alpha-1"].add(np.abs(t - probs).max(axis=1))
             if alpha == 0.0:
-                accs["uniform-at-alpha-0"].add(np.abs(t - 1.0 / c).max(axis=1))
+                props["uniform-at-alpha-0"].add(np.abs(t - 1.0 / c).max(axis=1))
             if alpha > 0.0:
                 mism = (np.argsort(t, axis=1, kind="stable") != order_ref).sum(axis=1)
-                accs["order-preservation"].add(mism.astype(np.float64))
+                props["order-preservation"].add(mism.astype(np.float64))
             if alpha < 1.0:
                 tau = tau_at[alpha]
-                accs["threshold-bounds"].add(
-                    np.minimum(tau - 1.0 / c, 1.0 - tau)
-                )
+                props["threshold-bounds"].add(np.minimum(tau - 1.0 / c, 1.0 - tau))
                 move = t - probs
                 side = probs - tau[:, None]
                 # Dead-bands absorb float wobble exactly at the threshold: an
@@ -757,13 +666,13 @@ def verify_claims(
                 wrong = ((side > 1e-13) & (move > 1e-15)) | (
                     (side < -1e-13) & (move < -1e-15)
                 )
-                accs["threshold-sign-agreement"].add(wrong.sum(axis=1).astype(np.float64))
+                props["threshold-sign-agreement"].add(wrong.sum(axis=1).astype(np.float64))
 
         # Uniform distribution is a fixed point at every strength.
         u = np.full(c, 1.0 / c)
         for alpha in coarse:
             t = transform_probabilities(u, float(alpha))
-            accs["uniform-fixed-point"].add(np.abs(t - u).max())
+            props["uniform-fixed-point"].add(np.abs(t - u).max())
 
         # Gradient properties of the engine's own logit gradient, with and
         # without label smoothing.
@@ -773,12 +682,12 @@ def verify_claims(
             for alpha in coarse:
                 alpha = float(alpha)
                 g = tampered_dlogits(logits, q_rows, alpha)
-                accs["gradient-zero-sum"].add(np.abs(g.sum(axis=1)))
+                props["gradient-zero-sum"].add(np.abs(g.sum(axis=1)))
                 if alpha > 0.0 and eps == 0.0:
                     # Temperature equivalence: the transform of softmax(z) is
                     # the engine's softmax(alpha z).
                     lhs = power_transform_rows(p_of_z, alpha)
-                    accs["temperature-equivalence"].add(np.abs(lhs - (g + q_rows)).max(axis=1))
+                    props["temperature-equivalence"].add(np.abs(lhs - (g + q_rows)).max(axis=1))
 
             # Step 1e-4 balances truncation (~h^2) against cancellation noise
             # (~|CE| * 1e-16 / 2h); the floor is widened to 3e-4 because the
@@ -791,12 +700,12 @@ def verify_claims(
             for i in range(fd_trials):
                 q = q_rows[i]
                 fd = _fd_logit_grad(logits[i], q, h=1e-4)
-                accs["gradient-matches-fd"].add(
+                props["gradient-matches-fd"].add(
                     max_relative_error(grad_at[1.0][i], fd, floor=3e-4)
                 )
                 for alpha in (0.3, 0.5):
                     fd_scaled = _fd_logit_grad(logits[i], q, scale=alpha, h=1e-4) / alpha
-                    accs["tampered-gradient-surrogate"].add(
+                    props["tampered-gradient-surrogate"].add(
                         max_relative_error(grad_at[alpha][i], fd_scaled, floor=3e-4)
                     )
 
@@ -811,9 +720,9 @@ def verify_claims(
             gn = float(np.linalg.norm(g))
             cn = float(np.linalg.norm(clipped))
             # Norm never grows, and never ends above min(original, cap).
-            accs["clip-norm-cap"].add(max((cn - gn) / gn, (cn - min(gn, lam)) / lam))
+            props["clip-norm-cap"].add(max((cn - gn) / gn, (cn - min(gn, lam)) / lam))
             cos = float(np.dot(g, clipped) / (gn * cn)) if cn > 0 else 1.0
-            accs["clip-direction"].add(cos)
+            props["clip-direction"].add(cos)
 
         # Wide logits, the regime strong tampering drives training into:
         # softmax(z) underflows to exact zeros while softmax(alpha z) does
@@ -827,16 +736,13 @@ def verify_claims(
                 g = tampered_dlogits(wide, q_rows, alpha)
                 for i in range(wide.shape[0]):
                     fd = _fd_logit_grad(alpha * wide[i], q_rows[i], h=1e-4)
-                    accs["wide-logit-gradient"].add(max_relative_error(g[i], fd, floor=3e-4))
+                    props["wide-logit-gradient"].add(max_relative_error(g[i], fd, floor=3e-4))
 
-    trend = _logit_norm_trend() if include_trend else None
     return VerifyReport(
         seed=seed,
         trials=trials,
         class_counts=tuple(int(c) for c in class_counts),
-        properties=[a.result for a in accs.values()],
-        min_threshold_diff=float(min_threshold_diff),
-        trend=trend,
+        properties=list(props.values()),
     )
 
 
@@ -855,18 +761,6 @@ def format_verify_report(report: VerifyReport) -> str:
             f"  {status} {p.name:<{name_w}}  {p.metric}: "
             f"observed {p.observed:.3e} (needs {rel} {p.tolerance:.1e}; "
             f"{p.samples} checks, {p.failures} failures)"
-        )
-    lines.append(
-        f"  min successive threshold difference over alpha: "
-        f"{report.min_threshold_diff:.3e}"
-    )
-    if report.trend is not None:
-        t = report.trend
-        lines.append(
-            f"  logit-norm trend (informational): mean final norm at "
-            f"alpha={t.tampered_alpha} is {t.tampered_mean_norm:.4f} vs "
-            f"{t.baseline_mean_norm:.4f} at alpha={t.baseline_alpha} over "
-            f"{len(t.seeds)} seeds -> tampered higher: {'yes' if t.holds else 'no'}"
         )
     lines.append(f"  overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)

@@ -54,10 +54,7 @@ class TamperSpec:
     start_epoch: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a finite real, got {self.alpha!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (isinstance(self.start_epoch, int) and self.start_epoch >= 0):
             raise ValueError(f"start_epoch must be a non-negative int, got {self.start_epoch!r}")
 

@@ -20,8 +20,6 @@ from gradtamper.harness import (
     grid_search,
     load_datasets,
     train,
-    verify_claims,
-    format_verify_report,
     write_metrics_csv,
     METRICS_HEADER,
 )
@@ -194,18 +192,23 @@ def test_c06_desk_training_sanity(desk_data):
     )
 
 
-def test_c07_logit_norm_trend():
-    report = verify_claims(seed=0, trials=10, class_counts=(2, 10), include_trend=True)
-    text = format_verify_report(report)
-    trend = report.trend
-    ran = report.passed and trend is not None and len(trend.seeds) == 5
-    ok = ran and "logit-norm trend" in text
-    note = "holds" if (trend is not None and trend.holds) else "DOES NOT HOLD (flagged, non-blocking)"
+def test_c07_logit_norm_trend(tmp_path):
+    # The sweep of `gradtamper grid --hidden 32 --epochs 12 --warmup-epochs 1
+    # --cooldown-epochs 2 --per-class 60 --grid-alphas 0.25,1.0 --grid-seeds 0:4:1`.
+    schedule = ScheduleSpec(
+        kind="warmup_cosine_cooldown", base_lr=1e-4, peak_lr=0.1,
+        warmup_epochs=1, total_epochs=12, cooldown_epochs=2,
+    )
+    base = TrainConfig(hidden=(32,), epochs=12, schedule=schedule, data=DataSpec(per_class=60))
+    alphas, seeds = (0.25, 1.0), range(5)
+    rows = grid_search(base, list(alphas), list(seeds), str(tmp_path / "grid.csv"))
+    norm = {a: float(np.mean([r.mean_logit_norm for r in rows if r.alpha == a])) for a in alphas}
+    ok = len(rows) == len(alphas) * len(seeds) and all(r.status == "ok" for r in rows)
+    note = "holds" if norm[0.25] > norm[1.0] else "DOES NOT HOLD (flagged, non-blocking)"
     _verdict(
         7, "logit-norm trend", ok,
-        f"mean final norm {trend.tampered_mean_norm:.1f} at alpha={trend.tampered_alpha} vs "
-        f"{trend.baseline_mean_norm:.1f} at alpha={trend.baseline_alpha} over "
-        f"{len(trend.seeds)} seeds -> {note}; reported in verify output",
+        f"mean final norm {norm[0.25]:.1f} at alpha=0.25 vs {norm[1.0]:.1f} at alpha=1.0 "
+        f"over {len(seeds)} seeds -> {note}; from grid_search",
     )
 
 

@@ -167,6 +167,52 @@ class TestGridCommand:
         assert csv.read_bytes() == complete
         capsys.readouterr()
 
+    def test_bare_resume_takes_the_manifest(self, tmp_path, capsys):
+        # No flags at all: the sweep is the one the manifest records, not
+        # the built-in defaults.
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
+        run = tmp_path / "grid-000"
+        csv, manifest = run / "grid.csv", run / "manifest.cfg"
+        complete, recorded = csv.read_bytes(), manifest.read_bytes()
+        csv.write_text("\n".join(complete.decode().splitlines()[:2]) + "\n")
+        assert main(["grid", "--resume", str(csv)]) == 0, capsys.readouterr().err
+        assert csv.read_bytes() == complete
+        assert manifest.read_bytes() == recorded
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_resume_rejects_a_conflicting_key(self, tmp_path, capsys, how):
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
+        run = tmp_path / "grid-000"
+        csv, manifest = run / "grid.csv", run / "manifest.cfg"
+        csv.write_text("\n".join(csv.read_text().splitlines()[:2]) + "\n")
+        before = csv.read_bytes(), manifest.read_bytes()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("momentum = 0.5\n")
+        key, extra = {
+            "flag": ("hidden", ["--hidden", "8"]),
+            "config": ("momentum", ["--config", str(cfg)]),
+        }[how]
+        capsys.readouterr()
+        # The TINY flags match the manifest, and --peak-lr 0.050 builds its
+        # 0.05: those are accepted; only the conflicting key is named.
+        code = main(["grid", "--resume", str(csv), *TINY, "--peak-lr", "0.050", *extra])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{key} = " in err and "peak_lr" not in err
+        assert (csv.read_bytes(), manifest.read_bytes()) == before
+
+    def test_resume_needs_the_manifest(self, tmp_path, capsys):
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
+        run = tmp_path / "grid-000"
+        (run / "manifest.cfg").unlink()
+        before = (run / "grid.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["grid", "--resume", str(run / "grid.csv"), *TINY, *self.GRID_ARGS]) == 3
+        assert "manifest.cfg" in capsys.readouterr().err
+        assert (run / "grid.csv").read_bytes() == before
+        assert not (run / "manifest.cfg").exists()
+
     def test_resume_missing_csv(self, tmp_path, capsys):
         code = main(["grid", "--resume", str(tmp_path / "nope.csv"), *TINY])
         assert code == 3
@@ -214,7 +260,6 @@ class TestVerifyCommand:
                     tolerance=1e-12, observed=0.5, samples=1, failures=1,
                 )
             ],
-            min_threshold_diff=0.0,
         )
         monkeypatch.setattr(cli, "verify_claims", lambda **kw: failing)
         assert main(["verify"]) == 6

@@ -12,6 +12,7 @@ from gradtamper.harness import (
     DataSpec,
     DivergenceError,
     MetricsRecord,
+    PropertyResult,
     TrainConfig,
     analyze_transform,
     format_verify_report,
@@ -215,7 +216,6 @@ class TestVerify:
         assert "wide-logit-gradient" in names
         assert "threshold-monotonicity" in names
         assert "temperature-equivalence" in names
-        assert report.min_threshold_diff >= -1e-10
         for prop in report.properties:
             assert prop.failures == 0
             assert prop.samples > 0
@@ -241,7 +241,18 @@ class TestVerify:
         text = format_verify_report(report)
         assert text.count("PASS") >= len(report.properties)
         assert "overall: PASS" in text
-        assert "trend" not in text  # not requested -> not reported
+
+    def test_property_result_accumulates(self):
+        worst = PropertyResult("p", "m", "max", 1.0)
+        assert worst.observed == -np.inf
+        worst.add([0.5, 2.0])
+        worst.add(0.25)
+        assert (worst.observed, worst.samples, worst.failures) == (2.0, 3, 1)
+        least = PropertyResult("p", "m", "min", 0.0)
+        least.add([0.5, -1.0])
+        assert (least.observed, least.samples, least.failures, least.passed) == (-1.0, 2, 1, False)
+        with pytest.raises(ValueError, match="kind"):
+            PropertyResult("p", "m", "mean", 0.0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import gradtamper
+from gradtamper.harness import format_verify_report, verify_claims
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,14 +30,32 @@ def test_readme_library_block_imports():
     assert set(gradtamper.__all__) == names | {"__version__"}
 
 
+def load_bench_module(name, monkeypatch):
+    """Import ``bench/<name>.py`` from its file; ``bench`` is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_targets_resolve(monkeypatch):
     # bench/spans.py patches these import sites by name; each must exist and
     # be callable, or the benchmark's tracer fails to install.
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = load_bench_module("spans", monkeypatch)
     assert spans.TARGETS
     for module_name, attr, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr} does not resolve to a callable"
+
+
+def test_benchmark_reads_every_verify_property(monkeypatch):
+    # bench/workloads.py scores the verify workload from the report's
+    # property lines; each property must give exactly one matching line.
+    workloads = load_bench_module("workloads", monkeypatch)
+    report = verify_claims(seed=0, trials=2, class_counts=(3,))
+    lines = format_verify_report(report).splitlines()
+    matched = [m.groups() for m in map(workloads._PROPERTY_LINE.match, lines) if m]
+    assert [(name, int(checks), int(fails)) for _, name, checks, fails in matched] == [
+        (p.name, p.samples, p.failures) for p in report.properties
+    ]
