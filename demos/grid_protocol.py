@@ -2,13 +2,15 @@
 Grid sweeps that survive being killed
 =====================================
 
-The sweep writes one CSV row per (alpha, seed) cell and flushes it the
-moment the cell finishes, so a crashed or killed job loses at most the
-cell it was inside.  Re-running with the same CSV path skips every
-finished cell.  This script demonstrates the whole protocol in a scratch
-directory: run a small sweep, throw away all but the first finished cell
-(as if the machine died), resume, and verify the resumed file is
-byte-for-byte the file the uninterrupted sweep produced.
+The sweep writes one CSV row per (alpha, seed) cell.  The cells not yet in
+the CSV train together in lockstep, in stacks of small nets, and each
+stack's rows are appended and flushed when it finishes, so a crashed or
+killed job loses at most the unfinished stack.  Re-running with the same
+CSV path skips every finished cell and trains the rest.  This script
+demonstrates the whole protocol in a scratch directory: run a small sweep,
+throw away all but the first finished cell (as if the machine died),
+resume, and verify the resumed file is byte-for-byte the file the
+uninterrupted sweep produced.
 
 Run:  python3 demos/grid_protocol.py
 """

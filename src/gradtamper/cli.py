@@ -297,6 +297,18 @@ def write_manifest(path: str, subcommand: str, kv: dict[str, str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_atomically(path: str, write) -> None:
+    """Let ``write`` fill a temporary file beside ``path``, then rename it to
+    ``path``, so a kill or a failed write leaves no partial file there."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -311,8 +323,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     net, records = train(config)
 
     metrics_path = os.path.join(run_dir, "metrics.csv")
-    write_metrics_csv(records, metrics_path)
-    save_checkpoint(net, os.path.join(run_dir, "net.ckpt"))
+    _write_atomically(metrics_path, lambda tmp: write_metrics_csv(records, tmp))
+    _write_atomically(os.path.join(run_dir, "net.ckpt"), lambda tmp: save_checkpoint(net, tmp))
     last = records[-1]
     print(f"run directory: {run_dir}")
     print(

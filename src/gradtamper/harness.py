@@ -8,8 +8,11 @@ handed to the backward pass is ``(softmax(alpha * z) - q) / batch``, with
 is reached.  The forward pass, the reported loss, and the accuracies never
 see the transform.
 
-``grid_search`` sweeps tampering strengths and seeds with incremental CSV
-persistence, so an interrupted sweep resumes by skipping finished cells.
+``train`` is the one-cell case of one training loop that trains a stack of
+cells, differing only in tampering strength and seed, in lockstep.
+``grid_search`` sweeps tampering strengths and seeds through that loop, in
+stacks of small nets, with CSV persistence, so an interrupted sweep resumes
+by skipping finished cells.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .net import (
     init_dense_net,
     init_opt_state,
     sgd_step,
+    stack_nets,
 )
 from .schedule import ScheduleSpec, lr_at
 from .transform import (
@@ -60,6 +64,15 @@ from .transform import (
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,gap,mean_logit_norm,lr"
 GRID_HEADER = "alpha,seed,final_train_acc,final_test_acc,gap,mean_logit_norm,status"
+
+# ``grid_search`` trains its cells in stacks of at most this many parameters
+# in all.  Stacking pays only where per-call overhead dominates a step: with
+# one BLAS thread on a 2-vCPU x86 host, 8 cells of a 2k-parameter net in
+# lockstep took half the time per cell of solo runs, at 8k parameters the
+# gain was at most a fifth, and from 28k on a stack was mostly slower than
+# solo cells.  The bound also caps what a kill loses and what a stack holds
+# in memory.
+_STACK_PARAMS = 1 << 14
 
 
 class DivergenceError(RuntimeError):
@@ -223,8 +236,127 @@ def _evaluate(net: DenseNet, ds: Dataset, epsilon: float) -> tuple[float, float,
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
     loss = batch_cross_entropy(logits, smooth_label_rows(ds.labels, logits.shape[1], epsilon))
     acc = float(np.mean(np.argmax(logits, axis=1) == ds.labels))
-    norm = float(np.mean(np.linalg.norm(logits, axis=1)))
-    return float(loss), acc, norm
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(logits, axis=1)
+        big = np.isinf(norms)
+        if big.any():  # the squares overflowed: rescale those rows by their largest entry
+            scale = np.abs(logits[big]).max(axis=1)
+            norms[big] = scale * np.linalg.norm(logits[big] / scale[:, None], axis=1)
+    return float(loss), acc, float(np.mean(norms))
+
+
+def _train_cells(
+    base: TrainConfig,
+    cells: list[tuple[float, int]],
+    datasets: tuple[Dataset, Dataset] | None = None,
+) -> list[tuple[DenseNet, list[MetricsRecord]] | DivergenceError]:
+    """Train ``base`` once per ``(alpha, seed)`` cell, all cells in lockstep.
+
+    The cells are one stacked net (``gradtamper.net``'s cell axis) that takes
+    every step together; each cell draws its init and then one permutation
+    per epoch from its own ``default_rng(seed)``, so it ends bit for bit
+    where a run of that cell alone would.  A cell that diverges is recorded
+    once and then rides along as dead weight: every stacked operation works
+    cell by cell, so its non-finite values never reach another cell.  Returns,
+    per cell, ``(net, records)`` or the :class:`DivergenceError` that ended it.
+    """
+    train_ds, test_ds = datasets if datasets is not None else load_datasets(base.data)
+    n = len(train_ds)
+    if base.batch_size > n:
+        raise ValueError(f"batch_size {base.batch_size} exceeds training set size {n}")
+
+    rngs = [np.random.default_rng(seed) for _, seed in cells]
+    sizes = [train_ds.inputs.shape[1], *base.hidden, train_ds.num_classes]
+    net = stack_nets([init_dense_net(sizes, rng, hidden_activation=base.activation) for rng in rngs])
+    opt = init_opt_state(
+        net,
+        momentum=base.momentum,
+        weight_decay=base.weight_decay,
+        nesterov=base.nesterov,
+    )
+    alphas = np.array([alpha for alpha, _ in cells], dtype=np.float64)[:, None, None]
+    records: list[list[MetricsRecord]] = [[] for _ in cells]
+    errors: list[DivergenceError | None] = [None] * len(cells)
+    dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained along, never evaluated
+
+    n_batches = math.ceil(n / base.batch_size)
+    step = 0
+    for epoch in range(base.epochs):
+        # Tampering is backward-only and gated on the start epoch; alpha=1 is
+        # the untouched baseline.
+        gated = epoch >= base.tamper.start_epoch
+        perms = np.stack([rng.permutation(n) for rng in rngs])
+        last_lr = math.nan
+        for b in range(n_batches):
+            idx = perms[:, b * base.batch_size : (b + 1) * base.batch_size]
+            xb = train_ds.inputs[idx]
+            yb = train_ds.labels[idx]
+            lr = lr_at(base.schedule, epoch + b / n_batches)
+
+            # Overflow in a diverging run is expected and reported as a
+            # DivergenceError below, so numpy's warnings add nothing here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, cache = forward(net, xb)
+                q = smooth_label_rows(yb.ravel(), logits.shape[-1], base.label_smoothing)
+                q = q.reshape(logits.shape)
+                losses = batch_cross_entropy(logits, q)
+            # The logsumexp loss stays finite right up until the logits
+            # themselves overflow, so divergence is detected on the logits: a
+            # non-finite entry means the loss is about to be meaningless (NaN
+            # after the inf - inf in the max shift).
+            finite = np.isfinite(logits).all(axis=(-2, -1))
+            for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
+                where = f"at step {step} (epoch {epoch}, batch {b})"
+                errors[row] = DivergenceError(
+                    f"non-finite logits (diverged) {where}" if not finite[row]
+                    else f"training loss became NaN {where}"
+                )
+                dead[row] = True
+            if dead.all():
+                break
+            if not finite.all():  # only dead cells' logits, which softmax would refuse
+                logits = np.where(finite[:, None, None], logits, 0.0)
+
+            alpha = alphas if gated else 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                dlogits = tampered_dlogits(logits, q, alpha) / idx.shape[1]
+                grads = backward(net, cache, dlogits)
+                if base.clip_lambda is not None:
+                    grads = clip_grads_global(grads, base.clip_lambda)
+                sgd_step(net, grads, opt, lr)
+            last_lr = lr
+            step += 1
+
+        for row in np.flatnonzero(~dead):
+            cell = net.cell(row)
+            try:
+                train_loss, train_acc, _ = _evaluate(cell, train_ds, base.label_smoothing)
+                if math.isnan(train_loss):
+                    raise DivergenceError(
+                        f"training loss became NaN after step {step - 1} (end of epoch {epoch})"
+                    )
+                _, test_acc, test_norm = _evaluate(cell, test_ds, base.label_smoothing)
+            except DivergenceError as error:
+                errors[row] = error
+                dead[row] = True
+                continue
+            records[row].append(
+                MetricsRecord(
+                    epoch=epoch,
+                    train_loss=float(train_loss),
+                    train_acc=float(train_acc),
+                    test_acc=float(test_acc),
+                    gap=float(train_acc - test_acc),
+                    mean_logit_norm=float(test_norm),
+                    lr=float(last_lr),
+                )
+            )
+        if dead.all():
+            break
+    return [
+        (net.cell(row), records[row]) if error is None else error
+        for row, error in enumerate(errors)
+    ]
 
 
 def train(
@@ -238,82 +370,10 @@ def train(
     ``epoch + batch_index / batches_per_epoch``.  Raises
     :class:`DivergenceError` the moment the training loss turns NaN.
     """
-    train_ds, test_ds = datasets if datasets is not None else load_datasets(config.data)
-    n = len(train_ds)
-    if config.batch_size > n:
-        raise ValueError(f"batch_size {config.batch_size} exceeds training set size {n}")
-
-    rng = np.random.default_rng(config.seed)
-    sizes = [train_ds.inputs.shape[1], *config.hidden, train_ds.num_classes]
-    net = init_dense_net(sizes, rng, hidden_activation=config.activation)
-    opt = init_opt_state(
-        net,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        nesterov=config.nesterov,
-    )
-
-    n_batches = math.ceil(n / config.batch_size)
-    records: list[MetricsRecord] = []
-    step = 0
-    for epoch in range(config.epochs):
-        # Tampering is backward-only and gated on the start epoch; alpha=1 is
-        # the untouched baseline.
-        alpha = config.tamper.alpha if epoch >= config.tamper.start_epoch else 1.0
-        perm = rng.permutation(n)
-        last_lr = math.nan
-        for b in range(n_batches):
-            idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            xb = train_ds.inputs[idx]
-            yb = train_ds.labels[idx]
-            lr = lr_at(config.schedule, epoch + b / n_batches)
-
-            # Overflow in a diverging run is expected and reported as a
-            # DivergenceError below, so numpy's warnings add nothing here.
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits, cache = forward(net, xb)
-            # The logsumexp loss stays finite right up until the logits
-            # themselves overflow, so divergence is detected on the logits: a
-            # non-finite entry means the loss is about to be meaningless (NaN
-            # after the inf - inf in the max shift).
-            if not np.all(np.isfinite(logits)):
-                raise DivergenceError(
-                    f"non-finite logits (diverged) at step {step} (epoch {epoch}, batch {b})"
-                )
-            q = smooth_label_rows(yb, logits.shape[1], config.label_smoothing)
-            batch_loss = batch_cross_entropy(logits, q)
-            if math.isnan(batch_loss):
-                raise DivergenceError(
-                    f"training loss became NaN at step {step} (epoch {epoch}, batch {b})"
-                )
-
-            dlogits = tampered_dlogits(logits, q, alpha) / idx.size
-            with np.errstate(over="ignore", invalid="ignore"):
-                grads = backward(net, cache, dlogits)
-                if config.clip_lambda is not None:
-                    grads = clip_grads_global(grads, config.clip_lambda)
-                sgd_step(net, grads, opt, lr)
-            last_lr = lr
-            step += 1
-
-        train_loss, train_acc, _ = _evaluate(net, train_ds, config.label_smoothing)
-        if math.isnan(train_loss):
-            raise DivergenceError(
-                f"training loss became NaN after step {step - 1} (end of epoch {epoch})"
-            )
-        _, test_acc, test_norm = _evaluate(net, test_ds, config.label_smoothing)
-        records.append(
-            MetricsRecord(
-                epoch=epoch,
-                train_loss=float(train_loss),
-                train_acc=float(train_acc),
-                test_acc=float(test_acc),
-                gap=float(train_acc - test_acc),
-                mean_logit_norm=float(test_norm),
-                lr=float(last_lr),
-            )
-        )
-    return net, records
+    (outcome,) = _train_cells(config, [(config.tamper.alpha, config.seed)], datasets)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
 
 
 def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
@@ -375,15 +435,18 @@ def grid_search(
     csv_path: str,
     datasets: tuple[Dataset, Dataset] | None = None,
 ) -> list[GridRow]:
-    """Sweep ``alphas x seeds``, appending a CSV row as each cell finishes.
+    """Sweep ``alphas x seeds``, appending one CSV row per cell.
 
-    Cells are run sequentially in the given order.  If ``csv_path`` already
-    holds rows (same header), those (alpha, seed) cells are skipped and the
-    stored rows are returned in their place, so a killed sweep resumes where
-    it stopped.  A last line without its newline is a row the kill cut short:
-    it is cut off the file and its cell runs again.  A diverging cell is
-    recorded with status ``diverged`` and NaN metrics; it does not stop the
-    sweep.
+    The cells not yet in the CSV train in lockstep, in consecutive stacks of
+    at most ``_STACK_PARAMS`` parameters in all (one cell at a time for a net
+    larger than half of that); each stack's rows are appended in sweep order
+    and flushed when the stack finishes.  If ``csv_path`` already holds rows
+    (same header), those (alpha, seed) cells are skipped and the stored rows
+    are returned in their place, so a killed sweep resumes where it stopped;
+    a kill loses the unfinished stack.  A last line without its newline is a
+    row the kill cut short: it is cut off the file and its cell runs again.
+    A diverging cell is recorded with status ``diverged`` and NaN metrics; it
+    does not stop the sweep.  Rows come back in sweep order.
     """
     if not alphas:
         raise ValueError("grid needs at least one alpha")
@@ -408,30 +471,30 @@ def grid_search(
                 fh.truncate(end)
         fresh = False
 
-    if datasets is None:
-        datasets = load_datasets(base.data)
+    sweep = [(float(alpha), int(seed)) for alpha in alphas for seed in seeds]
+    for alpha, _ in sweep:
+        TamperSpec(alpha, base.tamper.start_epoch)  # rejects a bad alpha before any training
+    pending = [cell for cell in sweep if (repr(cell[0]), cell[1]) not in done]
+    stacks = []
+    if pending:
+        if datasets is None:
+            datasets = load_datasets(base.data)
+        train_ds = datasets[0]
+        sizes = [train_ds.inputs.shape[1], *base.hidden, train_ds.num_classes]
+        cell_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+        size = max(1, _STACK_PARAMS // cell_params)
+        stacks = [pending[lo : lo + size] for lo in range(0, len(pending), size)]
 
-    results: list[GridRow] = []
     with open(csv_path, "a", newline="\n") as fh:
         if fresh:
             fh.write(GRID_HEADER + "\n")
             fh.flush()
-        for alpha in alphas:
-            alpha = float(alpha)
-            for seed in seeds:
-                seed = int(seed)
-                key = (repr(alpha), seed)
-                if key in done:
-                    results.append(done[key])
-                    continue
-                cfg = replace(
-                    base,
-                    tamper=TamperSpec(alpha, base.tamper.start_epoch),
-                    seed=seed,
-                )
-                try:
-                    _, records = train(cfg, datasets)
-                    last = records[-1]
+        for stack in stacks:
+            for (alpha, seed), outcome in zip(stack, _train_cells(base, stack, datasets)):
+                if isinstance(outcome, DivergenceError):
+                    row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
+                else:
+                    last = outcome[1][-1]
                     row = GridRow(
                         alpha=alpha,
                         seed=seed,
@@ -441,12 +504,10 @@ def grid_search(
                         mean_logit_norm=last.mean_logit_norm,
                         status="ok",
                     )
-                except DivergenceError:
-                    row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
+                done[(repr(alpha), seed)] = row
                 fh.write(_format_grid_row(row) + "\n")
-                fh.flush()
-                results.append(row)
-    return results
+            fh.flush()
+    return [done[(repr(alpha), seed)] for alpha, seed in sweep]
 
 
 # ---------------------------------------------------------------------------

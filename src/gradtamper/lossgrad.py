@@ -64,18 +64,26 @@ def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> 
     return q
 
 
-def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float:
-    """Mean cross-entropy of ``softmax(logits)`` rows against target rows ``q``."""
+def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Mean cross-entropy of ``softmax(logits)`` rows against target rows ``q``.
+
+    A float for one (B, C) batch; an array of S means for a stack (S, B, C).
+    """
     # "+ 0.0" turns the -0.0 of a perfectly fit batch into 0.0.
-    return float(-(q * log_softmax(logits)).sum(axis=1).mean()) + 0.0
+    loss = -(q * log_softmax(logits)).sum(axis=-1).mean(axis=-1) + 0.0
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def tampered_dlogits(logits: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+def tampered_dlogits(
+    logits: np.ndarray, q: np.ndarray, alpha: float | np.ndarray
+) -> np.ndarray:
     """Batched ``softmax(alpha * logits) - q`` rows; no 1/N scaling.
 
     This is ``p' - q`` with ``p'`` the power transform of ``softmax(logits)``;
     ``alpha = 1`` gives the plain cross-entropy gradient ``softmax(z) - q``.
+    A stack (S, B, C) may take one alpha per cell, shaped (S, 1, 1).
     """
-    if not 0.0 <= alpha <= 1.0:
+    a = np.asarray(alpha)
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     return softmax(alpha * logits) - q

@@ -12,6 +12,13 @@ rebinding a layer's attribute to a new array unties it.  Gradients
 (``backward``) and the momentum velocity (``OptState``) are vectors in the
 same layout, so the optimizer and the clip never loop over layers.
 
+Cell axis: a net may hold S independent cells of the same architecture, with
+``params`` of shape (S, P), layer views (S, out, in) and (S, out), and
+batches (S, B, in).  ``forward``, ``backward``, ``sgd_step`` and
+``clip_grads_global`` then work cell by cell in one call, and each cell's
+result equals, bit for bit, the same call on that cell alone;
+``stack_nets`` builds such a net and ``DenseNet.cell`` views one cell.
+
 Checkpoint layout (all little-endian): magic ``b"DNET"``, uint32 version (1),
 uint32 layer count; then per layer a uint8 activation code (0 identity,
 1 relu), uint32 output size, uint32 input size, float64 weights row-major,
@@ -20,6 +27,7 @@ float64 biases.  Raw float64 bytes make round-trips bit-exact.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -33,6 +41,7 @@ __all__ = [
     "OptState",
     "init_dense_net",
     "init_opt_state",
+    "stack_nets",
     "forward",
     "backward",
     "sgd_step",
@@ -50,19 +59,19 @@ _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # out x in
-    biases: np.ndarray  # out
+    weights: np.ndarray  # out x in, or cells x out x in
+    biases: np.ndarray  # out, or cells x out
     activation: str = "identity"
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ValueError("weights must be 2-D and biases 1-D")
-        if self.weights.shape[0] != self.biases.shape[0]:
+        if self.weights.ndim not in (2, 3) or self.biases.ndim != self.weights.ndim - 1:
+            raise ValueError("weights must be 2-D and biases 1-D, or both with a cell axis")
+        if self.weights.shape[:-1] != self.biases.shape:
             raise ValueError(
-                f"bias length {self.biases.shape[0]} does not match "
-                f"output size {self.weights.shape[0]}"
+                f"bias shape {self.biases.shape} does not match "
+                f"output shape {self.weights.shape[:-1]}"
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -72,7 +81,8 @@ class DenseLayer:
 
 @dataclass
 class DenseNet:
-    """The layers, packed on construction into one parameter vector."""
+    """The layers, packed on construction into one parameter vector, or into
+    one per cell when the layers carry a cell axis."""
 
     layers: list[DenseLayer] = field(default_factory=list)
     params: np.ndarray = field(init=False, repr=False)
@@ -80,39 +90,74 @@ class DenseNet:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("network needs at least one layer")
+        cells = self.layers[0].biases.shape[:-1]
         for prev, cur in zip(self.layers, self.layers[1:]):
-            if cur.weights.shape[1] != prev.weights.shape[0]:
+            if cur.biases.shape[:-1] != cells:
+                raise ValueError("every layer needs the same cell axis")
+            if cur.weights.shape[-1] != prev.weights.shape[-2]:
                 raise ValueError(
-                    f"layer input size {cur.weights.shape[1]} does not match "
-                    f"previous output size {prev.weights.shape[0]}"
+                    f"layer input size {cur.weights.shape[-1]} does not match "
+                    f"previous output size {prev.weights.shape[-2]}"
                 )
-        self.params = np.concatenate([np.r_[l.weights.ravel(), l.biases] for l in self.layers])
-        for layer, (w, b) in zip(self.layers, _layer_views(self, self.params)):
-            layer.weights, layer.biases = w, b
+        self._bind(np.concatenate(
+            [np.concatenate([l.weights.reshape(*cells, -1), l.biases], axis=-1) for l in self.layers],
+            axis=-1,
+        ))
 
     def __deepcopy__(self, memo) -> DenseNet:
         # Copying field by field would copy each view on its own, untied from
         # the copied params; repacking copies the values and ties them again.
         return DenseNet([DenseLayer(l.weights, l.biases, l.activation) for l in self.layers])
 
+    def _bind(self, params: np.ndarray) -> None:
+        # params (same layout, any cell axis) become the net's parameters, each
+        # layer's weights and biases views into it; nothing is copied or checked.
+        self.params = params
+        for layer, (w, b) in zip(self.layers, _layer_views(self, params)):
+            layer.weights, layer.biases = w, b
+
+    def cell(self, index: int) -> DenseNet:
+        """Cell ``index`` of a stacked net, as a net that shares its memory."""
+        if self.params.ndim != 2:
+            raise ValueError("only a stacked net has cells")
+        view = copy.copy(self)  # no __post_init__: a cell is neither repacked nor revalidated
+        view.layers = [copy.copy(layer) for layer in self.layers]
+        view._bind(self.params[index])
+        return view
+
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layers[0].weights.shape[-1]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        return self.layers[-1].weights.shape[-2]
 
 
 def _layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weights, biases) views into a vector in the ``params`` layout."""
-    views, pos = [], 0
+    """Per-layer (weights, biases) views into an array in the ``params`` layout."""
+    views, pos, cells = [], 0, flat.shape[:-1]
     for layer in net.layers:
-        out_size, in_size = layer.weights.shape
+        out_size, in_size = layer.weights.shape[-2:]
         end = pos + out_size * in_size
-        views.append((flat[pos:end].reshape(out_size, in_size), flat[end : end + out_size]))
+        views.append((
+            flat[..., pos:end].reshape(*cells, out_size, in_size),
+            flat[..., end : end + out_size],
+        ))
         pos = end + out_size
     return views
+
+
+def stack_nets(nets: list[DenseNet]) -> DenseNet:
+    """One net whose cell ``s`` is a copy of ``nets[s]``; all share one architecture."""
+    return DenseNet([
+        DenseLayer(
+            np.stack([net.layers[k].weights for net in nets]),
+            np.stack([net.layers[k].biases for net in nets]),
+            layer.activation,
+        )
+        for k, layer in enumerate(nets[0].layers)
+    ])
 
 
 def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "relu") -> DenseNet:
@@ -137,17 +182,19 @@ def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "re
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     """Run a batch (rows are examples) through the net; returns (logits, cache).
 
-    The cache holds each layer's input and pre-activation, exactly what
-    ``backward`` needs.
+    A stacked net takes one batch per cell, (S, B, in).  The cache holds each
+    layer's input and pre-activation, exactly what ``backward`` needs.
     """
     h = np.asarray(batch, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.input_dim:
+    cells = net.params.shape[:-1]
+    if h.ndim != len(cells) + 2 or h.shape[:-2] != cells or h.shape[-1] != net.input_dim:
         raise ValueError(
             f"batch shape {h.shape} incompatible with input size {net.input_dim}"
+            f" and cell axis {cells}"
         )
     cache = []
     for layer in net.layers:
-        s = h @ layer.weights.T + layer.biases
+        s = h @ np.swapaxes(layer.weights, -1, -2) + layer.biases[..., None, :]
         cache.append((h, s))
         h = np.maximum(s, 0.0) if layer.activation == "relu" else s
     return h, cache
@@ -158,15 +205,13 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
 
     ``dlogits`` is the gradient of the scalar loss at the logits (any batch
     scaling included by the caller); this is the only seam through which a
-    tampered gradient enters, the rest is plain backprop.  Returns one vector
-    in the ``params`` layout.
+    tampered gradient enters, the rest is plain backprop.  Returns one array
+    in the ``params`` layout, (P,) or (S, P).
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    n_out = net.layers[-1].weights.shape[0]
-    if dlogits.shape != (cache[-1][1].shape[0], n_out):
+    if dlogits.shape != cache[-1][1].shape:
         raise ValueError(
-            f"dlogits shape {dlogits.shape} does not match logits "
-            f"{(cache[-1][1].shape[0], n_out)}"
+            f"dlogits shape {dlogits.shape} does not match logits {cache[-1][1].shape}"
         )
     grads = np.empty_like(net.params)
     views = _layer_views(net, grads)
@@ -175,8 +220,8 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
         layer = net.layers[k]
         inp, s = cache[k]
         ds = d * (s > 0.0) if layer.activation == "relu" else d
-        np.matmul(ds.T, inp, out=views[k][0])
-        ds.sum(axis=0, out=views[k][1])
+        np.matmul(np.swapaxes(ds, -1, -2), inp, out=views[k][0])
+        ds.sum(axis=-2, out=views[k][1])
         if k:  # nothing consumes the gradient at the network's input
             d = ds @ layer.weights
     return grads
@@ -224,24 +269,31 @@ def sgd_step(
 
 
 def clip_grads_global(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale the gradient vector to norm ``clip_norm`` if it exceeds it.
+    """Scale each gradient vector (one per cell) to norm ``clip_norm`` if it
+    exceeds it.
 
-    Returns ``grads`` itself when it is short enough, a new array otherwise.
+    Returns ``grads`` itself when every vector is short enough, a new array
+    otherwise, in which the short vectors keep their values.
     """
     if not clip_norm > 0.0:
         raise ValueError(f"clip norm must be positive, got {clip_norm!r}")
-    if np.ndim(grads) != 1:
-        raise ValueError(f"gradient must be a vector, got shape {np.shape(grads)}")
+    if np.ndim(grads) not in (1, 2):
+        raise ValueError(
+            f"gradient must be a vector or one per cell, got shape {np.shape(grads)}"
+        )
     # numpy's own reduction, not a BLAS dot, so the sum does not depend on
     # the BLAS thread count.
-    norm = math.sqrt(float((grads * grads).sum()))
-    if norm <= clip_norm:
+    norms = np.sqrt((grads * grads).sum(axis=-1, keepdims=True))
+    fire = ~(norms <= clip_norm)  # a NaN norm fires, as a scalar compare would
+    if not fire.any():
         return grads
-    return grads * (clip_norm / norm)
+    return grads * np.divide(clip_norm, norms, out=np.ones_like(norms), where=fire)
 
 
 def save_checkpoint(net: DenseNet, path) -> None:
     """Write the network to ``path`` in the documented binary layout."""
+    if net.params.ndim != 1:
+        raise ValueError("a stacked net has no checkpoint; save one cell at a time")
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(net.layers)))

@@ -63,6 +63,18 @@ class TestTrainCommand:
         assert f"run directory: {run}" in out
         assert "train_acc=" in out
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        def half_write(net, path):
+            with open(path, "wb") as fh:
+                fh.write(b"DNET")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_checkpoint", half_write)
+        assert run_train(tmp_path) == 4
+        run = tmp_path / "train-000"
+        assert sorted(p.name for p in run.iterdir()) == ["manifest.cfg", "metrics.csv"]
+        assert "disk full" in capsys.readouterr().err
+
     def test_manifest_reproduces_run_exactly(self, tmp_path, capsys):
         assert run_train(tmp_path) == 0
         manifest = tmp_path / "train-000" / "manifest.cfg"

@@ -1,16 +1,20 @@
 """Training loop determinism, grid resume, analysis tables, verify kit."""
 
 import math
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradtamper.data import Dataset
 from gradtamper.harness import (
     GRID_HEADER,
     METRICS_HEADER,
     DataSpec,
     DivergenceError,
+    GridRow,
     MetricsRecord,
     PropertyResult,
     TrainConfig,
@@ -21,10 +25,13 @@ from gradtamper.harness import (
     max_relative_error,
     train,
     verify_claims,
+    _evaluate,
+    _train_cells,
     write_metrics_csv,
     write_transform_csv,
 )
 from gradtamper.lossgrad import softmax
+from gradtamper.net import DenseLayer, DenseNet
 from gradtamper.schedule import ScheduleSpec
 from gradtamper.transform import (
     TamperSpec,
@@ -55,6 +62,13 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def step_schedule(lr):
+    return ScheduleSpec(
+        kind="step", base_lr=lr, peak_lr=lr, warmup_epochs=0,
+        total_epochs=6, cooldown_epochs=0,
+    )
 
 
 class TestTrain:
@@ -105,12 +119,17 @@ class TestTrain:
             train(tiny_config(batch_size=4096))
 
     def test_divergence_raises_and_names_the_step(self):
-        hot = ScheduleSpec(
-            kind="step", base_lr=1e150, peak_lr=1e150, warmup_epochs=0,
-            total_epochs=6, cooldown_epochs=0,
-        )
         with pytest.raises(DivergenceError, match=r"non-finite logits.*step"):
-            train(tiny_config(schedule=hot))
+            train(tiny_config(schedule=step_schedule(1e150)))
+
+    def test_logit_norm_of_huge_finite_logits_is_finite(self):
+        # The squares of 1e200 overflow; the norm itself does not.
+        net = DenseNet([DenseLayer(np.array([[1e200], [0.0]]), np.zeros(2))])
+        ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, norm = _evaluate(net, ds, 0.0)
+        assert norm == 1e200
 
     def test_fitted_desk_run_records_no_negative_zero_loss(self):
         # At alpha=0.05 the desk run fits its training split so tightly that
@@ -144,21 +163,75 @@ class TestGrid:
         assert len(rows) == 4
         complete = full.read_bytes()
 
-        # kill the sweep after one cell and resume
-        lines = complete.decode().splitlines()
-        partial = tmp_path / "resume.csv"
-        partial.write_text("\n".join(lines[:2]) + "\n")
-        resumed = grid_search(cfg, [0.5, 1.0], [0, 1], partial)
-        assert partial.read_bytes() == complete
-        assert resumed == rows
+        # A kill after any number of finished rows, or inside a row; each
+        # resume trains a different stack of the pending cells.
+        lines = complete.decode().splitlines(keepends=True)
+        cuts = ["".join(lines[: 1 + k]) for k in range(len(lines))]
+        cuts.append("".join(lines[:3]) + lines[3][:9])
+        for i, cut in enumerate(cuts):
+            partial = tmp_path / f"cut{i}.csv"
+            partial.write_text(cut)
+            resumed = grid_search(cfg, [0.5, 1.0], [0, 1], partial)
+            assert partial.read_bytes() == complete, f"cut {cut!r}"
+            assert resumed == rows
+
+    @pytest.mark.parametrize("lr", [4e9, 1e11])
+    def test_mixed_divergence_stack_matches_solo_runs(self, tmp_path, lr):
+        # At lr 4e9 seed 3 diverges while evaluating and seeds 0-2 finish; at
+        # 1e11 seed 3 diverges at step 14 and the others train on to step 15.
+        cfg = tiny_config(schedule=step_schedule(lr))
+        cells = [(alpha, seed) for alpha in (0.01, 1.0) for seed in range(4)]
+        stacked = _train_cells(cfg, cells)
+        rows = grid_search(cfg, [0.01, 1.0], range(4), tmp_path / "grid.csv")
+        for (alpha, seed), outcome, row in zip(cells, stacked, rows):
+            assert (row.alpha, row.seed) == (alpha, seed)
+            try:
+                net, records = train(replace(cfg, tamper=TamperSpec(alpha), seed=seed))
+            except DivergenceError as error:
+                assert str(outcome) == str(error)
+                assert row.status == "diverged"
+                continue
+            assert_array_equal(outcome[0].params, net.params)
+            assert [repr(astuple(r)) for r in outcome[1]] == [repr(astuple(r)) for r in records]
+            last = records[-1]
+            assert repr(astuple(row)) == repr(astuple(GridRow(
+                alpha, seed, last.train_acc, last.test_acc, last.gap, last.mean_logit_norm, "ok"
+            )))
+        statuses = [row.status for row in rows]
+        if lr == 4e9:
+            assert statuses == ["ok", "ok", "ok", "diverged"] * 2
+        else:
+            assert "at step 14" in str(stacked[3]) and "at step 15" in str(stacked[0])
+
+    @pytest.mark.parametrize("budget, stacks", [(360, [2, 2, 2]), (539, [2, 2, 2]), (179, [1] * 6)])
+    def test_stacks_are_bounded_and_written_as_they_finish(
+        self, tmp_path, monkeypatch, budget, stacks
+    ):
+        # The tiny 6-16-4 net has 180 parameters per cell.
+        import gradtamper.harness as harness
+
+        cfg = tiny_config()
+        whole = tmp_path / "whole.csv"
+        grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], whole)
+
+        p = tmp_path / "grid.csv"
+        seen = []
+
+        def spy(base, cells, datasets):
+            seen.append((len(cells), len(p.read_text().splitlines())))
+            return _train_cells(base, cells, datasets)
+
+        monkeypatch.setattr(harness, "_STACK_PARAMS", budget)
+        monkeypatch.setattr(harness, "_train_cells", spy)
+        grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], p)
+        # Each stack starts with the rows of every earlier stack on disk.
+        rows_before = [1 + sum(stacks[:k]) for k in range(len(stacks))]
+        assert seen == list(zip(stacks, rows_before))
+        assert p.read_bytes() == whole.read_bytes()
 
     def test_diverged_cell_recorded_and_sweep_continues(self, tmp_path):
-        hot = ScheduleSpec(
-            kind="step", base_lr=1e150, peak_lr=1e150, warmup_epochs=0,
-            total_epochs=6, cooldown_epochs=0,
-        )
         p = tmp_path / "grid.csv"
-        rows = grid_search(tiny_config(schedule=hot), [0.5], [0, 1], p)
+        rows = grid_search(tiny_config(schedule=step_schedule(1e150)), [0.5], [0, 1], p)
         assert [r.status for r in rows] == ["diverged", "diverged"]
         assert all(math.isnan(r.final_train_acc) for r in rows)
         assert len(p.read_text().splitlines()) == 3

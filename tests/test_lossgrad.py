@@ -235,6 +235,22 @@ class TestGradient:
         for alpha in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 tampered_dlogits(Z3[None, :], one_hot(0, 3), alpha)
+        stack = np.stack([Z3[None, :]] * 3)
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                tampered_dlogits(stack, one_hot(0, 3), np.array([0.3, bad, 1.0])[:, None, None])
+
+    def test_stack_with_per_cell_alpha_matches_cells(self):
+        rng = np.random.default_rng(26)
+        z = rng.normal(0, 5, size=(3, 6, 4))
+        q = smooth_label_rows(rng.integers(0, 4, size=18), 4, 0.1).reshape(3, 6, 4)
+        alphas = np.array([0.05, 0.5, 1.0])
+        stacked = tampered_dlogits(z, q, alphas[:, None, None])
+        losses = batch_cross_entropy(z, q)
+        assert losses.shape == (3,)
+        for s in range(3):
+            assert_array_equal(stacked[s], tampered_dlogits(z[s], q[s], alphas[s]))
+            assert losses[s] == batch_cross_entropy(z[s], q[s])
 
 
 class TestClip:
@@ -267,6 +283,6 @@ class TestClip:
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 clip_grads_global(np.ones(3), bad)
-        for bad_shape in (np.ones((1, 3)), np.float64(1.0)):
+        for bad_shape in (np.ones((1, 1, 3)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 clip_grads_global(bad_shape, 1.0)

@@ -19,6 +19,7 @@ from gradtamper.net import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
+    stack_nets,
 )
 from helpers import (
     analytic_param_grad,
@@ -232,6 +233,78 @@ class TestGradUtils:
     def test_clip_leaves_short_gradients_alone(self):
         grads = np.r_[np.full(4, 0.1), np.zeros(2)]
         assert clip_grads_global(grads, 10.0) is grads
+
+
+class TestStack:
+    """A stack of cells gives, cell by cell, the bits of the unstacked calls."""
+
+    SIZES = [6, 16, 8, 4]
+
+    def cells(self):
+        return [init_dense_net(self.SIZES, np.random.default_rng(seed)) for seed in (80, 81, 82)]
+
+    def test_layers_are_views_of_the_stacked_params(self):
+        cells = self.cells()
+        net = stack_nets(cells)
+        assert net.params.shape == (3, cells[0].params.size)
+        assert net.layers[1].weights.shape == (3, 8, 16)
+        for s, cell in enumerate(cells):
+            assert_array_equal(net.params[s], cell.params)
+            view = net.cell(s)
+            assert np.shares_memory(view.params, net.params)
+            assert np.shares_memory(view.layers[0].weights, net.params)
+            assert_array_equal(view.layers[2].biases, cell.layers[2].biases)
+
+    def test_forward_backward_sgd_match_each_cell(self):
+        rng = np.random.default_rng(83)
+        cells = self.cells()
+        net = stack_nets(cells)
+        x = rng.normal(size=(3, 10, 6))
+        logits, cache = forward(net, x)
+        d = rng.normal(size=logits.shape)
+        grads = backward(net, cache, d)
+        state = init_opt_state(net)
+        state.velocity[...] = rng.normal(size=state.velocity.shape)
+        velocity = state.velocity.copy()
+        sgd_step(net, grads, state, 0.05)
+        for s, cell in enumerate(cells):
+            cell_logits, cell_cache = forward(cell, x[s])
+            assert_array_equal(logits[s], cell_logits)
+            cell_grads = backward(cell, cell_cache, d[s])
+            assert_array_equal(grads[s], cell_grads)
+            cell_state = init_opt_state(cell)
+            cell_state.velocity[...] = velocity[s]
+            sgd_step(cell, cell_grads, cell_state, 0.05)
+            assert_array_equal(net.params[s], cell.params)
+            assert_array_equal(state.velocity[s], cell_state.velocity)
+
+    def test_batch_needs_the_cell_axis(self):
+        net = stack_nets(self.cells())
+        for bad in (np.zeros((10, 6)), np.zeros((2, 10, 6)), np.zeros((3, 10, 5))):
+            with pytest.raises(ValueError, match="incompatible"):
+                forward(net, bad)
+
+    def test_clip_scales_only_the_rows_that_exceed(self):
+        rng = np.random.default_rng(84)
+        grads = rng.normal(size=(3, 50))
+        grads[1] *= 1e-3  # short: left alone
+        clipped = clip_grads_global(grads, 1.0)
+        assert clipped is not grads
+        for s in range(3):
+            assert_array_equal(clipped[s], clip_grads_global(grads[s], 1.0))
+        assert_array_equal(clipped[1], grads[1])
+        short = grads * 1e-3
+        assert clip_grads_global(short, 1.0) is short
+
+    def test_cell_needs_a_stack_and_checkpoint_refuses_one(self, tmp_path):
+        net = stack_nets(self.cells())
+        with pytest.raises(ValueError, match="stacked"):
+            save_checkpoint(net, tmp_path / "net.ckpt")
+        assert not (tmp_path / "net.ckpt").exists()
+        with pytest.raises(ValueError, match="stacked"):
+            init_dense_net([2, 2], np.random.default_rng(0)).cell(0)
+        save_checkpoint(net.cell(1), tmp_path / "cell.ckpt")
+        assert_array_equal(load_checkpoint(tmp_path / "cell.ckpt").params, net.params[1])
 
 
 class TestCheckpoint:
