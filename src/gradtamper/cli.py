@@ -50,10 +50,6 @@ from .schedule import ScheduleSpec
 from .transform import TamperSpec
 
 
-class ConfigError(ValueError):
-    """A configuration key or value that cannot be used; exits with code 3."""
-
-
 _TRAIN_DEFAULTS: dict[str, str] = {
     # data source
     "data": "blobs",
@@ -107,14 +103,14 @@ def _float_of(key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ValueError(f"{key}: expected a number, got {raw!r}") from None
 
 
 def _int_of(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ValueError(f"{key}: expected an integer, got {raw!r}") from None
 
 
 def _bool_of(key: str, raw: str) -> bool:
@@ -123,7 +119,7 @@ def _bool_of(key: str, raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
+    raise ValueError(f"{key}: expected true/false, got {raw!r}")
 
 
 def _is_none(raw: str) -> bool:
@@ -140,16 +136,16 @@ def parse_value_list(text: str, what: str, integral: bool = False) -> list[float
     """Comma list or inclusive ``start:stop:step`` range."""
     text = text.strip()
     if not text:
-        raise ConfigError(f"{what}: empty list")
+        raise ValueError(f"{what}: empty list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"{what}: range syntax is start:stop:step, got {text!r}")
+            raise ValueError(f"{what}: range syntax is start:stop:step, got {text!r}")
         start, stop, step = (_float_of(what, p) for p in parts)
         if step <= 0:
-            raise ConfigError(f"{what}: range step must be positive")
+            raise ValueError(f"{what}: range step must be positive")
         if stop < start:
-            raise ConfigError(f"{what}: range stop must be >= start")
+            raise ValueError(f"{what}: range stop must be >= start")
         values = []
         i = 0
         while True:
@@ -161,11 +157,11 @@ def parse_value_list(text: str, what: str, integral: bool = False) -> list[float
     else:
         values = [_float_of(what, tok.strip()) for tok in text.split(",") if tok.strip()]
         if not values:
-            raise ConfigError(f"{what}: empty list")
+            raise ValueError(f"{what}: empty list")
     if integral:
         bad = [v for v in values if v != int(v)]
         if bad:
-            raise ConfigError(f"{what}: expected integers, got {bad}")
+            raise ValueError(f"{what}: expected integers, got {bad}")
     return values
 
 
@@ -175,7 +171,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -183,17 +179,17 @@ def parse_config_file(path: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         out[key.strip()] = value.strip()
     return out
 
 
 def _read_config(path: str, keys: dict[str, str]) -> dict[str, str]:
-    """A config file's entries; a key not in ``keys`` raises ConfigError."""
+    """A config file's entries; a key not in ``keys`` raises ValueError."""
     file_kv = parse_config_file(path)
     unknown = sorted(set(file_kv) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return file_kv
 
 
@@ -218,7 +214,7 @@ def build_train_config(kv: dict[str, str]) -> TrainConfig:
         paths = {}
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
             if _is_none(kv[name]):
-                raise ConfigError(f"data = idx requires {name} to be a file path")
+                raise ValueError(f"data = idx requires {name} to be a file path")
             paths[name] = kv[name]
         data = DataSpec(kind="idx", **paths)
     else:
@@ -352,12 +348,12 @@ def _resume_grid(
     same sweep, such as ``0.10`` for ``0.1``, is accepted.
     """
     if not os.path.exists(manifest):
-        raise ConfigError(f"--resume: no manifest.cfg in {os.path.dirname(manifest)}")
+        raise ValueError(f"--resume: no manifest.cfg in {os.path.dirname(manifest)}")
     kv = {**defaults, **_read_config(manifest, defaults)}
     built = _build_grid(kv)
     for key, value in _explicit_config(args, defaults).items():
         if _build_grid({**kv, key: value}) != built:
-            raise ConfigError(
+            raise ValueError(
                 f"--resume: {key} = {value} conflicts with {kv[key]!r} in {manifest}"
             )
     return built
@@ -369,7 +365,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         # The run's manifest is its configuration; it is read, never rewritten.
         csv_path = args.resume
         if not os.path.exists(csv_path):
-            raise ConfigError(f"--resume: {csv_path} does not exist")
+            raise ValueError(f"--resume: {csv_path} does not exist")
         run_dir = os.path.dirname(os.path.abspath(csv_path))
         base, alphas, seeds = _resume_grid(args, defaults, os.path.join(run_dir, "manifest.cfg"))
     else:
@@ -406,7 +402,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         p = [float(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"--p: expected comma-separated numbers, got {args.p!r}") from None
+        raise ValueError(f"--p: expected comma-separated numbers, got {args.p!r}") from None
     rows = analyze_transform(p, parse_value_list(args.alphas, "--alphas"))
 
     print("alpha      threshold    transformed")
@@ -493,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.subcommand](args)
     except ValueError as exc:
-        # ConfigError, and the validation raised by the dataclasses themselves.
+        # Bad keys or values, and the validation raised by the dataclasses themselves.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

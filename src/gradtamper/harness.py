@@ -11,8 +11,8 @@ see the transform.
 ``train`` is the one-cell case of one training loop that trains a stack of
 cells, differing only in tampering strength and seed, in lockstep.
 ``grid_search`` sweeps tampering strengths and seeds through that loop, in
-stacks of small nets, with CSV persistence, so an interrupted sweep resumes
-by skipping finished cells.
+stacks of small nets, evaluating each cell after its last epoch alone, with
+CSV persistence, so an interrupted sweep resumes by skipping finished cells.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
@@ -227,28 +227,40 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(net: DenseNet, ds: Dataset, epsilon: float) -> tuple[float, float, float]:
-    """Full-set loss (with the training-time smoothing), top-1 accuracy,
-    and mean L2 logit norm."""
+def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
+    """Full-set logits; a non-finite one raises :class:`DivergenceError`."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = forward(net, ds.inputs)
     if not np.all(np.isfinite(logits)):
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
-    loss = batch_cross_entropy(logits, smooth_label_rows(ds.labels, logits.shape[1], epsilon))
-    acc = float(np.mean(np.argmax(logits, axis=1) == ds.labels))
+    return logits
+
+
+def _evaluate(
+    net: DenseNet, train_ds: Dataset, test_ds: Dataset, epsilon: float
+) -> tuple[float, float, float, float]:
+    """What a record keeps: full-set train loss (with the training-time
+    smoothing) and top-1 accuracy, then test accuracy and mean L2 logit norm."""
+    logits = _logits(net, train_ds)
+    loss = batch_cross_entropy(logits, smooth_label_rows(train_ds.labels, logits.shape[1], epsilon))
+    train_acc = float(np.mean(np.argmax(logits, axis=1) == train_ds.labels))
+    logits = _logits(net, test_ds)
+    test_acc = float(np.mean(np.argmax(logits, axis=1) == test_ds.labels))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(logits, axis=1)
         big = np.isinf(norms)
         if big.any():  # the squares overflowed: rescale those rows by their largest entry
             scale = np.abs(logits[big]).max(axis=1)
             norms[big] = scale * np.linalg.norm(logits[big] / scale[:, None], axis=1)
-    return float(loss), acc, float(np.mean(norms))
+    return float(loss), train_acc, test_acc, float(np.mean(norms))
 
 
 def _train_cells(
     base: TrainConfig,
     cells: list[tuple[float, int]],
     datasets: tuple[Dataset, Dataset] | None = None,
+    *,
+    final_only: bool = False,
 ) -> list[tuple[DenseNet, list[MetricsRecord]] | DivergenceError]:
     """Train ``base`` once per ``(alpha, seed)`` cell, all cells in lockstep.
 
@@ -257,8 +269,11 @@ def _train_cells(
     per epoch from its own ``default_rng(seed)``, so it ends bit for bit
     where a run of that cell alone would.  A cell that diverges is recorded
     once and then rides along as dead weight: every stacked operation works
-    cell by cell, so its non-finite values never reach another cell.  Returns,
-    per cell, ``(net, records)`` or the :class:`DivergenceError` that ended it.
+    cell by cell, so its non-finite values never reach another cell.  Live
+    cells are evaluated after every epoch, or with ``final_only`` after the
+    last one alone.  Returns, per cell, ``(net, records)`` (with
+    ``final_only``, the last epoch's record) or the :class:`DivergenceError`
+    that ended it.
     """
     train_ds, test_ds = datasets if datasets is not None else load_datasets(base.data)
     n = len(train_ds)
@@ -278,6 +293,7 @@ def _train_cells(
     records: list[list[MetricsRecord]] = [[] for _ in cells]
     errors: list[DivergenceError | None] = [None] * len(cells)
     dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained along, never evaluated
+    first_evaluated = base.epochs - 1 if final_only else 0
 
     n_batches = math.ceil(n / base.batch_size)
     step = 0
@@ -327,15 +343,15 @@ def _train_cells(
             last_lr = lr
             step += 1
 
-        for row in np.flatnonzero(~dead):
-            cell = net.cell(row)
+        for row in np.flatnonzero(~dead) if epoch >= first_evaluated else ():
             try:
-                train_loss, train_acc, _ = _evaluate(cell, train_ds, base.label_smoothing)
+                train_loss, train_acc, test_acc, test_norm = _evaluate(
+                    net.cell(row), train_ds, test_ds, base.label_smoothing
+                )
                 if math.isnan(train_loss):
                     raise DivergenceError(
                         f"training loss became NaN after step {step - 1} (end of epoch {epoch})"
                     )
-                _, test_acc, test_norm = _evaluate(cell, test_ds, base.label_smoothing)
             except DivergenceError as error:
                 errors[row] = error
                 dead[row] = True
@@ -445,8 +461,10 @@ def grid_search(
     are returned in their place, so a killed sweep resumes where it stopped;
     a kill loses the unfinished stack.  A last line without its newline is a
     row the kill cut short: it is cut off the file and its cell runs again.
-    A diverging cell is recorded with status ``diverged`` and NaN metrics; it
-    does not stop the sweep.  Rows come back in sweep order.
+    A cell is evaluated once, after its last epoch, the one its row keeps.
+    It is recorded with status ``diverged`` and NaN metrics iff a training
+    step's logits or loss, or that evaluation, go non-finite; it does not
+    stop the sweep.  Rows come back in sweep order.
     """
     if not alphas:
         raise ValueError("grid needs at least one alpha")
@@ -490,7 +508,8 @@ def grid_search(
             fh.write(GRID_HEADER + "\n")
             fh.flush()
         for stack in stacks:
-            for (alpha, seed), outcome in zip(stack, _train_cells(base, stack, datasets)):
+            outcomes = zip(stack, _train_cells(base, stack, datasets, final_only=True))
+            for (alpha, seed), outcome in outcomes:
                 if isinstance(outcome, DivergenceError):
                     row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
                 else:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ACTIVATIONS",
     "DenseLayer",
     "DenseNet",
     "OptState",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SIMPLEX_TOL",
     "MONOTONE_TOL",
     "TamperSpec",
     "MonotonicityReport",

@@ -3,7 +3,7 @@
 import pytest
 
 import gradtamper.cli as cli
-from gradtamper.cli import ConfigError, main, parse_config_file, parse_value_list
+from gradtamper.cli import main, parse_config_file, parse_value_list
 from gradtamper.harness import GRID_HEADER, PropertyResult, VerifyReport
 from gradtamper.transform import stationary_threshold
 
@@ -32,7 +32,7 @@ class TestValueLists:
             ("", False), ("1:0:0.1", False), ("0:1:0", False),
             ("1:2", False), ("a,b", False), ("0.5,1", True),
         ]:
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 parse_value_list(bad, "x", integral=integral)
 
 
@@ -45,11 +45,11 @@ class TestConfigFiles:
     def test_malformed_line_names_lineno(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 3\nnot a pair\n")
-        with pytest.raises(ConfigError, match=r"c\.cfg:2"):
+        with pytest.raises(ValueError, match=r"c\.cfg:2"):
             parse_config_file(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
+        with pytest.raises(ValueError, match="cannot read"):
             parse_config_file(tmp_path / "absent.cfg")
 
 

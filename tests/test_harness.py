@@ -71,6 +71,20 @@ def step_schedule(lr):
     )
 
 
+def count_evaluations(monkeypatch):
+    """Route ``harness._evaluate`` through a spy; returns its growing call list."""
+    import gradtamper.harness as harness
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _evaluate(*args)
+
+    monkeypatch.setattr(harness, "_evaluate", spy)
+    return calls
+
+
 class TestTrain:
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = tiny_config()
@@ -128,8 +142,21 @@ class TestTrain:
         ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, norm = _evaluate(net, ds, 0.0)
+            *_, norm = _evaluate(net, ds, ds, 0.0)
         assert norm == 1e200
+
+    def test_loss_mean_of_finite_huge_rows_is_finite(self):
+        # At lr 5e9 the per-row losses stay finite while their sum overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, records = train(tiny_config(schedule=step_schedule(5e9)))
+        assert records[-1].train_loss > 1e306
+        assert math.isfinite(records[-1].train_loss)
+
+    def test_evaluates_once_per_epoch(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        train(tiny_config(epochs=3))
+        assert len(calls) == 3
 
     def test_fitted_desk_run_records_no_negative_zero_loss(self):
         # At alpha=0.05 the desk run fits its training split so tightly that
@@ -175,10 +202,13 @@ class TestGrid:
             assert partial.read_bytes() == complete, f"cut {cut!r}"
             assert resumed == rows
 
-    @pytest.mark.parametrize("lr", [4e9, 1e11])
+    @pytest.mark.parametrize("lr", [4e9, 1e11, 10**12.875])
     def test_mixed_divergence_stack_matches_solo_runs(self, tmp_path, lr):
         # At lr 4e9 seed 3 diverges while evaluating and seeds 0-2 finish; at
         # 1e11 seed 3 diverges at step 14 and the others train on to step 15.
+        # At 10**12.875 cell (0.01, 2) first fails in its epoch-2 evaluation;
+        # the grid evaluates only after the last epoch, and the cell's row
+        # still reads diverged because a later training step overflows.
         cfg = tiny_config(schedule=step_schedule(lr))
         cells = [(alpha, seed) for alpha in (0.01, 1.0) for seed in range(4)]
         stacked = _train_cells(cfg, cells)
@@ -200,8 +230,12 @@ class TestGrid:
         statuses = [row.status for row in rows]
         if lr == 4e9:
             assert statuses == ["ok", "ok", "ok", "diverged"] * 2
-        else:
+        elif lr == 1e11:
             assert "at step 14" in str(stacked[3]) and "at step 15" in str(stacked[0])
+        else:
+            (early,) = _train_cells(replace(cfg, epochs=2), [(0.01, 2)])
+            assert not isinstance(early, DivergenceError)
+            assert "while evaluating" in str(stacked[2])
 
     @pytest.mark.parametrize("budget, stacks", [(360, [2, 2, 2]), (539, [2, 2, 2]), (179, [1] * 6)])
     def test_stacks_are_bounded_and_written_as_they_finish(
@@ -217,9 +251,9 @@ class TestGrid:
         p = tmp_path / "grid.csv"
         seen = []
 
-        def spy(base, cells, datasets):
+        def spy(base, cells, datasets, **kw):
             seen.append((len(cells), len(p.read_text().splitlines())))
-            return _train_cells(base, cells, datasets)
+            return _train_cells(base, cells, datasets, **kw)
 
         monkeypatch.setattr(harness, "_STACK_PARAMS", budget)
         monkeypatch.setattr(harness, "_train_cells", spy)
@@ -228,6 +262,15 @@ class TestGrid:
         rows_before = [1 + sum(stacks[:k]) for k in range(len(stacks))]
         assert seen == list(zip(stacks, rows_before))
         assert p.read_bytes() == whole.read_bytes()
+
+    def test_evaluates_each_finished_cell_once(self, tmp_path, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        grid_search(tiny_config(), [0.5, 1.0, 0.25], [0, 1], tmp_path / "grid.csv")
+        assert len(calls) == 6
+        # Cells that diverge while training are never evaluated.
+        calls.clear()
+        grid_search(tiny_config(schedule=step_schedule(1e150)), [0.5], [0, 1], tmp_path / "d.csv")
+        assert calls == []
 
     def test_diverged_cell_recorded_and_sweep_continues(self, tmp_path):
         p = tmp_path / "grid.csv"

@@ -6,6 +6,7 @@ of the actual loss function; point values are frozen 50-digit evaluations.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ class TestCrossEntropy:
             q = smooth_label_rows(targets, 5, eps)
             per_row = [row_loss(z[i], q[i]) for i in range(7)]
             assert_allclose(batch_cross_entropy(z, q), np.mean(per_row), rtol=1e-14)
+
+    def test_mean_of_huge_finite_rows_is_finite(self):
+        # Each row of cell 0 loses 1.5e308; the sum of two overflows, their
+        # mean does not.  Cell 1 keeps the plain mean.
+        z = np.array([[[0.0, -1.5e308]] * 2, [[0.0, -3.0]] * 2])
+        q = smooth_label_rows(np.array([1, 1, 1, 1]), 2, 0.0).reshape(z.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = batch_cross_entropy(z, q)
+        assert loss[0] == 1.5e308
+        assert loss[1] == batch_cross_entropy(z[1], q[1])
 
     def test_perfect_fit_is_positive_zero(self):
         # Every non-target exp underflows next to the target's, so the loss
