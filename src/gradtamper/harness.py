@@ -74,6 +74,9 @@ GRID_HEADER = "alpha,seed,final_train_acc,final_test_acc,gap,mean_logit_norm,sta
 # in memory.
 _STACK_PARAMS = 1 << 14
 
+# Rows per ``forward`` call in evaluation: its temporaries stay a few MB.
+_EVAL_ROWS = 4096
+
 
 class DivergenceError(RuntimeError):
     """Raised when the training loss turns NaN; the message names the step."""
@@ -228,9 +231,19 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
 
 
 def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
-    """Full-set logits; a non-finite one raises :class:`DivergenceError`."""
+    """Full-set logits; a non-finite one raises :class:`DivergenceError`.
+
+    ``forward`` runs over the fewest near-equal blocks of at most ``_EVAL_ROWS``
+    rows.  A short block would take BLAS's small-matrix kernel, whose sums round
+    differently; blocks of half ``_EVAL_ROWS`` or more keep the whole-split bits.
+    """
+    n = len(ds)
+    logits = np.empty((n, net.num_classes))
+    blocks = -(-n // _EVAL_ROWS)
+    bounds = [n * k // blocks for k in range(blocks + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = forward(net, ds.inputs)
+        for lo, hi in zip(bounds, bounds[1:]):
+            logits[lo:hi] = forward(net, ds.inputs[lo:hi])[0]
     if not np.all(np.isfinite(logits)):
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
     return logits

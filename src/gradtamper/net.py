@@ -10,7 +10,10 @@ its biases (the checkpoint's order).  Each ``DenseLayer.weights``/``.biases``
 is a view into that vector, so writing through either name changes both;
 rebinding a layer's attribute to a new array unties it.  Gradients
 (``backward``) and the momentum velocity (``OptState``) are vectors in the
-same layout, so the optimizer and the clip never loop over layers.
+same layout, so the optimizer and the clip never loop over layers.  The
+update runs over the flat vectors in blocks of ``_UPDATE_BLOCK`` elements,
+through two scratch blocks that ``OptState`` allocates once, so a step
+allocates nothing and its working set stays in L2.
 
 Cell axis: a net may hold S independent cells of the same architecture, with
 ``params`` of shape (S, P), layer views (S, out, in) and (S, out), and
@@ -55,6 +58,12 @@ _CHECKPOINT_MAGIC = b"DNET"
 _CHECKPOINT_VERSION = 1
 _ACT_CODES = {"identity": 0, "relu": 1}
 _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
+
+# Elements per ``sgd_step`` block: five 256 KiB slices fit a 2 MiB L2.  On a
+# 2-vCPU Xeon a 784-256-10 step took 0.8 ms (1.2 ms unblocked); blocks of 2^14
+# were no faster, of 2^16 slower.
+_UPDATE_BLOCK = 1 << 15
+
 
 @dataclass
 class DenseLayer:
@@ -231,13 +240,22 @@ class OptState:
     """SGD state: a velocity vector in the ``params`` layout, plus settings.
 
     Weight decay is applied as gradient augmentation ``g + wd * w`` (coupled
-    L2), uniformly to weights and biases.
+    L2), uniformly to weights and biases.  ``sgd_step`` computes in ``_scratch``.
     """
 
     velocity: np.ndarray
     momentum: float = 0.9
     weight_decay: float = 5e-4
     nesterov: bool = True
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay!r}")
+        self.velocity = np.ascontiguousarray(self.velocity, dtype=np.float64)
+        self._scratch = np.empty((2, min(self.velocity.size, _UPDATE_BLOCK)))
 
 
 def init_opt_state(
@@ -252,18 +270,30 @@ def init_opt_state(
 def sgd_step(
     net: DenseNet, grads: np.ndarray, state: OptState, lr: float
 ) -> tuple[DenseNet, OptState]:
-    """One SGD update with Nesterov momentum; mutates net and state in place."""
-    if not lr > 0.0:
-        raise ValueError(f"learning rate must be positive, got {lr!r}")
+    """One SGD update with Nesterov momentum; mutates net and state in place.
+
+    Each block of the flat vectors (a stack's cells end to end) runs the ufuncs
+    of ``g = grads + wd*p; v = mu*v + g; p -= lr*(g + mu*v)`` in that order.
+    """
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
     if np.shape(grads) != net.params.shape:
         raise ValueError(f"gradient shape {np.shape(grads)} != params {net.params.shape}")
-    mu = state.momentum
-    wd = state.weight_decay
-    g = grads + wd * net.params if wd else grads
-    v = state.velocity
-    v *= mu
-    v += g
-    net.params -= lr * (g + mu * v) if state.nesterov else lr * v
+    mu, wd = state.momentum, state.weight_decay
+    grads = np.asarray(grads).reshape(-1)
+    params, velocity = net.params.reshape(-1), state.velocity.reshape(-1)
+    for lo in range(0, params.size, _UPDATE_BLOCK):
+        blk = slice(lo, lo + _UPDATE_BLOCK)
+        p, v = params[blk], velocity[blk]
+        t, step = state._scratch[:, : p.size]
+        g = np.add(grads[blk], np.multiply(wd, p, out=t), out=t) if wd else grads[blk]
+        v *= mu
+        v += g
+        if state.nesterov:
+            np.multiply(lr, np.add(g, np.multiply(mu, v, out=step), out=step), out=step)
+        else:
+            np.multiply(lr, v, out=step)
+        p -= step
     return net, state
 
 

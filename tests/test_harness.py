@@ -1,6 +1,7 @@
 """Training loop determinism, grid resume, analysis tables, verify kit."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 
@@ -25,13 +26,15 @@ from gradtamper.harness import (
     max_relative_error,
     train,
     verify_claims,
+    _EVAL_ROWS,
     _evaluate,
+    _logits,
     _train_cells,
     write_metrics_csv,
     write_transform_csv,
 )
 from gradtamper.lossgrad import softmax
-from gradtamper.net import DenseLayer, DenseNet
+from gradtamper.net import DenseLayer, DenseNet, forward, init_dense_net
 from gradtamper.schedule import ScheduleSpec
 from gradtamper.transform import (
     TamperSpec,
@@ -165,6 +168,49 @@ class TestTrain:
         losses = [r.train_loss for r in records]
         assert 0.0 in losses
         assert all(math.copysign(1.0, loss) == 1.0 for loss in losses)
+
+
+class TestEvaluationBlocks:
+    """Evaluation runs ``forward`` over row blocks, with the bits of one call."""
+
+    @staticmethod
+    def blobs(rows, features, split="train", seed=95):
+        rng = np.random.default_rng(seed)
+        return Dataset(rng.normal(size=(rows, features)), rng.integers(0, 10, rows), 10, split)
+
+    # Cut at multiples of _EVAL_ROWS, the first two splits would leave 1- and
+    # 100-row tails, which take BLAS's small-matrix kernel; the last is one block.
+    @pytest.mark.parametrize(
+        "rows", [2 * _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 100, _EVAL_ROWS + 3000, _EVAL_ROWS - 7]
+    )
+    def test_logits_equal_one_forward_call(self, rows):
+        net = init_dense_net([40, 32, 10], np.random.default_rng(96))
+        ds = self.blobs(rows, 40)
+        whole, _ = forward(net, ds.inputs)
+        assert_array_equal(_logits(net, ds).view(np.int64), whole.view(np.int64))
+
+    def test_non_finite_logit_in_the_last_block_names_the_split(self):
+        net = init_dense_net([40, 32, 10], np.random.default_rng(97))
+        net.params[...] = np.abs(net.params)  # every sum of huge inputs overflows
+        ds = self.blobs(2 * _EVAL_ROWS + 5, 40, split="test")
+        ds.inputs[-1] = 1e308
+        assert np.all(np.isfinite(forward(net, ds.inputs[:-1])[0]))
+        with pytest.raises(DivergenceError, match="the test split"):
+            _logits(net, ds)
+
+    def test_peak_memory_stays_below_one_hidden_activation(self):
+        # Whole-split evaluation held the hidden pre-activation and its relu,
+        # 2 x N x hidden x 8 bytes; row blocks hold one block of each.
+        rows, hidden = 20_000, 256
+        net = init_dense_net([784, hidden, 10], np.random.default_rng(98))
+        train_ds, test_ds = self.blobs(rows, 784), self.blobs(100, 784, "test")
+        tracemalloc.start()
+        try:
+            _evaluate(net, train_ds, test_ds, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * hidden * 8
 
 
 class TestMetricsCsv:

@@ -2,6 +2,8 @@
 differences, optimizer arithmetic, checkpoint round-trips."""
 
 import copy
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
 from gradtamper.net import (
+    _UPDATE_BLOCK,
     DenseLayer,
     DenseNet,
     backward,
@@ -202,6 +205,31 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_step(net, np.zeros(6), state, 0.0)
 
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        net = init_dense_net([2, 2], np.random.default_rng(0))
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(net, np.ones(6), init_opt_state(net), lr)
+        assert_array_equal(net.params, before)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(momentum=1.0),
+            dict(momentum=1.5),
+            dict(momentum=-0.1),
+            dict(momentum=math.nan),
+            dict(weight_decay=-1.0),
+            dict(weight_decay=math.inf),
+            dict(weight_decay=math.nan),
+        ],
+    )
+    def test_bad_settings_rejected(self, settings):
+        net = init_dense_net([2, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            init_opt_state(net, **settings)
+
     def test_wrong_gradient_shape_rejected(self):
         net = init_dense_net([2, 2], np.random.default_rng(0))
         state = init_opt_state(net)
@@ -221,6 +249,50 @@ class TestSgd:
             d = tampered_dlogits(logits, smooth_label_rows(y, 2, 0.0), 1.0) / 64
             sgd_step(net, backward(net, cache, d), state, 0.1)
         assert net_loss(net, x, y) < first * 0.5
+
+
+class TestBlockedSgd:
+    """``sgd_step`` works in blocks; its bits are the whole-vector update's."""
+
+    # 300*220+220 + 220*10+10 = 68,430 parameters: two full blocks and a ragged tail.
+    SIZES = [300, 220, 10]
+
+    @staticmethod
+    def whole_vector_step(params, grads, velocity, lr, mu, wd, nesterov):
+        g = grads + wd * params if wd else grads
+        velocity *= mu
+        velocity += g
+        params -= lr * (g + mu * velocity) if nesterov else lr * velocity
+
+    @pytest.mark.parametrize("cells", [None, 3])
+    @pytest.mark.parametrize("nesterov", [True, False])
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_matches_the_whole_vector_expression(self, cells, nesterov, wd):
+        rng = np.random.default_rng(90)
+        nets = [init_dense_net(self.SIZES, rng) for _ in range(cells or 1)]
+        net = stack_nets(nets) if cells else nets[0]
+        assert 2 * _UPDATE_BLOCK < net.params.shape[-1] < 3 * _UPDATE_BLOCK
+        state = init_opt_state(net, momentum=0.9, weight_decay=wd, nesterov=nesterov)
+        state.velocity[...] = rng.normal(size=state.velocity.shape)
+        params, velocity = net.params.copy(), state.velocity.copy()
+        for lr in (0.1, 0.05, 0.3):
+            grads = rng.normal(size=net.params.shape)
+            sgd_step(net, grads, state, lr)
+            self.whole_vector_step(params, grads, velocity, lr, 0.9, wd, nesterov)
+            assert_array_equal(net.params.view(np.int64), params.view(np.int64))
+            assert_array_equal(state.velocity.view(np.int64), velocity.view(np.int64))
+
+    def test_a_step_allocates_less_than_one_parameter_vector(self):
+        net = init_dense_net([784, 256, 10], np.random.default_rng(91))
+        state = init_opt_state(net)
+        grads = np.random.default_rng(92).normal(size=net.params.shape)
+        tracemalloc.start()
+        try:
+            sgd_step(net, grads, state, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.params.nbytes
 
 
 class TestGradUtils:
