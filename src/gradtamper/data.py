@@ -8,6 +8,7 @@ are parsed bit-exactly: big-endian u32 header words, magic 0x00000803 for
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -36,7 +37,14 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Immutable N x D feature matrix with integer labels in [0, C)."""
+    """Immutable N x D inputs with integer labels in [0, C).
+
+    ``uint8`` inputs are 8-bit pixels and are kept as they are; their
+    features are ``inputs / 255``.  Inputs of any other dtype are converted to
+    float64 and are the features themselves, unscaled (torchvision's
+    ``ToTensor`` takes the same view of uint8 images).  :meth:`features` is
+    the one reader of the values.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -44,19 +52,37 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self) -> None:
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        inputs = np.asarray(self.inputs)
+        self.inputs = inputs if inputs.dtype == np.uint8 else np.asarray(inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ValueError(f"inputs must be a non-empty N x D matrix, got {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("labels length does not match input rows")
-        if not np.all(np.isfinite(self.inputs)):
+        if self.inputs.dtype == np.float64 and not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs contain NaN or Inf")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(f"labels outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+    @property
+    def num_features(self) -> int:
+        return self.inputs.shape[1]
+
+    def features(self, index) -> np.ndarray:
+        """float64 features of the rows ``inputs[index]``.
+
+        uint8 rows are widened and divided by 255 (so only the rows read are
+        ever float64); float64 rows are returned as they are, a view for a
+        slice.
+        """
+        rows = self.inputs[index]
+        if rows.dtype != np.uint8:
+            return rows
+        # One pass, casting each pixel exactly: the bits of astype(float64) / 255.
+        return np.divide(rows, 255.0, dtype=np.float64)
 
 
 def synth_blobs(
@@ -94,49 +120,56 @@ def synth_blobs(
     return train, test
 
 
-def _read_u32s(blob: bytes, path, count: int, what: str) -> tuple[int, ...]:
+def _read_header(fh, path, count: int, what: str) -> tuple[tuple[int, ...], int]:
+    """The header's ``count`` u32 words, and the file's bytes after them."""
     need = 4 * count
-    if len(blob) < need:
+    head = fh.read(need)
+    if len(head) < need:
         raise IdxFormatError(
-            f"{path}: truncated {what}: need {need} header bytes, file has {len(blob)}"
+            f"{path}: truncated {what}: need {need} header bytes, file has {len(head)}"
         )
-    return struct.unpack(f">{count}I", blob[:need])
+    return struct.unpack(f">{count}I", head), os.fstat(fh.fileno()).st_size - need
+
+
+def _read_payload(fh, path, size: int) -> np.ndarray:
+    """The next ``size`` bytes of ``fh``, read straight into a uint8 array."""
+    out = np.empty(size, dtype=np.uint8)
+    got = fh.readinto(out)
+    if got != size:  # the file shrank after its size was taken
+        raise IdxFormatError(f"{path}: payload ended after {got} of {size} bytes")
+    return out
 
 
 def read_idx_images(path) -> np.ndarray:
     """Raw N x rows x cols uint8 pixel tensor from an IDX image file."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, count, rows, cols = _read_u32s(blob, path, 4, "image header")
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IMAGE_MAGIC:08x}"
-        )
-    expected = count * rows * cols
-    payload = len(blob) - 16
-    if payload != expected:
-        raise IdxFormatError(
-            f"{path}: payload from byte 16 holds {payload} bytes, "
-            f"header promises {count} x {rows} x {cols} = {expected}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows, cols).copy()
+        (magic, count, rows, cols), payload = _read_header(fh, path, 4, "image header")
+        if magic != IMAGE_MAGIC:
+            raise IdxFormatError(
+                f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IMAGE_MAGIC:08x}"
+            )
+        expected = count * rows * cols
+        if payload != expected:
+            raise IdxFormatError(
+                f"{path}: payload from byte 16 holds {payload} bytes, "
+                f"header promises {count} x {rows} x {cols} = {expected}"
+            )
+        return _read_payload(fh, path, expected).reshape(count, rows, cols)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Raw length-N uint8 label vector from an IDX label file."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, count = _read_u32s(blob, path, 2, "label header")
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{LABEL_MAGIC:08x}"
-        )
-    payload = len(blob) - 8
-    if payload != count:
-        raise IdxFormatError(
-            f"{path}: payload from byte 8 holds {payload} bytes, header promises {count}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=8).copy()
+        (magic, count), payload = _read_header(fh, path, 2, "label header")
+        if magic != LABEL_MAGIC:
+            raise IdxFormatError(
+                f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{LABEL_MAGIC:08x}"
+            )
+        if payload != count:
+            raise IdxFormatError(
+                f"{path}: payload from byte 8 holds {payload} bytes, header promises {count}"
+            )
+        return _read_payload(fh, path, count)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -162,8 +195,9 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse an IDX image/label pair into a Dataset.
 
-    Pixels are scaled to [0, 1] and flattened to rows * cols features; the
-    class count is taken from the largest label present.
+    Each image is flattened to rows * cols uint8 pixels, kept as uint8: the
+    Dataset's features are those pixels / 255, in [0, 1], widened only for the
+    rows read.  The class count is taken from the largest label present.
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -172,5 +206,5 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"count mismatch: {images_path} has {images.shape[0]} images, "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    flat = images.reshape(images.shape[0], -1)
     return Dataset(flat, labels.astype(np.int64), int(labels.max()) + 1, split)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -220,8 +220,8 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
     test = load_idx(spec.test_images, spec.test_labels, split="test")
     if train.num_classes != test.num_classes:
         classes = max(train.num_classes, test.num_classes)
-        train = Dataset(train.inputs, train.labels, classes, "train")
-        test = Dataset(test.inputs, test.labels, classes, "test")
+        train = replace(train, num_classes=classes)
+        test = replace(test, num_classes=classes)
     return train, test
 
 
@@ -236,6 +236,7 @@ def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
     ``forward`` runs over the fewest near-equal blocks of at most ``_EVAL_ROWS``
     rows.  A short block would take BLAS's small-matrix kernel, whose sums round
     differently; blocks of half ``_EVAL_ROWS`` or more keep the whole-split bits.
+    Only one block's features are float64 at a time.
     """
     n = len(ds)
     logits = np.empty((n, net.num_classes))
@@ -243,7 +244,7 @@ def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
     bounds = [n * k // blocks for k in range(blocks + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(bounds, bounds[1:]):
-            logits[lo:hi] = forward(net, ds.inputs[lo:hi])[0]
+            logits[lo:hi] = forward(net, ds.features(slice(lo, hi)))[0]
     if not np.all(np.isfinite(logits)):
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
     return logits
@@ -294,7 +295,7 @@ def _train_cells(
         raise ValueError(f"batch_size {base.batch_size} exceeds training set size {n}")
 
     rngs = [np.random.default_rng(seed) for _, seed in cells]
-    sizes = [train_ds.inputs.shape[1], *base.hidden, train_ds.num_classes]
+    sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
     net = stack_nets([init_dense_net(sizes, rng, hidden_activation=base.activation) for rng in rngs])
     opt = init_opt_state(
         net,
@@ -318,7 +319,7 @@ def _train_cells(
         last_lr = math.nan
         for b in range(n_batches):
             idx = perms[:, b * base.batch_size : (b + 1) * base.batch_size]
-            xb = train_ds.inputs[idx]
+            xb = train_ds.features(idx)
             yb = train_ds.labels[idx]
             lr = lr_at(base.schedule, epoch + b / n_batches)
 
@@ -511,7 +512,7 @@ def grid_search(
         if datasets is None:
             datasets = load_datasets(base.data)
         train_ds = datasets[0]
-        sizes = [train_ds.inputs.shape[1], *base.hidden, train_ds.num_classes]
+        sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
         cell_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
         size = max(1, _STACK_PARAMS // cell_params)
         stacks = [pending[lo : lo + size] for lo in range(0, len(pending), size)]

@@ -1,5 +1,7 @@
 """Blob generator determinism and bit-exact IDX parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -82,6 +84,43 @@ class TestDatasetValidation:
             Dataset(x, np.array([0, 1]), num_classes=2)
 
 
+class TestDatasetDtypes:
+    """uint8 inputs are 8-bit pixels, read as / 255; every other dtype is float64."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_dtypes_become_float64_unscaled(self, dtype):
+        x = np.array([[0, 3], [255, 7]], dtype=dtype)
+        ds = Dataset(x, np.array([0, 1]), num_classes=2)
+        assert ds.inputs.dtype == np.float64
+        assert_array_equal(ds.features(slice(None)), x.astype(np.float64))
+
+    def test_uint8_stays_uint8(self):
+        ds = Dataset(np.arange(12, dtype=np.uint8).reshape(3, 4), np.array([0, 2, 1]), 3)
+        assert ds.inputs.dtype == np.uint8
+        assert len(ds) == 3 and ds.num_classes == 3 and ds.num_features == 4
+
+    def test_float_nan_still_rejected(self):
+        x = np.zeros((2, 2), dtype=np.float32)
+        x[0, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            Dataset(x, np.array([0, 1]), num_classes=2)
+
+    def test_uint8_features_keep_every_bit(self):
+        rng = np.random.default_rng(8)
+        pixels = rng.integers(0, 256, size=(50, 9), dtype=np.uint8)
+        ds = Dataset(pixels, rng.integers(0, 3, 50), 3)
+        widened = pixels.astype(np.float64) / 255.0
+        index = rng.integers(0, 50, size=(4, 6))  # (S, B), as a stacked batch
+        for where in (slice(7, 31), index):
+            got = ds.features(where)
+            assert got.dtype == np.float64
+            assert_array_equal(got.view(np.int64), widened[where].view(np.int64))
+
+    def test_float64_features_of_a_slice_are_a_view(self):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
+        assert np.shares_memory(ds.features(slice(1, 3)), ds.inputs)
+
+
 class TestIdxFiles:
     def test_write_images_matches_golden_bytes(self, tmp_path):
         p = tmp_path / "img.idx"
@@ -140,6 +179,25 @@ class TestIdxFiles:
         with pytest.raises(IdxFormatError, match=r"holds 3 bytes, header promises 2"):
             read_idx_labels(q)
 
+    def test_image_payload_longer_than_promised(self, tmp_path):
+        p = tmp_path / "img.idx"
+        p.write_bytes(GOLDEN_IMAGES + b"\x08")
+        with pytest.raises(IdxFormatError, match=r"holds 9 bytes.*2 x 2 x 2 = 8"):
+            read_idx_images(p)
+
+    def test_images_are_read_without_a_second_copy(self, tmp_path):
+        p = tmp_path / "img.idx"
+        images = np.random.default_rng(5).integers(0, 256, size=(3000, 28, 28), dtype=np.uint8)
+        write_idx_images(p, images)
+        tracemalloc.start()
+        try:
+            got = read_idx_images(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(got, images)
+        assert peak < 1.5 * images.nbytes
+
     def test_write_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError):
             write_idx_images(tmp_path / "x", np.zeros((2, 2), dtype=np.uint8))
@@ -154,9 +212,10 @@ class TestLoadIdx:
         lp.write_bytes(GOLDEN_LABELS)
         ds = load_idx(ip, lp, split="test")
         assert ds.inputs.shape == (2, 4)
+        assert ds.inputs.dtype == np.uint8
         assert ds.num_classes == 2
         assert ds.split == "test"
-        assert_array_equal(ds.inputs, np.arange(8).reshape(2, 4) / 255.0)
+        assert_array_equal(ds.features(slice(None)), np.arange(8).reshape(2, 4) / 255.0)
         assert_array_equal(ds.labels, [0, 1])
 
     def test_count_mismatch(self, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gradtamper.data import Dataset
+from gradtamper.data import Dataset, write_idx_images, write_idx_labels
 from gradtamper.harness import (
     GRID_HEADER,
     METRICS_HEADER,
@@ -189,6 +189,15 @@ class TestEvaluationBlocks:
         whole, _ = forward(net, ds.inputs)
         assert_array_equal(_logits(net, ds).view(np.int64), whole.view(np.int64))
 
+    def test_uint8_logits_equal_one_forward_call_on_the_widened_rows(self):
+        net = init_dense_net([40, 32, 10], np.random.default_rng(98))
+        rng = np.random.default_rng(99)
+        rows = 2 * _EVAL_ROWS + 1
+        ds = Dataset(rng.integers(0, 256, size=(rows, 40), dtype=np.uint8),
+                     rng.integers(0, 10, rows), 10)
+        whole, _ = forward(net, ds.inputs.astype(np.float64) / 255.0)
+        assert_array_equal(_logits(net, ds).view(np.int64), whole.view(np.int64))
+
     def test_non_finite_logit_in_the_last_block_names_the_split(self):
         net = init_dense_net([40, 32, 10], np.random.default_rng(97))
         net.params[...] = np.abs(net.params)  # every sum of huge inputs overflows
@@ -226,6 +235,50 @@ class TestMetricsCsv:
         assert int(fields[0]) == 0
         assert float(fields[1]) == r.train_loss  # repr round-trips exactly
         assert float(fields[5]) == r.mean_logit_norm
+
+
+class TestPixelInputs:
+    """A uint8 Dataset trains bit for bit like the float64 Dataset of its features."""
+
+    @staticmethod
+    def pixel_pair():
+        # IDX-shaped: 6 x 6 uint8 images, flattened, in a train and a test split.
+        rng = np.random.default_rng(21)
+        pixels = [Dataset(rng.integers(0, 256, size=(n, 36), dtype=np.uint8),
+                          rng.integers(0, 4, n), 4, split)
+                  for n, split in ((96, "train"), (32, "test"))]
+        widened = [Dataset(ds.features(slice(None)), ds.labels, 4, ds.split) for ds in pixels]
+        assert all(ds.inputs.dtype == np.float64 for ds in widened)
+        return tuple(pixels), tuple(widened)
+
+    def test_train_matches_float64_features(self):
+        pixels, widened = self.pixel_pair()
+        cfg = tiny_config(epochs=3, clip_lambda=1.0)
+        net_u8, rec_u8 = train(cfg, pixels)
+        net_f64, rec_f64 = train(cfg, widened)
+        assert rec_u8 == rec_f64
+        assert_array_equal(net_u8.params.view(np.int64), net_f64.params.view(np.int64))
+
+    def test_idx_splits_share_a_class_count_and_stay_uint8(self, tmp_path):
+        paths = {}
+        for split, labels in (("train", [0, 1, 1]), ("test", [2, 0])):
+            images = np.arange(len(labels) * 4, dtype=np.uint8).reshape(-1, 2, 2)
+            paths[f"{split}_images"] = str(tmp_path / f"{split}-images")
+            paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels")
+            write_idx_images(paths[f"{split}_images"], images)
+            write_idx_labels(paths[f"{split}_labels"], np.array(labels, dtype=np.uint8))
+        train_ds, test_ds = load_datasets(DataSpec(kind="idx", **paths))
+        assert (train_ds.num_classes, test_ds.num_classes) == (3, 3)
+        assert (train_ds.split, test_ds.split) == ("train", "test")
+        assert train_ds.inputs.dtype == test_ds.inputs.dtype == np.uint8
+
+    def test_grid_rows_match_float64_features(self, tmp_path):
+        pixels, widened = self.pixel_pair()
+        cfg = tiny_config(epochs=2)
+        rows_u8 = grid_search(cfg, [0.5, 1.0], [3], tmp_path / "u8.csv", pixels)
+        rows_f64 = grid_search(cfg, [0.5, 1.0], [3], tmp_path / "f64.csv", widened)
+        assert len(rows_u8) == 2 and rows_u8 == rows_f64
+        assert (tmp_path / "u8.csv").read_bytes() == (tmp_path / "f64.csv").read_bytes()
 
 
 class TestGrid:

@@ -1,5 +1,6 @@
 """Package surface: the README's library import and the benchmark's hooks."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -59,3 +60,17 @@ def test_benchmark_reads_every_verify_property(monkeypatch):
     assert [(name, int(checks), int(fails)) for _, name, checks, fails in matched] == [
         (p.name, p.samples, p.failures) for p in report.properties
     ]
+
+
+def test_only_data_reads_dataset_inputs():
+    # IDX inputs are uint8 pixels; Dataset.features is what widens them to
+    # float64, so no other module may read ``.inputs`` directly.
+    package = ROOT / "src" / "gradtamper"
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "inputs"
+    ]
+    assert readers == []
