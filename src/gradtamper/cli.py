@@ -19,7 +19,7 @@ Exit codes:
     2  command-line usage error (from argparse)
     3  invalid configuration or input values
     4  output directory or file could not be created/written
-    5  training diverged (NaN loss)
+    5  training diverged (non-finite logits or NaN loss)
     6  verification found at least one failing property
 """
 

@@ -37,14 +37,15 @@ def softmax(z, axis: int = -1) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain NaN or Inf")
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise ``z - logsumexp(z)`` along the last axis; finite for finite z."""
     shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), out=shifted)
 
 
 def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> np.ndarray:
@@ -69,7 +70,8 @@ def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float | np.ndarray
 
     A float for one (B, C) batch; an array of S means for a stack (S, B, C).
     """
-    rows = -(q * log_softmax(logits)).sum(axis=-1)
+    ls = log_softmax(logits)
+    rows = -np.multiply(ls, q, out=ls).sum(axis=-1)
     with np.errstate(over="ignore"):
         loss = rows.mean(axis=-1)
     over = np.isinf(loss) & np.isfinite(rows).all(axis=-1)
@@ -92,4 +94,5 @@ def tampered_dlogits(
     a = np.asarray(alpha)
     if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return softmax(alpha * logits) - q
+    p = softmax(alpha * logits)
+    return np.subtract(p, q, out=p)

@@ -34,9 +34,9 @@ class ScheduleSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {_KINDS}")
-        if not 0.0 < self.base_lr <= self.peak_lr:
+        if not (math.isfinite(self.peak_lr) and 0.0 < self.base_lr <= self.peak_lr):
             raise ValueError(
-                f"need 0 < base_lr <= peak_lr, got base {self.base_lr!r} peak {self.peak_lr!r}"
+                f"need 0 < base_lr <= peak_lr < inf, got {self.base_lr!r} and {self.peak_lr!r}"
             )
         if self.warmup_epochs < 0 or self.cooldown_epochs < 0 or self.total_epochs < 1:
             raise ValueError("epoch counts must be non-negative with total >= 1")

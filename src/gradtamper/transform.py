@@ -54,7 +54,7 @@ class TamperSpec:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not (isinstance(self.start_epoch, int) and self.start_epoch >= 0):
+        if type(self.start_epoch) is not int or self.start_epoch < 0:  # a bool is no epoch
             raise ValueError(f"start_epoch must be a non-negative int, got {self.start_epoch!r}")
 
 
@@ -102,18 +102,18 @@ def _check_alpha(alpha: float, *, exclude_one: bool = False) -> float:
 def power_transform_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     """Apply the power transform along the last axis, without validation.
 
-    Kernel shared by the public vector operation and the batched backward
-    pass.  Powers are evaluated as exp(alpha * log p) with zero entries
-    short-circuited to zero, avoiding pow() edge behavior near 0.
+    Kernel shared by the public vector operation and ``verify``.  Powers are
+    evaluated as exp(alpha * log p) in one fresh array, avoiding pow() edge
+    behavior near 0; a zero entry gives log 0 = -inf and so exactly 0.
     """
     if alpha == 0.0:
         return np.full_like(p, 1.0 / p.shape[-1])
     if alpha == 1.0:
         return p.copy()
-    t = np.zeros_like(p)
-    pos = p > 0.0
-    t[pos] = np.exp(alpha * np.log(p[pos]))
-    return t / t.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        t = np.log(p)
+    np.exp(np.multiply(alpha, t, out=t), out=t)
+    return np.divide(t, t.sum(axis=-1, keepdims=True), out=t)
 
 
 def transform_probabilities(p, alpha: float) -> np.ndarray:
@@ -133,20 +133,21 @@ def _threshold_rows(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Stationary threshold of every row of ``p`` at every alpha, shape (N, A).
 
     The one kernel behind the public threshold functions; alphas in [0, 1),
-    rows already validated.  It loops over alphas so that no N x A x C
-    temporary is built.  Zero entries contribute nothing for alpha > 0, and
-    alpha = 0 is the uniform limit 1/C.  Both ends of [1/C, 1] are clamped
-    to guard against last-ulp rounding, since both are attained.
+    rows already validated.  Its alpha loop reuses one (N, C) scratch, and no
+    N x A x C temporary is built.  Zero entries contribute nothing for alpha
+    > 0, and alpha = 0 is the uniform limit 1/C.  Both ends of [1/C, 1] are
+    clamped to guard against last-ulp rounding, since both are attained.
     """
     c = p.shape[1]
     with np.errstate(divide="ignore"):
         logp = np.log(p)
+    buf = np.empty_like(logp)
     taus = np.empty((p.shape[0], alphas.size))
     for j, alpha in enumerate(alphas):
         if alpha == 0.0:
             taus[:, j] = 1.0 / c
         else:
-            totals = np.exp(alpha * logp).sum(axis=1)
+            totals = np.exp(np.multiply(alpha, logp, out=buf), out=buf).sum(axis=1)
             taus[:, j] = np.exp(np.log(totals) / (alpha - 1.0))
     return np.clip(taus, 1.0 / c, 1.0, out=taus)
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from gradtamper.harness import (
     verify_claims,
     _EVAL_ROWS,
     _evaluate,
+    _fd_logit_grad,
     _logits,
+    _stable_order_mismatches,
     _train_cells,
     write_metrics_csv,
     write_transform_csv,
 )
-from gradtamper.lossgrad import softmax
+from gradtamper.lossgrad import smooth_label_rows, softmax
 from gradtamper.net import DenseLayer, DenseNet, forward, init_dense_net
 from gradtamper.schedule import ScheduleSpec
 from gradtamper.transform import (
@@ -469,17 +472,117 @@ class TestVerify:
         with pytest.raises(ValueError, match="kind"):
             PropertyResult("p", "m", "mean", 0.0)
 
+    def test_property_result_keeps_nan(self):
+        # A NaN check shows in ``observed`` whether it comes alone or in a batch.
+        for kind in ("max", "min"):
+            for batches in ([[0.5, math.nan]], [[0.5], [math.nan]], [[math.nan], [0.5]]):
+                prop = PropertyResult("p", "m", kind, 1.0 if kind == "max" else 0.0)
+                for values in batches:
+                    prop.add(values)
+                assert math.isnan(prop.observed)
+                assert (prop.samples, prop.failures) == (2, 1)
+
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            verify_claims(trials=0)
-        with pytest.raises(ValueError):
-            verify_claims(class_counts=(1, 5))
+        for kw in (
+            dict(trials=0),
+            dict(trials=2.5),
+            dict(trials=True),
+            dict(class_counts=(1, 5)),
+            dict(class_counts=(2.5,)),
+            dict(class_counts=(3, 4.0)),
+            dict(class_counts=()),
+        ):
+            with pytest.raises(ValueError):
+                verify_claims(**kw)
+        assert verify_claims(trials=np.int64(2), class_counts=(np.int64(3),)).passed
+
+    def test_report_pinned_to_fixture(self):
+        # Batching the oracles and reusing temporaries must not move a digit.
+        fixture = Path(__file__).parent / "fixtures" / "verify_seed0_trials200.txt"
+        text = format_verify_report(verify_claims(seed=0, trials=200))
+        assert text + "\n" == fixture.read_text()
 
     def test_max_relative_error_floor(self):
         assert max_relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0
         # below the floor the check is absolute at floor * tol
         assert max_relative_error([1e-9], [2e-9], floor=1e-4) == pytest.approx(1e-5)
         assert max_relative_error([2.0], [1.0], floor=1e-4) == 0.5
+
+    def test_max_relative_error_rows(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 5, 7))
+        per_row = max_relative_error(a, b)
+        assert per_row.shape == (5,)
+        for i in range(5):
+            assert per_row[i] == max_relative_error(a[i], b[i])
+        assert np.ndim(max_relative_error(a[0], b[0])) == 0
+
+
+def _former_fd_logit_grad(z, q, scale, h):
+    """Reference: the one-vector oracle written with allocating expressions."""
+
+    def ce_rows(rows):
+        x = scale * rows
+        shifted = x - x.max(axis=-1, keepdims=True)
+        ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return -(q * ls).sum(axis=-1)
+
+    eye = np.eye(z.size) * h
+    return (ce_rows(z + eye) - ce_rows(z - eye)) / (2.0 * h)
+
+
+class TestVerifyKernels:
+    @pytest.mark.parametrize("c, n", [(2, 9), (10, 9), (100, 13), (250, 3)])
+    def test_fd_rows_equal_per_row_calls(self, c, n):
+        # 2^16-element blocks hold 6 rows at C=100, so 13 rows end in a short
+        # block; at C=250 one row alone exceeds a block.
+        rng = np.random.default_rng(c)
+        for sigma in (3.0, 300.0):
+            z = rng.normal(0.0, sigma, size=(n, c))
+            q = smooth_label_rows(rng.integers(0, c, size=n), c, 0.1)
+            z_before, q_before = z.copy(), q.copy()
+            for scale in (1.0, 0.3):
+                rows = _fd_logit_grad(z, q, scale=scale, h=1e-4)
+                assert rows.shape == (n, c)
+                for i in range(n):
+                    single = _fd_logit_grad(z[i], q[i], scale=scale, h=1e-4)
+                    assert_array_equal(rows[i], single)
+                    assert_array_equal(single, _former_fd_logit_grad(z[i], q[i], scale, 1e-4))
+            assert_array_equal(z, z_before)
+            assert_array_equal(q, q_before)
+
+    def test_order_mismatches_equal_stable_argsort(self):
+        probs = np.array(
+            [
+                [0.1, 0.2, 0.3, 0.4],
+                [0.1, 0.2, 0.3, 0.4],
+                [0.1, 0.2, 0.3, 0.4],
+                [0.4, 0.3, 0.2, 0.1],
+                [0.25, 0.25, 0.25, 0.25],
+                [0.25, 0.25, 0.25, 0.25],
+            ]
+        )
+        t = np.array(
+            [
+                [0.1, 0.2, 0.3, 0.4],  # same order
+                [0.2, 0.2, 0.3, 0.3],  # ties whose indices rise in the reference
+                [0.1, 0.3, 0.2, 0.4],  # an inversion
+                [0.3, 0.3, 0.2, 0.2],  # ties whose reference order has indices falling
+                [0.25, 0.25, 0.25, 0.25],  # all tied
+                [0.3, 0.2, 0.25, 0.25],  # reordered from a tie
+            ]
+        )
+        rng = np.random.default_rng(0)
+        rand = rng.dirichlet(np.ones(6), size=200)
+        rand_t = np.round(rand, 2)  # rounding makes ties, some out of index order
+        for p_rows, t_rows in ((probs, t), (rand, rand_t), (rand, rand)):
+            order_ref = np.argsort(p_rows, axis=1, kind="stable")
+            want = (np.argsort(t_rows, axis=1, kind="stable") != order_ref).sum(1)
+            got = _stable_order_mismatches(t_rows, order_ref)
+            assert got.dtype == np.float64
+            assert_array_equal(got, want)
+        assert_array_equal(_stable_order_mismatches(t, np.argsort(probs, axis=1, kind="stable")),
+                           [0, 0, 2, 4, 0, 4])
 
 
 class TestConfigValidation:
@@ -501,6 +604,10 @@ class TestConfigValidation:
             dict(hidden=(8.0,)),
             dict(hidden=(True,)),
             dict(weight_decay=-1e-3),
+            dict(epochs=2.5),
+            dict(epochs=True),
+            dict(batch_size=8.0),
+            dict(batch_size=True),
         ):
             with pytest.raises(ValueError):
                 tiny_config(**kw)

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gradtamper.lossgrad import (
     batch_cross_entropy,
+    log_softmax,
     smooth_label_rows,
     softmax,
     tampered_dlogits,
@@ -263,6 +264,36 @@ class TestGradient:
         for s in range(3):
             assert_array_equal(stacked[s], tampered_dlogits(z[s], q[s], alphas[s]))
             assert losses[s] == batch_cross_entropy(z[s], q[s])
+
+
+class TestInPlaceKernels:
+    """The kernels work in place on their own arrays; each must equal its
+    allocating reference expression bit for bit and leave its inputs alone."""
+
+    def test_equal_former_expressions(self):
+        rng = np.random.default_rng(17)
+        # A stack of 6 cells, 16 rows of 10 classes: sigma 3 and sigma 300 logits.
+        z = np.concatenate([rng.normal(0, 3, (3, 16, 10)), rng.normal(0, 300, (3, 16, 10))])
+        q = smooth_label_rows(rng.integers(0, 10, size=96), 10, 0.1).reshape(z.shape)
+        alphas = np.array([1.0, 0.5, 0.01, 0.3, 0.02, 1.0])[:, None, None]
+        z_before, q_before = z.copy(), q.copy()
+
+        for axis in (-1, 0):
+            e = np.exp(z - z.max(axis=axis, keepdims=True))
+            assert_array_equal(softmax(z, axis=axis), e / e.sum(axis=axis, keepdims=True))
+        shifted = z - z.max(axis=-1, keepdims=True)
+        former_ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        assert_array_equal(log_softmax(z), former_ls)
+        former_rows = -(q * former_ls).sum(axis=-1)
+        assert_array_equal(batch_cross_entropy(z, q), former_rows.mean(axis=-1) + 0.0)
+        assert batch_cross_entropy(z[0], q[0]) == former_rows[0].mean() + 0.0
+        for alpha in (alphas, 0.3, 1.0):
+            scaled = alpha * z
+            e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+            assert_array_equal(tampered_dlogits(z, q, alpha), e / e.sum(axis=-1, keepdims=True) - q)
+
+        assert_array_equal(z, z_before)
+        assert_array_equal(q, q_before)
 
 
 class TestClip:

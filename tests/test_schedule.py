@@ -85,6 +85,20 @@ def test_spec_validation():
         ScheduleSpec(base_lr=0.0)
 
 
+def test_rejects_non_finite_rates():
+    # base = peak = inf would otherwise give a nan rate at the first lr_at.
+    inf, nan = float("inf"), float("nan")
+    for kw in (
+        dict(base_lr=inf, peak_lr=inf),
+        dict(peak_lr=inf),
+        dict(base_lr=nan),
+        dict(peak_lr=nan),
+        dict(base_lr=-inf),
+    ):
+        with pytest.raises(ValueError, match="base_lr"):
+            ScheduleSpec(**kw)
+
+
 def test_warmup_plus_cooldown_may_fill_total():
     sched = ScheduleSpec(warmup_epochs=2, total_epochs=6, cooldown_epochs=4)
     assert lr_at(sched, 2.0) == sched.base_lr  # cooldown starts right at warmup end

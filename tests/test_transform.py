@@ -14,6 +14,7 @@ from gradtamper.transform import (
     MONOTONE_TOL,
     MonotonicityReport,
     TamperSpec,
+    _threshold_rows,
     power_transform_rows,
     prob_vec,
     stationary_threshold,
@@ -83,6 +84,44 @@ class TestTransformValues:
         batched = power_transform_rows(rows, 0.4)
         for i in range(8):
             assert_array_equal(batched[i], transform_probabilities(rows[i], 0.4))
+
+
+class TestKernelExpressions:
+    """The kernels compute in place; each must equal its allocating reference
+    expression bit for bit, exact zeros included, and leave its input alone."""
+
+    def batch_with_zeros(self):
+        p = np.random.default_rng(23).dirichlet(np.ones(12), size=40)
+        p[::3, ::4] = 0.0
+        return p / p.sum(axis=1, keepdims=True)
+
+    def test_power_transform_rows_with_zeros(self):
+        p = self.batch_with_zeros()
+        before = p.copy()
+        for alpha in (0.01, 0.5):
+            former = np.zeros_like(p)
+            pos = p > 0.0
+            former[pos] = np.exp(alpha * np.log(p[pos]))
+            former = former / former.sum(axis=-1, keepdims=True)
+            got = power_transform_rows(p, alpha)
+            assert_array_equal(got, former)
+            assert np.all(got[::3, ::4] == 0.0)
+        assert_array_equal(p, before)
+
+    def test_threshold_rows(self):
+        p = self.batch_with_zeros()
+        alphas = np.arange(100) / 100.0
+        with np.errstate(divide="ignore"):
+            logp = np.log(p)
+        former = np.empty((p.shape[0], alphas.size))
+        for j, alpha in enumerate(alphas):
+            if alpha == 0.0:
+                former[:, j] = 1.0 / 12
+            else:
+                totals = np.exp(alpha * logp).sum(axis=1)
+                former[:, j] = np.exp(np.log(totals) / (alpha - 1.0))
+        np.clip(former, 1.0 / 12, 1.0, out=former)
+        assert_array_equal(_threshold_rows(p, alphas), former)
 
 
 class TestTransformProperties:
@@ -255,3 +294,6 @@ class TestValidation:
             TamperSpec(1.5)
         with pytest.raises(ValueError):
             TamperSpec(0.5, start_epoch=-1)
+        for start in (True, 1.0):
+            with pytest.raises(ValueError):
+                TamperSpec(0.5, start_epoch=start)
