@@ -26,7 +26,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -37,17 +36,15 @@ from .harness import (
     DataSpec,
     DivergenceError,
     TrainConfig,
-    analyze_transform,
     format_verify_report,
     grid_search,
     train,
     verify_claims,
     write_metrics_csv,
-    write_transform_csv,
 )
 from .net import save_checkpoint
 from .schedule import ScheduleSpec
-from .transform import TamperSpec
+from .transform import TamperSpec, prob_vec, stationary_threshold, transform_probabilities
 
 
 _TRAIN_DEFAULTS: dict[str, str] = {
@@ -89,6 +86,7 @@ _TRAIN_DEFAULTS: dict[str, str] = {
 }
 
 _GRID_DEFAULTS: dict[str, str] = {
+    **_TRAIN_DEFAULTS,
     "grid_alphas": "0.25,0.5,0.75,1.0",
     "grid_seeds": "0,1,2",
 }
@@ -211,12 +209,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict[str, str]) -> dict[s
 def build_train_config(kv: dict[str, str]) -> TrainConfig:
     """Turn resolved key=value strings into a validated TrainConfig."""
     if kv["data"] == "idx":
-        paths = {}
-        for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            if _is_none(kv[name]):
-                raise ValueError(f"data = idx requires {name} to be a file path")
-            paths[name] = kv[name]
-        data = DataSpec(kind="idx", **paths)
+        paths = ("train_images", "train_labels", "test_images", "test_labels")
+        data = DataSpec(kind="idx", **{k: None if _is_none(kv[k]) else kv[k] for k in paths})
     else:
         data = DataSpec(
             kind=kv["data"],
@@ -339,7 +333,7 @@ def _build_grid(kv: dict[str, str]) -> tuple[TrainConfig, list[float], list[int]
 
 
 def _resume_grid(
-    args: argparse.Namespace, defaults: dict[str, str], manifest: str
+    args: argparse.Namespace, manifest: str
 ) -> tuple[TrainConfig, list[float], list[int]]:
     """The resumed run's manifest, checked against every key set explicitly.
 
@@ -349,9 +343,9 @@ def _resume_grid(
     """
     if not os.path.exists(manifest):
         raise ValueError(f"--resume: no manifest.cfg in {os.path.dirname(manifest)}")
-    kv = {**defaults, **_read_config(manifest, defaults)}
+    kv = {**_GRID_DEFAULTS, **_read_config(manifest, _GRID_DEFAULTS)}
     built = _build_grid(kv)
-    for key, value in _explicit_config(args, defaults).items():
+    for key, value in _explicit_config(args, _GRID_DEFAULTS).items():
         if _build_grid({**kv, key: value}) != built:
             raise ValueError(
                 f"--resume: {key} = {value} conflicts with {kv[key]!r} in {manifest}"
@@ -360,16 +354,15 @@ def _resume_grid(
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    defaults = {**_TRAIN_DEFAULTS, **_GRID_DEFAULTS}
     if args.resume:
         # The run's manifest is its configuration; it is read, never rewritten.
         csv_path = args.resume
         if not os.path.exists(csv_path):
             raise ValueError(f"--resume: {csv_path} does not exist")
         run_dir = os.path.dirname(os.path.abspath(csv_path))
-        base, alphas, seeds = _resume_grid(args, defaults, os.path.join(run_dir, "manifest.cfg"))
+        base, alphas, seeds = _resume_grid(args, os.path.join(run_dir, "manifest.cfg"))
     else:
-        kv = resolve_config(args, defaults)
+        kv = resolve_config(args, _GRID_DEFAULTS)
         base, alphas, seeds = _build_grid(kv)
         run_dir = _make_run_dir(_output_root(args), "grid")
         csv_path = os.path.join(run_dir, "grid.csv")
@@ -399,19 +392,31 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    alphas = parse_value_list(args.alphas, "--alphas")
     try:
-        p = [float(tok) for tok in args.p.split(",") if tok.strip()]
+        values = [float(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--p: expected comma-separated numbers, got {args.p!r}") from None
-    rows = analyze_transform(p, parse_value_list(args.alphas, "--alphas"))
+    p = prob_vec(values)
+    # Every row is computed before anything is printed or written: a bad
+    # alpha anywhere in the list leaves no partial table.  At alpha = 1 the
+    # transform is the identity and there is no threshold.
+    rows = [
+        (a, transform_probabilities(p, a), stationary_threshold(p, a) if a < 1.0 else None)
+        for a in alphas
+    ]
 
     print("alpha      threshold    transformed")
-    for row in rows:
-        tau = "-" if row.threshold is None else f"{row.threshold:.9f}"
-        body = " ".join(f"{v:.9f}" for v in row.transformed)
-        print(f"{row.alpha:<10.4g} {tau:<12} {body}")
+    for alpha, transformed, tau in rows:
+        cell = "-" if tau is None else f"{tau:.9f}"
+        print(f"{alpha:<10.4g} {cell:<12} " + " ".join(f"{v:.9f}" for v in transformed))
     if args.csv:
-        write_transform_csv(rows, args.csv)
+        lines = ["alpha,threshold," + ",".join(f"p{i}" for i in range(p.size))]
+        for alpha, transformed, tau in rows:
+            body = ",".join(repr(float(v)) for v in transformed)
+            lines.append(f"{alpha!r},{'' if tau is None else repr(tau)},{body}")
+        with open(args.csv, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.csv}")
     return 0
 
@@ -453,9 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", metavar="DIR", help=_OUT_HELP)
 
     p_grid = subs.add_parser("grid", help="sweep tampering strengths x seeds")
-    merged = dict(_TRAIN_DEFAULTS)
-    merged.update(_GRID_DEFAULTS)
-    _add_config_flags(p_grid, merged)
+    _add_config_flags(p_grid, _GRID_DEFAULTS)
     p_grid.add_argument("--out", metavar="DIR", help=_OUT_HELP)
     p_grid.add_argument("--resume", metavar="CSV",
                         help="finish the sweep of an existing grid CSV, configured by the "

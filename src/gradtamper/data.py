@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_count
+
 __all__ = [
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
@@ -97,9 +99,10 @@ def synth_blobs(
     The split is stratified: each class contributes the same train/test
     counts (at least one test point per class).  Deterministic in ``seed``.
     """
-    if num_classes < 2 or per_class < 2 or num_features < 1:
+    counts = (num_classes, per_class, num_features)
+    if not all(map(is_count, counts)) or num_classes < 2 or per_class < 2 or num_features < 1:
         raise ValueError(
-            f"need num_classes >= 2, per_class >= 2, num_features >= 1; "
+            f"need integers num_classes >= 2, per_class >= 2, num_features >= 1; "
             f"got {num_classes}, {per_class}, {num_features}"
         )
     if not spread > 0.0:

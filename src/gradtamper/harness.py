@@ -1,4 +1,4 @@
-"""Experiment engine: training loop, grid search, analysis, verification.
+"""Experiment engine: training loop, grid search, verification.
 
 ``train`` wires the dense net, the loss/gradient stage, the schedule, and a
 dataset into a deterministic single-threaded run that emits one metrics
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import is_count
 from .data import Dataset, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
@@ -56,8 +57,6 @@ from .transform import (
     MONOTONE_TOL,
     TamperSpec,
     power_transform_rows,
-    prob_vec,
-    stationary_threshold,
     threshold_monotonicity_check,
     transform_probabilities,
 )
@@ -106,12 +105,10 @@ class DataSpec:
         if self.kind not in ("blobs", "idx"):
             raise ValueError(f"unknown data kind {self.kind!r}; expected 'blobs' or 'idx'")
         if self.kind == "blobs":
-            if self.classes < 2:
-                raise ValueError("blobs need at least 2 classes")
-            if self.per_class < 2:
-                raise ValueError("blobs need at least 2 points per class")
-            if self.features < 1:
-                raise ValueError("blobs need at least 1 feature")
+            for name, least in (("classes", 2), ("per_class", 2), ("features", 1), ("seed", 0)):
+                value = getattr(self, name)
+                if not (is_count(value) and value >= least):
+                    raise ValueError(f"blobs need an integer {name} >= {least}, got {value!r}")
             if not (self.spread > 0 and math.isfinite(self.spread)):
                 raise ValueError("blob spread must be positive and finite")
         else:
@@ -122,10 +119,6 @@ class DataSpec:
             ]
             if missing:
                 raise ValueError(f"idx data source needs paths for: {', '.join(missing)}")
-
-
-def _is_int(value) -> bool:  # a Python or numpy integer; a bool is no count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _desk_schedule() -> ScheduleSpec:
@@ -161,21 +154,23 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if isinstance(self.hidden, list):
             object.__setattr__(self, "hidden", tuple(self.hidden))
-        if not all(_is_int(h) and h >= 1 for h in self.hidden):
+        if not all(is_count(h) and h >= 1 for h in self.hidden):
             raise ValueError("hidden layer widths must be positive integers")
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (_is_int(self.epochs) and self.epochs >= 1):
+        if not (is_count(self.epochs) and self.epochs >= 1):
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.epochs > self.schedule.total_epochs:
             raise ValueError(
                 f"schedule covers {self.schedule.total_epochs} epochs "
                 f"but the run asks for {self.epochs}"
             )
-        if not (_is_int(self.batch_size) and self.batch_size >= 1):
+        if not (is_count(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
+        if not isinstance(self.nesterov, bool):
+            raise ValueError(f"nesterov must be a bool, got {self.nesterov!r}")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
             raise ValueError("weight_decay must be finite and >= 0")
         if not (0.0 <= self.label_smoothing < 1.0):
@@ -184,6 +179,8 @@ class TrainConfig:
             self.clip_lambda > 0 and math.isfinite(self.clip_lambda)
         ):
             raise ValueError("clip_lambda must be positive and finite when set")
+        if not (is_count(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -484,8 +481,8 @@ def grid_search(
     """
     if not alphas:
         raise ValueError("grid needs at least one alpha")
-    if not seeds:
-        raise ValueError("grid needs at least one seed")
+    if not seeds or not all(is_count(seed) and seed >= 0 for seed in seeds):
+        raise ValueError(f"grid needs at least one seed, all integers >= 0, got {seeds!r}")
 
     done: dict[tuple[str, int], GridRow] = {}
     fresh = True
@@ -543,51 +540,6 @@ def grid_search(
                 fh.write(_format_grid_row(row) + "\n")
             fh.flush()
     return [done[(repr(alpha), seed)] for alpha, seed in sweep]
-
-
-# ---------------------------------------------------------------------------
-# transform analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransformRow:
-    """One strength's view of a distribution: p', and the stationary level.
-
-    ``threshold`` is None at alpha=1, where the transform is the identity and
-    every probability is stationary.
-    """
-
-    alpha: float
-    transformed: np.ndarray
-    threshold: float | None
-
-
-def analyze_transform(p, alphas) -> list[TransformRow]:
-    """Tabulate the transform and its stationary threshold over ``alphas``."""
-    p = prob_vec(np.asarray(p, dtype=np.float64))
-    rows = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        transformed = transform_probabilities(p, alpha)
-        threshold = stationary_threshold(p, alpha) if alpha < 1.0 else None
-        rows.append(TransformRow(alpha, transformed, threshold))
-    return rows
-
-
-def write_transform_csv(rows: list[TransformRow], path: str) -> None:
-    """CSV with alpha, threshold (empty at alpha=1), then the p' entries."""
-    if not rows:
-        raise ValueError("no rows to write")
-    c = rows[0].transformed.size
-    header = "alpha,threshold," + ",".join(f"p{i}" for i in range(c))
-    lines = [header]
-    for row in rows:
-        tau = "" if row.threshold is None else repr(row.threshold)
-        body = ",".join(repr(float(v)) for v in row.transformed)
-        lines.append(f"{row.alpha!r},{tau},{body}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +673,11 @@ def verify_claims(
     relative-error floor of 3e-4; see :func:`max_relative_error` for how the
     floor is set by the cancellation-noise budget.
     """
-    if not (_is_int(trials) and trials >= 1):
+    if not (is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (is_count(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not class_counts or not all(_is_int(c) and c >= 2 for c in class_counts):
+    if not class_counts or not all(is_count(c) and c >= 2 for c in class_counts):
         raise ValueError(f"class_counts must all be integers >= 2, got {class_counts!r}")
 
     rng = np.random.default_rng(seed)

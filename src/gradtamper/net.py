@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import is_count
+
 __all__ = [
     "DenseLayer",
     "DenseNet",
@@ -176,8 +178,8 @@ def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "re
     layer is identity so it emits raw logits.
     """
     sizes = list(sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least an input and an output size")
+    if len(sizes) < 2 or not all(is_count(n) and n >= 1 for n in sizes):
+        raise ValueError(f"need an input and an output size, all integers >= 1, got {sizes}")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         bound = math.sqrt(6.0 / fan_in)
@@ -254,6 +256,8 @@ class OptState:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay!r}")
+        if not isinstance(self.nesterov, bool):
+            raise ValueError(f"nesterov must be a bool, got {self.nesterov!r}")
         self.velocity = np.ascontiguousarray(self.velocity, dtype=np.float64)
         self._scratch = np.empty((2, min(self.velocity.size, _UPDATE_BLOCK)))
 

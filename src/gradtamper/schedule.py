@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import is_count
+
 __all__ = ["ScheduleSpec", "lr_at"]
 
 _KINDS = ("warmup_cosine_cooldown", "step")
@@ -38,8 +40,9 @@ class ScheduleSpec:
             raise ValueError(
                 f"need 0 < base_lr <= peak_lr < inf, got {self.base_lr!r} and {self.peak_lr!r}"
             )
-        if self.warmup_epochs < 0 or self.cooldown_epochs < 0 or self.total_epochs < 1:
-            raise ValueError("epoch counts must be non-negative with total >= 1")
+        epochs = (self.warmup_epochs, self.total_epochs, self.cooldown_epochs)
+        if not all(map(is_count, epochs)) or min(epochs) < 0 or self.total_epochs < 1:
+            raise ValueError(f"epoch counts must be integers >= 0 with total >= 1, got {epochs}")
         if self.warmup_epochs + self.cooldown_epochs > self.total_epochs:
             raise ValueError(
                 f"warmup ({self.warmup_epochs}) + cooldown ({self.cooldown_epochs}) "
@@ -48,8 +51,8 @@ class ScheduleSpec:
         if not 0.0 < self.step_factor < 1.0:
             raise ValueError(f"step_factor must lie in (0, 1), got {self.step_factor!r}")
         ms = tuple(self.step_milestones)
-        if any(m <= 0 for m in ms) or any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"milestones must be positive and strictly increasing, got {ms}")
+        if not all(is_count(m) and m > 0 for m in ms) or any(b <= a for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"milestones must be positive, strictly increasing integers, got {ms}")
         object.__setattr__(self, "step_milestones", ms)
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_count
+
 __all__ = [
     "MONOTONE_TOL",
     "TamperSpec",
@@ -54,23 +56,23 @@ class TamperSpec:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if type(self.start_epoch) is not int or self.start_epoch < 0:  # a bool is no epoch
-            raise ValueError(f"start_epoch must be a non-negative int, got {self.start_epoch!r}")
+        if not (is_count(self.start_epoch) and self.start_epoch >= 0):
+            raise ValueError(f"start_epoch must be an integer >= 0, got {self.start_epoch!r}")
 
 
-def prob_vec(values, *, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def prob_vec(values) -> np.ndarray:
     """Validate a probability vector and return it as a fresh float64 array.
 
     Requires at least two entries, all finite and non-negative, summing to 1
-    within ``tol``.  Raises ValueError otherwise.
+    within ``SIMPLEX_TOL``.  Raises ValueError otherwise.
     """
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
-    return _check_simplex(p, tol).copy()
+    return _check_simplex(p).copy()
 
 
-def _check_simplex(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def _check_simplex(p: np.ndarray) -> np.ndarray:
     """Check that every slice of ``p`` along the last axis is a probability
     vector (see :func:`prob_vec`); returns ``p`` itself."""
     if p.shape[-1] < 2:
@@ -81,9 +83,9 @@ def _check_simplex(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise ValueError(f"probability vector has negative entries (min {p.min()!r})")
     totals = np.ravel(p.sum(axis=-1))
     worst = int(np.argmax(np.abs(totals - 1.0)))
-    if abs(totals[worst] - 1.0) > tol:
+    if abs(totals[worst] - 1.0) > SIMPLEX_TOL:
         raise ValueError(
-            f"probability vector sums to {float(totals[worst])!r}, expected 1 within {tol}"
+            f"probability vector sums to {float(totals[worst])!r}, expected 1 within {SIMPLEX_TOL}"
         )
     return p
 

@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour: precedence, manifests, exit codes."""
 
+import numpy as np
 import pytest
 
 import gradtamper.cli as cli
 from gradtamper.cli import main, parse_config_file, parse_value_list
-from gradtamper.harness import GRID_HEADER, PropertyResult, VerifyReport
-from gradtamper.transform import stationary_threshold
+from gradtamper.harness import GRID_HEADER, PropertyResult, TrainConfig, VerifyReport
+from gradtamper.transform import stationary_threshold, transform_probabilities
 
 TINY = [
     "--classes", "4", "--per-class", "20", "--features", "6",
@@ -51,6 +52,15 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             parse_config_file(tmp_path / "absent.cfg")
+
+
+class TestBuildConfig:
+    def test_train_defaults_build_the_library_defaults(self):
+        # The CLI's default table and TrainConfig's defaults must not drift apart.
+        assert cli.build_train_config(dict(cli._TRAIN_DEFAULTS)) == TrainConfig()
+
+    def test_grid_defaults_hold_every_train_key(self):
+        assert cli._TRAIN_DEFAULTS.items() <= cli._GRID_DEFAULTS.items()
 
 
 class TestTrainCommand:
@@ -105,6 +115,13 @@ class TestTrainCommand:
         assert run_train(tmp_path, "--epochs", "abc") == 3
         err = capsys.readouterr().err
         assert "momentum" in err and "epochs" in err
+
+    def test_idx_without_paths_names_every_key(self, tmp_path, capsys):
+        assert run_train(tmp_path, "--data", "idx") == 3
+        err = capsys.readouterr().err
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            assert key in err
+        assert not (tmp_path / "train-000").exists()
 
     def test_divergence_exit_5(self, tmp_path, capsys):
         code = run_train(
@@ -248,11 +265,41 @@ class TestAnalyzeCommand:
         assert target.read_text().splitlines()[0] == "alpha,threshold,p0,p1"
         assert f"wrote {target}" in capsys.readouterr().out
 
+    def test_csv_values_match_transform_and_threshold(self, tmp_path, capsys):
+        p = np.array([0.7, 0.2, 0.1])
+        target = tmp_path / "rows.csv"
+        args = ["analyze", "--p", "0.7,0.2,0.1", "--alphas", "0,0.25,0.5", "--csv", str(target)]
+        assert main(args) == 0
+        capsys.readouterr()
+        lines = target.read_text().splitlines()
+        assert lines[0] == "alpha,threshold,p0,p1,p2"
+        for alpha, line in zip([0.0, 0.25, 0.5], lines[1:], strict=True):
+            fields = [float(f) for f in line.split(",")]
+            assert fields[0] == alpha
+            assert fields[1] == stationary_threshold(p, alpha)  # bit for bit: repr round-trips
+            assert fields[2:] == transform_probabilities(p, alpha).tolist()
+
+    def test_identity_row_leaves_threshold_blank(self, tmp_path, capsys):
+        target = tmp_path / "rows.csv"
+        args = ["analyze", "--p", "0.7,0.2,0.1", "--alphas", "0.5,1", "--csv", str(target)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert target.read_text().splitlines()[2] == "1.0,,0.7,0.2,0.1"
+
     def test_bad_inputs_exit_3(self, capsys):
         assert main(["analyze", "--p", "a,b"]) == 3
         assert main(["analyze", "--p", "0.7,0.4"]) == 3  # not a distribution
         assert main(["analyze", "--p", "0.5,0.5", "--alphas", "0:1:0"]) == 3
         assert capsys.readouterr().err.count("error:") == 3
+
+    @pytest.mark.parametrize("alphas", ["0.5,1.5", "1.5,0.5", "0.2,0.4,nan"])
+    def test_bad_alpha_anywhere_prints_nothing(self, tmp_path, capsys, alphas):
+        target = tmp_path / "rows.csv"
+        assert main(["analyze", "--p", "0.7,0.3", "--alphas", alphas, "--csv", str(target)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: alpha must")
+        assert not target.exists()
 
 
 class TestVerifyCommand:

@@ -63,6 +63,13 @@ class TestBlobs:
         with pytest.raises(ValueError, match="spread"):
             synth_blobs(3, 10, 4, 0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "counts", [(3, 4.5, 2), (3.0, 10, 2), (3, 10, True)], ids=["per_class", "classes", "bool"]
+    )
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            synth_blobs(*counts, 1.0, 0)
+
 
 class TestDatasetValidation:
     def test_label_range_checked(self):

@@ -1,4 +1,4 @@
-"""Training loop determinism, grid resume, analysis tables, verify kit."""
+"""Training loop determinism, grid resume, verify kit."""
 
 import math
 import tracemalloc
@@ -20,7 +20,6 @@ from gradtamper.harness import (
     MetricsRecord,
     PropertyResult,
     TrainConfig,
-    analyze_transform,
     format_verify_report,
     grid_search,
     load_datasets,
@@ -34,17 +33,11 @@ from gradtamper.harness import (
     _stable_order_mismatches,
     _train_cells,
     write_metrics_csv,
-    write_transform_csv,
 )
 from gradtamper.lossgrad import smooth_label_rows, softmax
 from gradtamper.net import DenseLayer, DenseNet, forward, init_dense_net
 from gradtamper.schedule import ScheduleSpec
-from gradtamper.transform import (
-    TamperSpec,
-    power_transform_rows,
-    stationary_threshold,
-    transform_probabilities,
-)
+from gradtamper.transform import TamperSpec, power_transform_rows
 
 TINY_DATA = DataSpec(kind="blobs", classes=4, per_class=20, features=6, spread=1.0, seed=11)
 TINY_SCHED = ScheduleSpec(
@@ -400,29 +393,9 @@ class TestGrid:
             grid_search(tiny_config(), [], [0], tmp_path / "g.csv")
         with pytest.raises(ValueError, match="seed"):
             grid_search(tiny_config(), [1.0], [], tmp_path / "g.csv")
-
-
-class TestAnalyze:
-    def test_rows_match_transform_and_threshold(self):
-        p = np.array([0.7, 0.2, 0.1])
-        rows = analyze_transform(p, [0.25, 0.5, 1.0])
-        assert_array_equal(rows[0].transformed, transform_probabilities(p, 0.25))
-        assert rows[0].threshold == stationary_threshold(p, 0.25)
-        assert rows[2].threshold is None
-        assert_array_equal(rows[2].transformed, p)
-
-    def test_csv_layout(self, tmp_path):
-        rows = analyze_transform([0.7, 0.2, 0.1], [0.5, 1.0])
-        out = tmp_path / "t.csv"
-        write_transform_csv(rows, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "alpha,threshold,p0,p1,p2"
-        fields = lines[1].split(",")
-        assert float(fields[0]) == 0.5
-        assert float(fields[1]) == stationary_threshold(np.array([0.7, 0.2, 0.1]), 0.5)
-        assert lines[2].startswith("1.0,,")  # identity row leaves threshold blank
-        with pytest.raises(ValueError):
-            write_transform_csv([], tmp_path / "e.csv")
+        for seeds in ([1.5], [0, True], [-1]):  # int() would have run 1.5 and True as seed 1
+            with pytest.raises(ValueError, match="seed"):
+                grid_search(tiny_config(), [1.0], seeds, tmp_path / "g.csv")
 
 
 class TestVerify:
@@ -491,6 +464,8 @@ class TestVerify:
             dict(class_counts=(2.5,)),
             dict(class_counts=(3, 4.0)),
             dict(class_counts=()),
+            dict(seed=1.5),
+            dict(seed=-1),
         ):
             with pytest.raises(ValueError):
                 verify_claims(**kw)
@@ -608,6 +583,10 @@ class TestConfigValidation:
             dict(epochs=True),
             dict(batch_size=8.0),
             dict(batch_size=True),
+            dict(nesterov="false"),
+            dict(nesterov=0),
+            dict(seed=1.5),
+            dict(seed=-1),
         ):
             with pytest.raises(ValueError):
                 tiny_config(**kw)
@@ -617,6 +596,14 @@ class TestConfigValidation:
             DataSpec(kind="csv")
         with pytest.raises(ValueError, match="needs paths"):
             DataSpec(kind="idx", train_images="x")
+        for kw in (dict(classes=2.5), dict(per_class=True), dict(features=3.0), dict(seed=1.5)):
+            with pytest.raises(ValueError, match="integer"):
+                DataSpec(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = tiny_config(epochs=np.int64(2), batch_size=np.int32(16), seed=np.int64(3))
+        assert cfg.epochs == 2 and cfg.seed == 3
+        assert DataSpec(classes=np.int64(3), seed=np.int64(1)).classes == 3
 
     def test_metrics_record_checks(self):
         with pytest.raises(ValueError, match="gap"):

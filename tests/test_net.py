@@ -57,6 +57,11 @@ class TestInit:
         with pytest.raises(ValueError):
             init_dense_net([5], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sizes", [[2.5, 3], [4, True, 3], [4, 0, 3]])
+    def test_sizes_must_be_positive_integers(self, sizes):
+        with pytest.raises(ValueError, match="integers"):
+            init_dense_net(sizes, np.random.default_rng(0))
+
 
 class TestLayout:
     def test_layers_are_views_in_checkpoint_order(self):
@@ -223,6 +228,8 @@ class TestSgd:
             dict(weight_decay=-1.0),
             dict(weight_decay=math.inf),
             dict(weight_decay=math.nan),
+            dict(nesterov="no"),
+            dict(nesterov=1),
         ],
     )
     def test_bad_settings_rejected(self, settings):

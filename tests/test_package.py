@@ -1,4 +1,4 @@
-"""Package surface: the README's library import and the benchmark's hooks."""
+"""Package surface: the README's library import, the benchmark's hooks, dead imports."""
 
 import ast
 import importlib
@@ -74,3 +74,28 @@ def test_only_data_reads_dataset_inputs():
         if isinstance(node, ast.Attribute) and node.attr == "inputs"
     ]
     assert readers == []
+
+
+def test_every_import_is_used(monkeypatch):
+    # A module imports only what it reads.  The exceptions are the package's
+    # re-exports in ``__init__`` and the import sites bench/spans.py patches.
+    spans = load_bench_module("spans", monkeypatch)
+    patched = {(module_name, attr) for module_name, attr, _ in spans.TARGETS}
+    unused = []
+    for path in sorted((ROOT / "src" / "gradtamper").glob("*.py")):
+        module_name = "gradtamper" if path.stem == "__init__" else f"gradtamper.{path.stem}"
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                exempt = (module_name, name) in patched or (
+                    module_name == "gradtamper" and name in gradtamper.__all__
+                )
+                if name not in read and not exempt:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -85,6 +85,27 @@ def test_spec_validation():
         ScheduleSpec(base_lr=0.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(warmup_epochs=1.5, total_epochs=10.5, cooldown_epochs=True),
+        dict(warmup_epochs=1.5),
+        dict(total_epochs=10.5),
+        dict(cooldown_epochs=True),
+        dict(kind="step", step_milestones=(1.5, 2.5)),
+        dict(kind="step", step_milestones=(True,)),
+    ],
+)
+def test_rejects_epoch_counts_that_are_not_integers(kw):
+    with pytest.raises(ValueError):
+        ScheduleSpec(**kw)
+
+
+def test_numpy_integer_epoch_counts_accepted():
+    spec = ScheduleSpec(kind="step", total_epochs=np.int64(10), step_milestones=(np.int32(5),))
+    assert lr_at(spec, 6.0) == spec.peak_lr * spec.step_factor
+
+
 def test_rejects_non_finite_rates():
     # base = peak = inf would otherwise give a nan rate at the first lr_at.
     inf, nan = float("inf"), float("nan")

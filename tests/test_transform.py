@@ -297,3 +297,4 @@ class TestValidation:
         for start in (True, 1.0):
             with pytest.raises(ValueError):
                 TamperSpec(0.5, start_epoch=start)
+        assert TamperSpec(0.5, np.int64(2)).start_epoch == 2  # a numpy integer is a count
