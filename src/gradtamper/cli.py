@@ -1,8 +1,14 @@
 """Command-line front end: ``train``, ``grid``, ``analyze``, ``verify``.
 
-Configuration is plain ``key = value`` text (``#`` comments allowed).  Every
-key has a built-in default; a ``--config FILE`` overrides defaults, and an
-explicit command-line flag overrides both, key by key.  ``train`` and
+Configuration is plain ``key = value`` text (``#`` comments allowed).  Each
+``train``/``grid`` key is a field of ``TrainConfig`` or of its ``DataSpec``,
+``ScheduleSpec`` or ``TamperSpec``, read as the field's annotation says, with
+the default of ``TrainConfig()``.  The exceptions: the keys ``data``,
+``data_seed`` and ``schedule`` name the fields ``data.kind``, ``data.seed``
+and ``schedule.kind``, and ``total_epochs = none`` (its default) follows
+``epochs``; ``grid_alphas`` and ``grid_seeds`` are the sweep's own keys.  A
+``--config FILE`` overrides defaults, and an explicit command-line flag
+overrides both, key by key.  ``train`` and
 ``grid`` create a fresh run directory ``<out>/<subcommand>-NNN`` and write a
 ``manifest.cfg`` holding the fully resolved configuration; feeding that file
 back via ``--config`` reproduces the run exactly.  ``grid --resume CSV``
@@ -17,7 +23,7 @@ ranges ``start:stop:step`` (``0:1:0.25`` -> 0, 0.25, 0.5, 0.75, 1.0).
 Exit codes:
     0  success
     2  command-line usage error (from argparse)
-    3  invalid configuration or input values
+    3  invalid configuration or input values, or an input file that cannot be read
     4  output directory or file could not be created/written
     5  training diverged (non-finite logits or NaN loss)
     6  verification found at least one failing property
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import Field, fields
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from .harness import (
     DataSpec,
     DivergenceError,
     TrainConfig,
+    check_grid,
     format_verify_report,
     grid_search,
     train,
@@ -45,51 +53,6 @@ from .harness import (
 from .net import save_checkpoint
 from .schedule import ScheduleSpec
 from .transform import TamperSpec, prob_vec, stationary_threshold, transform_probabilities
-
-
-_TRAIN_DEFAULTS: dict[str, str] = {
-    # data source
-    "data": "blobs",
-    "classes": "10",
-    "per_class": "100",
-    "features": "20",
-    "spread": "1.0",
-    "data_seed": "7",
-    "train_images": "none",
-    "train_labels": "none",
-    "test_images": "none",
-    "test_labels": "none",
-    # model
-    "hidden": "64",
-    "activation": "relu",
-    # optimisation
-    "epochs": "30",
-    "batch_size": "32",
-    "momentum": "0.9",
-    "weight_decay": "0.0005",
-    "nesterov": "true",
-    "label_smoothing": "0.0",
-    "clip_lambda": "none",
-    "seed": "0",
-    # learning-rate schedule
-    "schedule": "warmup_cosine_cooldown",
-    "base_lr": "0.0001",
-    "peak_lr": "0.1",
-    "warmup_epochs": "2",
-    "total_epochs": "none",  # none -> same as epochs
-    "cooldown_epochs": "4",
-    "step_milestones": "",
-    "step_factor": "0.1",
-    # gradient tampering
-    "alpha": "1.0",
-    "start_epoch": "0",
-}
-
-_GRID_DEFAULTS: dict[str, str] = {
-    **_TRAIN_DEFAULTS,
-    "grid_alphas": "0.25,0.5,0.75,1.0",
-    "grid_seeds": "0,1,2",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +88,6 @@ def _is_none(raw: str) -> bool:
 
 
 def _int_tuple_of(key: str, raw: str) -> tuple[int, ...]:
-    if not raw.strip():
-        return ()
     return tuple(_int_of(key, tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
@@ -206,51 +167,63 @@ def resolve_config(args: argparse.Namespace, defaults: dict[str, str]) -> dict[s
     return {**defaults, **_explicit_config(args, defaults)}
 
 
+# ---------------------------------------------------------------------------
+# config keys: the fields of TrainConfig and of its specs
+# ---------------------------------------------------------------------------
+
+# The groups of keys, in flag order: a spec's fields, or (None) TrainConfig's other fields.
+_SPECS = {"data": DataSpec, None: TrainConfig, "schedule": ScheduleSpec, "tamper": TamperSpec}
+_RENAMED = {("data", "kind"): "data", ("data", "seed"): "data_seed",
+            ("schedule", "kind"): "schedule"}
+_READERS = {"str": lambda key, raw: raw, "int": _int_of, "float": _float_of, "bool": _bool_of,
+            "tuple[int, ...]": _int_tuple_of}
+_GROUPS: dict[str | None, dict[str, Field]] = {
+    spec: {_RENAMED.get((spec, f.name), f.name): f for f in fields(cls) if f.name not in _SPECS}
+    for spec, cls in _SPECS.items()
+}
+
+
+def _read(key: str, f: Field, raw: str):
+    """``raw`` read as the field's annotation says; an ``X | None`` field also takes none."""
+    if f.type.endswith(" | None") and _is_none(raw):
+        return None
+    return _READERS[f.type.removesuffix(" | None")](key, raw)
+
+
+def _text_of(value) -> str:
+    """A default written the way ``_read`` reads it back."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value).lower() if value is None or isinstance(value, bool) else str(value)
+
+
+_DEFAULT = TrainConfig()
+_TRAIN_DEFAULTS = {
+    key: _text_of(getattr(getattr(_DEFAULT, spec) if spec else _DEFAULT, f.name))
+    for spec, keys in _GROUPS.items()
+    for key, f in keys.items()
+} | {"total_epochs": "none"}  # none -> same as epochs
+_GRID_DEFAULTS = {**_TRAIN_DEFAULTS, "grid_alphas": "0.25,0.5,0.75,1.0", "grid_seeds": "0,1,2"}
+
+
 def build_train_config(kv: dict[str, str]) -> TrainConfig:
-    """Turn resolved key=value strings into a validated TrainConfig."""
-    if kv["data"] == "idx":
-        paths = ("train_images", "train_labels", "test_images", "test_labels")
-        data = DataSpec(kind="idx", **{k: None if _is_none(kv[k]) else kv[k] for k in paths})
-    else:
-        data = DataSpec(
-            kind=kv["data"],
-            classes=_int_of("classes", kv["classes"]),
-            per_class=_int_of("per_class", kv["per_class"]),
-            features=_int_of("features", kv["features"]),
-            spread=_float_of("spread", kv["spread"]),
-            seed=_int_of("data_seed", kv["data_seed"]),
-        )
-    epochs = _int_of("epochs", kv["epochs"])
-    total = epochs if _is_none(kv["total_epochs"]) else _int_of("total_epochs", kv["total_epochs"])
-    schedule = ScheduleSpec(
-        kind=kv["schedule"],
-        base_lr=_float_of("base_lr", kv["base_lr"]),
-        peak_lr=_float_of("peak_lr", kv["peak_lr"]),
-        warmup_epochs=_int_of("warmup_epochs", kv["warmup_epochs"]),
-        total_epochs=total,
-        cooldown_epochs=_int_of("cooldown_epochs", kv["cooldown_epochs"]),
-        step_milestones=_int_tuple_of("step_milestones", kv["step_milestones"]),
-        step_factor=_float_of("step_factor", kv["step_factor"]),
-    )
-    clip = None if _is_none(kv["clip_lambda"]) else _float_of("clip_lambda", kv["clip_lambda"])
-    return TrainConfig(
-        hidden=_int_tuple_of("hidden", kv["hidden"]),
-        activation=kv["activation"],
-        epochs=epochs,
-        batch_size=_int_of("batch_size", kv["batch_size"]),
-        schedule=schedule,
-        momentum=_float_of("momentum", kv["momentum"]),
-        weight_decay=_float_of("weight_decay", kv["weight_decay"]),
-        nesterov=_bool_of("nesterov", kv["nesterov"]),
-        tamper=TamperSpec(
-            alpha=_float_of("alpha", kv["alpha"]),
-            start_epoch=_int_of("start_epoch", kv["start_epoch"]),
-        ),
-        label_smoothing=_float_of("label_smoothing", kv["label_smoothing"]),
-        clip_lambda=clip,
-        seed=_int_of("seed", kv["seed"]),
-        data=data,
-    )
+    """Turn resolved key=value strings into a validated TrainConfig.
+
+    Each spec is built as soon as its keys are read.  A blob source reads no
+    path key and an IDX source no blob key; ``total_epochs = none`` follows
+    ``epochs``.
+    """
+    idx = kv["data"] == "idx"
+    built = {}
+    for spec, keys in _GROUPS.items():
+        values = {}
+        for key, f in keys.items():
+            if spec == "data" and key != "data" and (key in DataSpec.IDX_PATHS) != idx:
+                continue
+            raw = kv["epochs"] if key == "total_epochs" and _is_none(kv[key]) else kv[key]
+            values[f.name] = _read(key, f, raw)
+        built[spec] = values if spec is None else _SPECS[spec](**values)
+    return TrainConfig(**built.pop(None), **built)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +232,7 @@ def build_train_config(kv: dict[str, str]) -> TrainConfig:
 
 
 def _output_root(args: argparse.Namespace) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get("GRADTAMPER_OUT", "runs")
+    return args.out or os.environ.get("GRADTAMPER_OUT", "runs")
 
 
 def _make_run_dir(root: str, subcommand: str) -> str:
@@ -329,7 +300,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _build_grid(kv: dict[str, str]) -> tuple[TrainConfig, list[float], list[int]]:
     alphas = parse_value_list(kv["grid_alphas"], "grid_alphas")
     seeds = [int(s) for s in parse_value_list(kv["grid_seeds"], "grid_seeds", integral=True)]
-    return build_train_config(kv), alphas, seeds
+    config = build_train_config(kv)
+    check_grid(alphas, seeds)
+    return config, alphas, seeds
 
 
 def _resume_grid(

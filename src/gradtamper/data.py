@@ -123,6 +123,13 @@ def synth_blobs(
     return train, test
 
 
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:  # a missing or unreadable input is a bad value, like a malformed one
+        raise ValueError(f"cannot read IDX file {path}: {exc}") from None
+
+
 def _read_header(fh, path, count: int, what: str) -> tuple[tuple[int, ...], int]:
     """The header's ``count`` u32 words, and the file's bytes after them."""
     need = 4 * count
@@ -145,7 +152,7 @@ def _read_payload(fh, path, size: int) -> np.ndarray:
 
 def read_idx_images(path) -> np.ndarray:
     """Raw N x rows x cols uint8 pixel tensor from an IDX image file."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         (magic, count, rows, cols), payload = _read_header(fh, path, 4, "image header")
         if magic != IMAGE_MAGIC:
             raise IdxFormatError(
@@ -162,7 +169,7 @@ def read_idx_images(path) -> np.ndarray:
 
 def read_idx_labels(path) -> np.ndarray:
     """Raw length-N uint8 label vector from an IDX label file."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         (magic, count), payload = _read_header(fh, path, 2, "label header")
         if magic != LABEL_MAGIC:
             raise IdxFormatError(

@@ -45,6 +45,7 @@ from .lossgrad import (
 from .net import (
     DenseNet,
     backward,
+    check_opt_settings,
     clip_grads_global,
     forward,
     init_dense_net,
@@ -90,6 +91,7 @@ class DivergenceError(RuntimeError):
 class DataSpec:
     """Where training data comes from: synthetic blobs or IDX files on disk."""
 
+    IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
     kind: str = "blobs"
     classes: int = 10
     per_class: int = 100
@@ -112,11 +114,7 @@ class DataSpec:
             if not (self.spread > 0 and math.isfinite(self.spread)):
                 raise ValueError("blob spread must be positive and finite")
         else:
-            missing = [
-                name
-                for name in ("train_images", "train_labels", "test_images", "test_labels")
-                if getattr(self, name) is None
-            ]
+            missing = [name for name in self.IDX_PATHS if getattr(self, name) is None]
             if missing:
                 raise ValueError(f"idx data source needs paths for: {', '.join(missing)}")
 
@@ -152,9 +150,13 @@ class TrainConfig:
     data: DataSpec = field(default_factory=DataSpec)
 
     def __post_init__(self) -> None:
+        for name, spec in (("schedule", ScheduleSpec), ("tamper", TamperSpec), ("data", DataSpec)):
+            if not isinstance(getattr(self, name), spec):
+                raise ValueError(f"{name} must be a {spec.__name__}, got {getattr(self, name)!r}")
         if isinstance(self.hidden, list):
             object.__setattr__(self, "hidden", tuple(self.hidden))
-        if not all(is_count(h) and h >= 1 for h in self.hidden):
+        widths = self.hidden
+        if not (isinstance(widths, tuple) and all(is_count(h) and h >= 1 for h in widths)):
             raise ValueError("hidden layer widths must be positive integers")
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -167,12 +169,7 @@ class TrainConfig:
             )
         if not (is_count(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if not isinstance(self.nesterov, bool):
-            raise ValueError(f"nesterov must be a bool, got {self.nesterov!r}")
-        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
-            raise ValueError("weight_decay must be finite and >= 0")
+        check_opt_settings(self.momentum, self.weight_decay, self.nesterov)
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ValueError("label_smoothing must lie in [0, 1)")
         if self.clip_lambda is not None and not (
@@ -457,6 +454,18 @@ def _parse_grid_row(line: str) -> GridRow:
     )
 
 
+def check_grid(alphas: list[float], seeds: list[int]) -> None:
+    """Reject an empty, out-of-range or repeated alpha or seed with ValueError."""
+    if not alphas:
+        raise ValueError("grid needs at least one alpha")
+    if not seeds or not all(is_count(seed) and seed >= 0 for seed in seeds):
+        raise ValueError(f"grid needs at least one seed, all integers >= 0, got {seeds!r}")
+    for alpha in alphas:
+        TamperSpec(alpha)  # rejects a bad alpha before any training
+    if len(set(map(float, alphas))) < len(alphas) or len(set(seeds)) < len(seeds):
+        raise ValueError(f"grid alphas and seeds must not repeat, got {alphas!r} and {seeds!r}")
+
+
 def grid_search(
     base: TrainConfig,
     alphas: list[float],
@@ -479,11 +488,7 @@ def grid_search(
     step's logits or loss, or that evaluation, go non-finite; it does not
     stop the sweep.  Rows come back in sweep order.
     """
-    if not alphas:
-        raise ValueError("grid needs at least one alpha")
-    if not seeds or not all(is_count(seed) and seed >= 0 for seed in seeds):
-        raise ValueError(f"grid needs at least one seed, all integers >= 0, got {seeds!r}")
-
+    check_grid(alphas, seeds)
     done: dict[tuple[str, int], GridRow] = {}
     fresh = True
     if os.path.exists(csv_path) and os.path.getsize(csv_path) > 0:
@@ -503,8 +508,6 @@ def grid_search(
         fresh = False
 
     sweep = [(float(alpha), int(seed)) for alpha in alphas for seed in seeds]
-    for alpha, _ in sweep:
-        TamperSpec(alpha, base.tamper.start_epoch)  # rejects a bad alpha before any training
     pending = [cell for cell in sweep if (repr(cell[0]), cell[1]) not in done]
     stacks = []
     if pending:

@@ -43,6 +43,7 @@ __all__ = [
     "DenseLayer",
     "DenseNet",
     "OptState",
+    "check_opt_settings",
     "init_dense_net",
     "init_opt_state",
     "stack_nets",
@@ -237,6 +238,16 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
     return grads
 
 
+def check_opt_settings(momentum: float, weight_decay: float, nesterov: bool) -> None:
+    """The one check of the SGD settings; a bad one raises ValueError."""
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay!r}")
+    if not isinstance(nesterov, bool):
+        raise ValueError(f"nesterov must be a bool, got {nesterov!r}")
+
+
 @dataclass
 class OptState:
     """SGD state: a velocity vector in the ``params`` layout, plus settings.
@@ -252,12 +263,7 @@ class OptState:
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay!r}")
-        if not isinstance(self.nesterov, bool):
-            raise ValueError(f"nesterov must be a bool, got {self.nesterov!r}")
+        check_opt_settings(self.momentum, self.weight_decay, self.nesterov)
         self.velocity = np.ascontiguousarray(self.velocity, dtype=np.float64)
         self._scratch = np.empty((2, min(self.velocity.size, _UPDATE_BLOCK)))
 

@@ -50,10 +50,11 @@ class ScheduleSpec:
             )
         if not 0.0 < self.step_factor < 1.0:
             raise ValueError(f"step_factor must lie in (0, 1), got {self.step_factor!r}")
-        ms = tuple(self.step_milestones)
-        if not all(is_count(m) and m > 0 for m in ms) or any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"milestones must be positive, strictly increasing integers, got {ms}")
-        object.__setattr__(self, "step_milestones", ms)
+        ms = self.step_milestones
+        ok = isinstance(ms, (tuple, list)) and all(is_count(m) and m > 0 for m in ms)
+        if not ok or any(b <= a for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"milestones must be positive, strictly increasing integers, got {ms!r}")
+        object.__setattr__(self, "step_milestones", tuple(ms))
 
 
 def lr_at(spec: ScheduleSpec, epoch_progress: float) -> float:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import gradtamper.cli as cli
+from gradtamper import __version__
 from gradtamper.cli import main, parse_config_file, parse_value_list
-from gradtamper.harness import GRID_HEADER, PropertyResult, TrainConfig, VerifyReport
+from gradtamper.data import write_idx_images, write_idx_labels
+from gradtamper.harness import GRID_HEADER, DataSpec, PropertyResult, TrainConfig, VerifyReport
 from gradtamper.transform import stationary_threshold, transform_probabilities
 
 TINY = [
@@ -13,6 +15,90 @@ TINY = [
     "--hidden", "16", "--epochs", "4", "--batch-size", "16",
     "--peak-lr", "0.05", "--warmup-epochs", "1", "--cooldown-epochs", "1",
 ]
+
+
+# The README's logit-norm grid.
+README_GRID = [
+    "--hidden", "32", "--epochs", "12", "--warmup-epochs", "1", "--cooldown-epochs", "2",
+    "--per-class", "60", "--grid-alphas", "0.25,1.0", "--grid-seeds", "0:4:1",
+]
+
+
+def manifest_text(subcommand, body):
+    return (
+        f"# gradtamper {__version__} run manifest\n# subcommand: {subcommand}\n"
+        f"# reproduce with: gradtamper {subcommand} --config manifest.cfg\n{body}"
+    )
+
+
+# The key = value lines of the manifests written by a default ``train`` and by
+# ``grid`` with README_GRID, byte for byte.
+DEFAULT_TRAIN_KEYS = """\
+activation = relu
+alpha = 1.0
+base_lr = 0.0001
+batch_size = 32
+classes = 10
+clip_lambda = none
+cooldown_epochs = 4
+data = blobs
+data_seed = 7
+epochs = 30
+features = 20
+hidden = 64
+label_smoothing = 0.0
+momentum = 0.9
+nesterov = true
+peak_lr = 0.1
+per_class = 100
+schedule = warmup_cosine_cooldown
+seed = 0
+spread = 1.0
+start_epoch = 0
+step_factor = 0.1
+step_milestones =\x20
+test_images = none
+test_labels = none
+total_epochs = none
+train_images = none
+train_labels = none
+warmup_epochs = 2
+weight_decay = 0.0005
+"""
+README_GRID_KEYS = """\
+activation = relu
+alpha = 1.0
+base_lr = 0.0001
+batch_size = 32
+classes = 10
+clip_lambda = none
+cooldown_epochs = 2
+data = blobs
+data_seed = 7
+epochs = 12
+features = 20
+grid_alphas = 0.25,1.0
+grid_seeds = 0:4:1
+hidden = 32
+label_smoothing = 0.0
+momentum = 0.9
+nesterov = true
+peak_lr = 0.1
+per_class = 60
+schedule = warmup_cosine_cooldown
+seed = 0
+spread = 1.0
+start_epoch = 0
+step_factor = 0.1
+step_milestones =\x20
+test_images = none
+test_labels = none
+total_epochs = none
+train_images = none
+train_labels = none
+warmup_epochs = 1
+weight_decay = 0.0005
+"""
 
 
 def run_train(tmp_path, *extra):
@@ -61,6 +147,18 @@ class TestBuildConfig:
 
     def test_grid_defaults_hold_every_train_key(self):
         assert cli._TRAIN_DEFAULTS.items() <= cli._GRID_DEFAULTS.items()
+
+    def test_default_train_manifest_is_pinned(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path)]) == 0
+        written = (tmp_path / "train-000" / "manifest.cfg").read_text()
+        assert written == manifest_text("train", DEFAULT_TRAIN_KEYS)
+        capsys.readouterr()
+
+    def test_readme_grid_manifest_is_pinned(self, tmp_path, capsys):
+        assert main(["grid", "--out", str(tmp_path), *README_GRID]) == 0
+        written = (tmp_path / "grid-000" / "manifest.cfg").read_text()
+        assert written == manifest_text("grid", README_GRID_KEYS)
+        capsys.readouterr()
 
 
 class TestTrainCommand:
@@ -122,6 +220,26 @@ class TestTrainCommand:
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             assert key in err
         assert not (tmp_path / "train-000").exists()
+
+    @pytest.mark.parametrize(
+        "key, absent", [(k, "missing") for k in DataSpec.IDX_PATHS] + [("test_labels", "dir")]
+    )
+    def test_unreadable_idx_input_exits_3(self, tmp_path, capsys, key, absent):
+        # Exit 4 means an output could not be written; a bad input is a bad value.
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split in ("train", "test"):
+            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            write_idx_images(paths[f"{split}_images"], rng.integers(0, 256, (6, 2, 2)))
+            write_idx_labels(paths[f"{split}_labels"], np.arange(6) % 2)
+        paths[key] = tmp_path / "absent"
+        if absent == "dir":
+            paths[key].mkdir()
+        flags = [arg for k, v in paths.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+        assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read IDX file") and str(paths[key]) in err
 
     def test_divergence_exit_5(self, tmp_path, capsys):
         code = run_train(
@@ -230,6 +348,30 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert f"{key} = " in err and "peak_lr" not in err
         assert (csv.read_bytes(), manifest.read_bytes()) == before
+
+    def test_resume_accepts_a_pinned_grid_manifest(self, tmp_path, capsys):
+        # A manifest as written before the keys were derived from TrainConfig
+        # still configures the resumed sweep; the result is the fresh run's.
+        assert main(["grid", "--out", str(tmp_path), *README_GRID]) == 0
+        run = tmp_path / "grid-000"
+        csv = run / "grid.csv"
+        complete = csv.read_bytes()
+        csv.write_text("\n".join(complete.decode().splitlines()[:4]) + "\n")
+        (run / "manifest.cfg").write_text(manifest_text("grid", README_GRID_KEYS))
+        assert main(["grid", "--resume", str(csv)]) == 0, capsys.readouterr().err
+        assert csv.read_bytes() == complete
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "axes",
+        [["--grid-alphas", "2"], ["--grid-seeds", "-1"], ["--grid-alphas", "1,1.0"],
+         ["--grid-seeds", "0,1,0"]],
+        ids=["alpha-out-of-range", "negative-seed", "repeated-alpha", "repeated-seed"],
+    )
+    def test_rejected_sweep_exits_3_before_the_run_dir(self, tmp_path, capsys, axes):
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, *axes]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("grid-*")) == []
 
     def test_resume_needs_the_manifest(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0

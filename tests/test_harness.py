@@ -1,6 +1,7 @@
 """Training loop determinism, grid resume, verify kit."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import astuple, replace
@@ -35,7 +36,7 @@ from gradtamper.harness import (
     write_metrics_csv,
 )
 from gradtamper.lossgrad import smooth_label_rows, softmax
-from gradtamper.net import DenseLayer, DenseNet, forward, init_dense_net
+from gradtamper.net import DenseLayer, DenseNet, check_opt_settings, forward, init_dense_net
 from gradtamper.schedule import ScheduleSpec
 from gradtamper.transform import TamperSpec, power_transform_rows
 
@@ -397,6 +398,16 @@ class TestGrid:
             with pytest.raises(ValueError, match="seed"):
                 grid_search(tiny_config(), [1.0], seeds, tmp_path / "g.csv")
 
+    @pytest.mark.parametrize(
+        "alphas, seeds",
+        [([1.0, 1.0], [0]), ([0.5, 1, 1.0], [0]), ([1.0], [0, 0]), ([1.0], [2, 1, 2])],
+    )
+    def test_repeated_cells_rejected_before_any_file(self, tmp_path, alphas, seeds):
+        # A repeated alpha or seed would train one cell twice and write it twice.
+        with pytest.raises(ValueError, match="must not repeat"):
+            grid_search(tiny_config(), alphas, seeds, tmp_path / "g.csv")
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestVerify:
     def test_small_run_passes_everything(self):
@@ -587,9 +598,21 @@ class TestConfigValidation:
             dict(nesterov=0),
             dict(seed=1.5),
             dict(seed=-1),
+            dict(tamper=0.5),
+            dict(schedule=None),
+            dict(data="blobs"),
+            dict(hidden=64),
         ):
             with pytest.raises(ValueError):
                 tiny_config(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(momentum=1.5), dict(weight_decay=math.nan), dict(nesterov=1)])
+    def test_optimizer_settings_checked_as_opt_state_checks_them(self, kw):
+        settings = dict(momentum=0.9, weight_decay=5e-4, nesterov=True) | kw
+        with pytest.raises(ValueError) as opt_err:
+            check_opt_settings(**settings)
+        with pytest.raises(ValueError, match=re.escape(str(opt_err.value))):
+            tiny_config(**kw)
 
     def test_dataspec_validation(self):
         with pytest.raises(ValueError, match="unknown data kind"):

@@ -82,6 +82,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ScheduleSpec(kind="step", step_milestones=(60, 30))
     with pytest.raises(ValueError):
+        ScheduleSpec(kind="step", step_milestones=5)  # not a sequence: no TypeError from tuple()
+    with pytest.raises(ValueError):
         ScheduleSpec(base_lr=0.0)
 
 
