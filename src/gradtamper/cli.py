@@ -46,6 +46,7 @@ from .harness import (
     check_grid,
     format_verify_report,
     grid_search,
+    load_datasets,
     train,
     verify_claims,
     write_metrics_csv,
@@ -278,10 +279,11 @@ def _write_atomically(path: str, write) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     kv = resolve_config(args, _TRAIN_DEFAULTS)
     config = build_train_config(kv)
+    datasets = load_datasets(config.data)  # an unreadable input leaves no run directory
     run_dir = _make_run_dir(_output_root(args), "train")
     write_manifest(os.path.join(run_dir, "manifest.cfg"), "train", kv)
 
-    net, records = train(config)
+    net, records = train(config, datasets)
 
     metrics_path = os.path.join(run_dir, "metrics.csv")
     _write_atomically(metrics_path, lambda tmp: write_metrics_csv(records, tmp))
@@ -327,6 +329,7 @@ def _resume_grid(
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    datasets = None  # a resumed sweep loads its data only if a cell is left to train
     if args.resume:
         # The run's manifest is its configuration; it is read, never rewritten.
         csv_path = args.resume
@@ -337,11 +340,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     else:
         kv = resolve_config(args, _GRID_DEFAULTS)
         base, alphas, seeds = _build_grid(kv)
+        datasets = load_datasets(base.data)  # an unreadable input leaves no run directory
         run_dir = _make_run_dir(_output_root(args), "grid")
         csv_path = os.path.join(run_dir, "grid.csv")
         write_manifest(os.path.join(run_dir, "manifest.cfg"), "grid", kv)
 
-    rows = grid_search(base, alphas, seeds, csv_path)
+    rows = grid_search(base, alphas, seeds, csv_path, datasets)
 
     print(f"run directory: {run_dir}")
     ok = [r for r in rows if r.status == "ok"]

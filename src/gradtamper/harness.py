@@ -65,14 +65,29 @@ from .transform import (
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,gap,mean_logit_norm,lr"
 GRID_HEADER = "alpha,seed,final_train_acc,final_test_acc,gap,mean_logit_norm,status"
 
-# ``grid_search`` trains its cells in stacks of at most this many parameters
-# in all.  Stacking pays only where per-call overhead dominates a step: with
-# one BLAS thread on a 2-vCPU x86 host, 8 cells of a 2k-parameter net in
-# lockstep took half the time per cell of solo runs, at 8k parameters the
-# gain was at most a fifth, and from 28k on a stack was mostly slower than
-# solo cells.  The bound also caps what a kill loses and what a stack holds
-# in memory.
-_STACK_PARAMS = 1 << 14
+# ``grid_search`` trains its cells in stacks whose ``_step_elements`` add up
+# to at most this many.  Stacking pays while per-call overhead dominates a
+# step, and a step's work and memory grow with the batch as well as with the
+# parameters, so a bound on parameters alone made full-batch grids slower.
+# Grid time per cell in ms, by cells per stack: the first grid of a fresh
+# process, median of 4 to 8 interleaved runs of 16 to 128 cells on 800 blob
+# rows (784 features for the 784-input nets, 8 and 4 epochs), one BLAS
+# thread, 2-vCPU x86 host.  [n] is what this bound gives, (n) what the former
+# bound of 2^14 parameters gave.
+#
+#   net         batch  elements  ms per cell at that many cells per stack
+#   20-64-10       32     5,002  (8) 44-51  16: 41-43  32: 38  [104]  128: 36
+#   20-64-10        8     2,746  (8) 130-144  32: 83  128: 74  [190]
+#   20-64-10      160    17,034  (8) 35  16: 34  [30]  32: 33  128: 41
+#   20-64-10      800    77,194  1: 44  2: 36  5: 33  [6] 37  (8) 33-39  16: 39  128: 54
+#   20-256-10      32    17,098  (2) 158-163  4: 129  16: 99-111  [30]  32: 104
+#   20-256-10     800   236,746  1: 110  (2) [2] 89-100  4: 99  16: 129  32: 178
+#   784-64-10      32    78,346  (1) 147  2: 124  5: 116  [6]  10: 109
+#   784-256-10     32   237,130  (1) 206  [2] 197
+#
+# No size measured slower at this bound than at the former one.  It also caps
+# what a kill loses and what a stack holds in memory.
+_STACK_ELEMENTS = 1 << 19
 
 # Rows per ``forward`` call in evaluation: its temporaries stay a few MB.
 _EVAL_ROWS = 4096
@@ -264,6 +279,14 @@ def _evaluate(
     return float(loss), train_acc, test_acc, float(np.mean(norms))
 
 
+def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
+    """Float64 values one cell's training step holds: the net's parameters,
+    plus a batch's worth of rows for every layer width, input included."""
+    sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
+    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    return params + base.batch_size * sum(sizes)
+
+
 def _train_cells(
     base: TrainConfig,
     cells: list[tuple[float, int]],
@@ -303,6 +326,16 @@ def _train_cells(
     errors: list[DivergenceError | None] = [None] * len(cells)
     dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained along, never evaluated
     first_evaluated = base.epochs - 1 if final_only else 0
+    if len(cells) > 1:
+        # A stacked step allocates and frees some MB of temporaries.  glibc's
+        # malloc hands the top of its heap back to the system once more than
+        # twice its mmap threshold lies free there, and the next step faults
+        # those pages in again: 98k page faults in a fresh process's 16-cell
+        # desk stack, a fifth of its time.  Freeing an mmapped block raises
+        # that threshold to the block's size; four float64 values per step
+        # element of every cell bound what a step allocates.  Under another
+        # malloc it is an idle block.
+        np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
 
     n_batches = math.ceil(n / base.batch_size)
     step = 0
@@ -328,19 +361,22 @@ def _train_cells(
             # The logsumexp loss stays finite right up until the logits
             # themselves overflow, so divergence is detected on the logits: a
             # non-finite entry means the loss is about to be meaningless (NaN
-            # after the inf - inf in the max shift).
-            finite = np.isfinite(logits).all(axis=(-2, -1))
-            for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
-                where = f"at step {step} (epoch {epoch}, batch {b})"
-                errors[row] = DivergenceError(
-                    f"non-finite logits (diverged) {where}" if not finite[row]
-                    else f"training loss became NaN {where}"
-                )
-                dead[row] = True
-            if dead.all():
-                break
-            if not finite.all():  # only dead cells' logits, which softmax would refuse
-                logits = np.where(finite[:, None, None], logits, 0.0)
+            # after the inf - inf in the max shift).  A NaN or infinite logit
+            # always makes its cell's loss NaN or +inf, so the cells need a
+            # look only when some loss is not finite.
+            if not np.isfinite(losses).all():
+                finite = np.isfinite(logits).all(axis=(-2, -1))
+                for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
+                    where = f"at step {step} (epoch {epoch}, batch {b})"
+                    errors[row] = DivergenceError(
+                        f"non-finite logits (diverged) {where}" if not finite[row]
+                        else f"training loss became NaN {where}"
+                    )
+                    dead[row] = True
+                if dead.all():
+                    break
+                if not finite.all():  # only dead cells' logits, which softmax would refuse
+                    logits = np.where(finite[:, None, None], logits, 0.0)
 
             alpha = alphas if gated else 1.0
             with np.errstate(over="ignore", invalid="ignore"):
@@ -476,13 +512,16 @@ def grid_search(
     """Sweep ``alphas x seeds``, appending one CSV row per cell.
 
     The cells not yet in the CSV train in lockstep, in consecutive stacks of
-    at most ``_STACK_PARAMS`` parameters in all (one cell at a time for a net
-    larger than half of that); each stack's rows are appended in sweep order
+    at most ``_STACK_ELEMENTS`` step elements in all (parameters plus a
+    batch's rows of every layer width, so one cell at a time for a cell of
+    more than half of that); each stack's rows are appended in sweep order
     and flushed when the stack finishes.  If ``csv_path`` already holds rows
     (same header), those (alpha, seed) cells are skipped and the stored rows
     are returned in their place, so a killed sweep resumes where it stopped;
-    a kill loses the unfinished stack.  A last line without its newline is a
-    row the kill cut short: it is cut off the file and its cell runs again.
+    a kill loses the unfinished stack: up to 104 cells of the desk config,
+    so the whole of a 16-cell desk grid, or 2 of a 784-256-10 net at batch
+    32.  A last line without its newline is a row the kill cut short: it is
+    cut off the file and its cell runs again.
     A cell is evaluated once, after its last epoch, the one its row keeps.
     It is recorded with status ``diverged`` and NaN metrics iff a training
     step's logits or loss, or that evaluation, go non-finite; it does not
@@ -513,10 +552,7 @@ def grid_search(
     if pending:
         if datasets is None:
             datasets = load_datasets(base.data)
-        train_ds = datasets[0]
-        sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
-        cell_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-        size = max(1, _STACK_PARAMS // cell_params)
+        size = max(1, _STACK_ELEMENTS // _step_elements(base, datasets[0]))
         stacks = [pending[lo : lo + size] for lo in range(0, len(pending), size)]
 
     with open(csv_path, "a", newline="\n") as fh:
@@ -781,19 +817,19 @@ def verify_claims(
                 props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd, floor=3e-4))
 
         # Clipping facts on random gradient vectors, through the engine's
-        # global clip.
+        # global clip on a stack of them, one bound per row.  The reference
+        # norms and dot products are taken row by row.
         g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
         lams = rng.uniform(0.5, 2.0, size=trials)
-        for i in range(min(trials, 200)):
-            g = g_rows[i]
-            lam = float(lams[i])
-            clipped = clip_grads_global(g, lam)
-            gn = float(np.linalg.norm(g))
-            cn = float(np.linalg.norm(clipped))
-            # Norm never grows, and never ends above min(original, cap).
-            props["clip-norm-cap"].add(max((cn - gn) / gn, (cn - min(gn, lam)) / lam))
-            cos = float(np.dot(g, clipped) / (gn * cn)) if cn > 0 else 1.0
-            props["clip-direction"].add(cos)
+        g_rows, lams = g_rows[:200], lams[:200]
+        clipped = clip_grads_global(g_rows, lams[:, None])
+        gn = np.array([np.linalg.norm(g) for g in g_rows])
+        cn = np.array([np.linalg.norm(g) for g in clipped])
+        dots = np.array([np.dot(g, h) for g, h in zip(g_rows, clipped)])
+        # Norm never grows, and never ends above min(original, cap).
+        props["clip-norm-cap"].add(np.maximum((cn - gn) / gn, (cn - np.minimum(gn, lams)) / lams))
+        cos = np.divide(dots, gn * cn, out=np.ones_like(dots), where=cn > 0)
+        props["clip-direction"].add(cos)
 
         # Wide logits, the regime strong tampering drives training into:
         # softmax(z) underflows to exact zeros while softmax(alpha z) does

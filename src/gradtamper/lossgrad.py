@@ -74,9 +74,11 @@ def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float | np.ndarray
     rows = -np.multiply(ls, q, out=ls).sum(axis=-1)
     with np.errstate(over="ignore"):
         loss = rows.mean(axis=-1)
-    over = np.isinf(loss) & np.isfinite(rows).all(axis=-1)
-    if over.any():  # the sum of finite rows overflowed: divide before summing
-        loss = np.where(over, (rows / rows.shape[-1]).sum(axis=-1), loss)
+    inf = np.isinf(loss)
+    if inf.any():
+        over = inf & np.isfinite(rows).all(axis=-1)
+        if over.any():  # the sum of finite rows overflowed: divide before summing
+            loss = np.where(over, (rows / rows.shape[-1]).sum(axis=-1), loss)
     # "+ 0.0" turns the -0.0 of a perfectly fit batch into 0.0.
     loss = loss + 0.0
     return float(loss) if loss.ndim == 0 else loss

@@ -205,7 +205,8 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
         )
     cache = []
     for layer in net.layers:
-        s = h @ np.swapaxes(layer.weights, -1, -2) + layer.biases[..., None, :]
+        s = h @ np.swapaxes(layer.weights, -1, -2)
+        s += layer.biases[..., None, :]  # into the fresh product: same bits, no second array
         cache.append((h, s))
         h = np.maximum(s, 0.0) if layer.activation == "relu" else s
     return h, cache
@@ -307,18 +308,22 @@ def sgd_step(
     return net, state
 
 
-def clip_grads_global(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.ndarray:
     """Scale each gradient vector (one per cell) to norm ``clip_norm`` if it
-    exceeds it.
+    exceeds it; ``clip_norm`` is one bound, or one per cell shaped (S, 1).
 
     Returns ``grads`` itself when every vector is short enough, a new array
     otherwise, in which the short vectors keep their values.
     """
-    if not clip_norm > 0.0:
+    if not np.all(np.greater(clip_norm, 0.0)):
         raise ValueError(f"clip norm must be positive, got {clip_norm!r}")
     if np.ndim(grads) not in (1, 2):
         raise ValueError(
             f"gradient must be a vector or one per cell, got shape {np.shape(grads)}"
+        )
+    if np.ndim(clip_norm) and np.shape(clip_norm) != (*np.shape(grads)[:-1], 1):
+        raise ValueError(
+            f"clip norms of shape {np.shape(clip_norm)} do not match gradients {np.shape(grads)}"
         )
     # numpy's own reduction, not a BLAS dot, so the sum does not depend on
     # the BLAS thread count.

@@ -105,6 +105,23 @@ def run_train(tmp_path, *extra):
     return main(["train", "--out", str(tmp_path), *TINY, *extra])
 
 
+def idx_flags_with_one_unreadable(tmp_path, key, absent):
+    """Flags naming four tiny IDX files, ``key``'s replaced by a path that is
+    missing or a directory; returns the flags and that path."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split in ("train", "test"):
+        paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+        paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+        write_idx_images(paths[f"{split}_images"], rng.integers(0, 256, (6, 2, 2)))
+        write_idx_labels(paths[f"{split}_labels"], np.arange(6) % 2)
+    paths[key] = tmp_path / "absent"
+    if absent == "dir":
+        paths[key].mkdir()
+    flags = [arg for k, v in paths.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+    return flags, str(paths[key])
+
+
 class TestValueLists:
     def test_range_is_inclusive(self):
         assert parse_value_list("0:1:0.25", "x") == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -226,20 +243,12 @@ class TestTrainCommand:
     )
     def test_unreadable_idx_input_exits_3(self, tmp_path, capsys, key, absent):
         # Exit 4 means an output could not be written; a bad input is a bad value.
-        rng = np.random.default_rng(0)
-        paths = {}
-        for split in ("train", "test"):
-            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
-            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
-            write_idx_images(paths[f"{split}_images"], rng.integers(0, 256, (6, 2, 2)))
-            write_idx_labels(paths[f"{split}_labels"], np.arange(6) % 2)
-        paths[key] = tmp_path / "absent"
-        if absent == "dir":
-            paths[key].mkdir()
-        flags = [arg for k, v in paths.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+        flags, bad = idx_flags_with_one_unreadable(tmp_path, key, absent)
         assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read IDX file") and str(paths[key]) in err
+        assert err.startswith("error: cannot read IDX file") and bad in err
+        # The data is read before the run directory is made.
+        assert list((tmp_path / "out").glob("*-[0-9][0-9][0-9]")) == []
 
     def test_divergence_exit_5(self, tmp_path, capsys):
         code = run_train(
@@ -372,6 +381,16 @@ class TestGridCommand:
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, *axes]) == 3
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.glob("grid-*")) == []
+
+    @pytest.mark.parametrize("key, absent", [("train_images", "missing"), ("test_labels", "dir")])
+    def test_unreadable_idx_input_exits_3(self, tmp_path, capsys, key, absent):
+        flags, bad = idx_flags_with_one_unreadable(tmp_path, key, absent)
+        out = tmp_path / "out"
+        argv = ["grid", "--out", str(out), *TINY, *self.GRID_ARGS, "--data", "idx", *flags]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read IDX file") and bad in err
+        assert list(out.glob("*-[0-9][0-9][0-9]")) == []
 
     def test_resume_needs_the_manifest(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0

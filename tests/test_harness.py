@@ -333,11 +333,14 @@ class TestGrid:
             assert not isinstance(early, DivergenceError)
             assert "while evaluating" in str(stacked[2])
 
-    @pytest.mark.parametrize("budget, stacks", [(360, [2, 2, 2]), (539, [2, 2, 2]), (179, [1] * 6)])
+    @pytest.mark.parametrize(
+        "budget, stacks", [(1192, [2, 2, 2]), (1787, [2, 2, 2]), (595, [1] * 6)]
+    )
     def test_stacks_are_bounded_and_written_as_they_finish(
         self, tmp_path, monkeypatch, budget, stacks
     ):
-        # The tiny 6-16-4 net has 180 parameters per cell.
+        # A step of the tiny 6-16-4 net at batch 16 holds 180 parameters and
+        # 16 rows of 6 + 16 + 4 widths: 596 elements a cell.
         import gradtamper.harness as harness
 
         cfg = tiny_config()
@@ -351,13 +354,38 @@ class TestGrid:
             seen.append((len(cells), len(p.read_text().splitlines())))
             return _train_cells(base, cells, datasets, **kw)
 
-        monkeypatch.setattr(harness, "_STACK_PARAMS", budget)
+        monkeypatch.setattr(harness, "_STACK_ELEMENTS", budget)
         monkeypatch.setattr(harness, "_train_cells", spy)
         grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], p)
         # Each stack starts with the rows of every earlier stack on disk.
         rows_before = [1 + sum(stacks[:k]) for k in range(len(stacks))]
         assert seen == list(zip(stacks, rows_before))
         assert p.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("hidden, epochs, stacks", [((64,), 30, [16]), ((256,), 4, [16])])
+    def test_small_net_sweep_is_one_stack_and_matches_solo_cells(
+        self, tmp_path, monkeypatch, hidden, epochs, stacks
+    ):
+        # The desk sweep (20-64-10 at batch 32, 5,002 step elements a cell)
+        # and a 20-256-10 one (17,098) train as one stack whose grid.csv holds
+        # the bytes of a sweep that trains its cells one at a time.
+        import gradtamper.harness as harness
+
+        cfg = TrainConfig(hidden=hidden, epochs=epochs)
+        alphas, seeds = [0.1, 0.3, 0.6, 1.0], [11, 22, 33, 44]
+        seen = []
+
+        def spy(base, cells, datasets, **kw):
+            seen.append(len(cells))
+            return _train_cells(base, cells, datasets, **kw)
+
+        monkeypatch.setattr(harness, "_train_cells", spy)
+        grid_search(cfg, alphas, seeds, tmp_path / "stacked.csv")
+        assert seen == stacks
+        monkeypatch.setattr(harness, "_STACK_ELEMENTS", 1)
+        grid_search(cfg, alphas, seeds, tmp_path / "solo.csv")
+        assert seen == stacks + [1] * 16
+        assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
 
     def test_evaluates_each_finished_cell_once(self, tmp_path, monkeypatch):
         calls = count_evaluations(monkeypatch)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gradtamper.lossgrad import (
@@ -159,6 +161,25 @@ class TestCrossEntropy:
             loss = batch_cross_entropy(z, q)
         assert loss[0] == 1.5e308
         assert loss[1] == batch_cross_entropy(z[1], q[1])
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 4), st.integers(2, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_a_nonfinite_logit_makes_its_cell_loss_nonfinite(self, data, cells, batch, classes):
+        # The training loop looks for diverged cells only when some cell's
+        # loss is not finite, which is sound only if this holds.
+        shape = (cells, batch, classes)
+        z = data.draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+        z[data.draw(st.tuples(*(st.integers(0, n - 1) for n in shape)))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+        targets = data.draw(arrays(np.int64, cells * batch, elements=st.integers(0, classes - 1)))
+        for eps in (0.0, 0.1):
+            q = smooth_label_rows(targets, classes, eps).reshape(shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the training loop
+                losses = batch_cross_entropy(z, q)
+            bad = ~np.isfinite(z).all(axis=(1, 2))
+            assert bad.any() and not np.isfinite(losses[bad]).any()
+            assert not (np.isneginf(losses) | (losses < 0)).any()  # NaN or +inf, never -inf
 
     def test_perfect_fit_is_positive_zero(self):
         # Every non-target exp underflows next to the target's, so the loss

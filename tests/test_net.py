@@ -375,6 +375,17 @@ class TestStack:
         short = grads * 1e-3
         assert clip_grads_global(short, 1.0) is short
 
+    def test_clip_takes_one_norm_per_cell(self):
+        rng = np.random.default_rng(85)
+        grads = rng.normal(size=(4, 7))
+        norms = np.array([[0.5], [100.0], [1.5], [2.0]])
+        clipped = clip_grads_global(grads, norms)
+        for s in range(4):
+            assert_array_equal(clipped[s], clip_grads_global(grads[s], float(norms[s, 0])))
+        for bad in (norms[:, 0], norms[:3], np.array([[1.0], [0.0], [1.0], [1.0]])):
+            with pytest.raises(ValueError, match="clip norm"):
+                clip_grads_global(grads, bad)
+
     def test_cell_needs_a_stack_and_checkpoint_refuses_one(self, tmp_path):
         net = stack_nets(self.cells())
         with pytest.raises(ValueError, match="stacked"):

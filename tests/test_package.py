@@ -1,4 +1,5 @@
-"""Package surface: the README's library import, the benchmark's hooks, dead imports."""
+"""Package surface: the README's library import and stack bound, the benchmark's
+hooks, dead imports."""
 
 import ast
 import importlib
@@ -8,7 +9,14 @@ import sys
 from pathlib import Path
 
 import gradtamper
-from gradtamper.harness import format_verify_report, verify_claims
+from gradtamper import harness
+from gradtamper.harness import (
+    DataSpec,
+    TrainConfig,
+    format_verify_report,
+    load_datasets,
+    verify_claims,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,3 +107,21 @@ def test_every_import_is_used(monkeypatch):
                 if name not in read and not exempt:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_readme_states_the_stack_bound():
+    # The README gives grid_search's stack bound in step elements, the size
+    # above which a cell trains alone, and a desk cell's size; all three must
+    # be the code's.
+    text = " ".join((ROOT / "README.md").read_text().split())
+    match = re.search(
+        r"stacks of at most ([\d,]+) step elements in all, .*? \(so a cell of more than "
+        r"([\d,]+) trains alone; a desk cell has ([\d,]+)\)",
+        text,
+    )
+    assert match, "README states no stack bound"
+    bound, alone, desk = (int(group.replace(",", "")) for group in match.groups())
+    desk_cell = harness._step_elements(TrainConfig(), load_datasets(DataSpec())[0])
+    assert (bound, alone, desk) == (
+        harness._STACK_ELEMENTS, harness._STACK_ELEMENTS // 2, desk_cell
+    )
