@@ -32,6 +32,9 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import os
 import sys
 from dataclasses import Field, fields
@@ -464,7 +467,30 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread, once per process.
+
+    A GEMM with 784 inputs rounds differently on two threads than on one, so
+    the thread count is part of a run's bytes; grid workers forked later keep
+    the one thread.  Returns False, leaving BLAS as it is, where numpy bundles
+    no scipy-openblas library with a thread setter.
+    """
+    bundled = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(bundled, "libscipy_openblas64_*"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return True
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)

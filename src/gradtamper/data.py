@@ -73,18 +73,25 @@ class Dataset:
     def num_features(self) -> int:
         return self.inputs.shape[1]
 
-    def features(self, index) -> np.ndarray:
+    @property
+    def pixels(self) -> bool:
+        """Whether the inputs are uint8 pixels, which :meth:`features` widens."""
+        return self.inputs.dtype == np.uint8
+
+    def features(self, index, out: np.ndarray | None = None) -> np.ndarray:
         """float64 features of the rows ``inputs[index]``.
 
         uint8 rows are widened and divided by 255 (so only the rows read are
-        ever float64); float64 rows are returned as they are, a view for a
-        slice.
+        ever float64), into ``out`` when it is given: a float64 array of the
+        rows' shape that the caller may reuse from one read to the next.
+        float64 rows are returned as they are, a view for a slice, and
+        ``out`` is left untouched.
         """
         rows = self.inputs[index]
         if rows.dtype != np.uint8:
             return rows
         # One pass, casting each pixel exactly: the bits of astype(float64) / 255.
-        return np.divide(rows, 255.0, dtype=np.float64)
+        return np.divide(rows, 255.0, out=out, dtype=np.float64)
 
 
 def synth_blobs(

@@ -1,7 +1,7 @@
 """Experiment engine: training loop, grid search, verification.
 
 ``train`` wires the dense net, the loss/gradient stage, the schedule, and a
-dataset into a deterministic single-threaded run that emits one metrics
+dataset into a deterministic run in one process that emits one metrics
 record per epoch.  Tampering enters in exactly one place: the logit gradient
 handed to the backward pass is ``(softmax(alpha * z) - q) / batch``, with
 ``alpha = 1`` (the plain ``softmax(z) - q``) until the configured start epoch
@@ -11,8 +11,10 @@ see the transform.
 ``train`` is the one-cell case of one training loop that trains a stack of
 cells, differing only in tampering strength and seed, in lockstep.
 ``grid_search`` sweeps tampering strengths and seeds through that loop, in
-stacks of small nets, evaluating each cell after its last epoch alone, with
-CSV persistence, so an interrupted sweep resumes by skipping finished cells.
+stacks of small nets that train in forked worker processes, one per usable
+CPU, evaluating each cell after its last epoch alone, with CSV persistence
+by this process alone, so an interrupted sweep resumes by skipping finished
+cells.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
@@ -27,8 +29,13 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import signal
+import sys
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -246,15 +253,19 @@ def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
     ``forward`` runs over the fewest near-equal blocks of at most ``_EVAL_ROWS``
     rows.  A short block would take BLAS's small-matrix kernel, whose sums round
     differently; blocks of half ``_EVAL_ROWS`` or more keep the whole-split bits.
-    Only one block's features are float64 at a time.
+    uint8 blocks are widened into one float64 buffer the size of the longest
+    block, reused block after block;
+    float64 blocks are views of the inputs and need none.
     """
     n = len(ds)
     logits = np.empty((n, net.num_classes))
     blocks = -(-n // _EVAL_ROWS)
     bounds = [n * k // blocks for k in range(blocks + 1)]
+    widened = np.empty((-(-n // blocks), ds.num_features)) if ds.pixels else None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(bounds, bounds[1:]):
-            logits[lo:hi] = forward(net, ds.features(slice(lo, hi)))[0]
+            out = None if widened is None else widened[: hi - lo]
+            logits[lo:hi] = forward(net, ds.features(slice(lo, hi), out=out))[0]
     if not np.all(np.isfinite(logits)):
         raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
     return logits
@@ -514,14 +525,21 @@ def grid_search(
     The cells not yet in the CSV train in lockstep, in consecutive stacks of
     at most ``_STACK_ELEMENTS`` step elements in all (parameters plus a
     batch's rows of every layer width, so one cell at a time for a cell of
-    more than half of that); each stack's rows are appended in sweep order
-    and flushed when the stack finishes.  If ``csv_path`` already holds rows
-    (same header), those (alpha, seed) cells are skipped and the stored rows
-    are returned in their place, so a killed sweep resumes where it stopped;
-    a kill loses the unfinished stack: up to 104 cells of the desk config,
-    so the whole of a 16-cell desk grid, or 2 of a 784-256-10 net at batch
-    32.  A last line without its newline is a row the kill cut short: it is
-    cut off the file and its cell runs again.
+    more than half of that), and of at most an equal share of the cells per
+    CPU that this process may run on.  The stacks train in forked worker
+    processes, one per CPU, or in this process where there is one CPU or no
+    ``fork``; a cell's bits do not depend on its stack or its process.  This
+    process alone writes the CSV: a stack's rows are appended in sweep order
+    and flushed once it and every earlier stack have finished, and at most
+    one stack per worker is out at a time.  If ``csv_path`` already holds
+    rows (same header), those (alpha, seed) cells are skipped and the stored
+    rows are returned in their place, so a killed sweep resumes where it
+    stopped; a kill loses the stacks not yet written, at most one per worker:
+    the whole of a 16-cell desk grid, or 2 cells of a 784-256-10 net at batch
+    32 per worker.  A last line without its newline is a row the kill cut
+    short: it is cut off the file and its cell runs again.  An exception in
+    a worker is raised here with its own type, once the stacks still
+    training have ended; no worker outlives the call.
     A cell is evaluated once, after its last epoch, the one its row keeps.
     It is recorded with status ``diverged`` and NaN metrics iff a training
     step's logits or loss, or that evaluation, go non-finite; it does not
@@ -549,36 +567,141 @@ def grid_search(
     sweep = [(float(alpha), int(seed)) for alpha in alphas for seed in seeds]
     pending = [cell for cell in sweep if (repr(cell[0]), cell[1]) not in done]
     stacks = []
+    workers = 1
     if pending:
         if datasets is None:
             datasets = load_datasets(base.data)
-        size = max(1, _STACK_ELEMENTS // _step_elements(base, datasets[0]))
-        stacks = [pending[lo : lo + size] for lo in range(0, len(pending), size)]
+        most = _grid_workers()
+        stacks = _grid_stacks(pending, _STACK_ELEMENTS // _step_elements(base, datasets[0]), most)
+        workers = min(most, len(stacks))
 
-    with open(csv_path, "a", newline="\n") as fh:
+    with open(csv_path, "a", newline="\n") as fh, closing(
+        _rows_by_stack(base, stacks, datasets, workers)
+    ) as results:
         if fresh:
             fh.write(GRID_HEADER + "\n")
             fh.flush()
-        for stack in stacks:
-            outcomes = zip(stack, _train_cells(base, stack, datasets, final_only=True))
-            for (alpha, seed), outcome in outcomes:
-                if isinstance(outcome, DivergenceError):
-                    row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
-                else:
-                    last = outcome[1][-1]
-                    row = GridRow(
-                        alpha=alpha,
-                        seed=seed,
-                        final_train_acc=last.train_acc,
-                        final_test_acc=last.test_acc,
-                        gap=last.gap,
-                        mean_logit_norm=last.mean_logit_norm,
-                        status="ok",
-                    )
-                done[(repr(alpha), seed)] = row
+        for rows in results:
+            for row in rows:
+                done[(repr(row.alpha), row.seed)] = row
                 fh.write(_format_grid_row(row) + "\n")
             fh.flush()
     return [done[(repr(alpha), seed)] for alpha, seed in sweep]
+
+
+def _grid_workers() -> int:
+    """Most processes a grid trains in: one per CPU this process may run on,
+    or one (this process) where the OS cannot ``fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_stacks(
+    pending: list[tuple[float, int]], bound: int, workers: int
+) -> list[list[tuple[float, int]]]:
+    """``pending`` cut into consecutive stacks of at most ``bound`` cells (at
+    least one), and of at most an equal share of the cells per worker, so
+    that every worker gets a stack."""
+    size = max(1, min(bound, -(-len(pending) // workers)))
+    return [pending[lo : lo + size] for lo in range(0, len(pending), size)]
+
+
+def _stack_rows(
+    base: TrainConfig, stack: list[tuple[float, int]], datasets: tuple[Dataset, Dataset]
+) -> list[GridRow]:
+    """Train one stack of cells in lockstep; returns their rows in its order."""
+    rows = []
+    for (alpha, seed), outcome in zip(stack, _train_cells(base, stack, datasets, final_only=True)):
+        if isinstance(outcome, DivergenceError):
+            row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
+        else:
+            last = outcome[1][-1]
+            row = GridRow(
+                alpha=alpha,
+                seed=seed,
+                final_train_acc=last.train_acc,
+                final_test_acc=last.test_acc,
+                gap=last.gap,
+                mean_logit_norm=last.mean_logit_norm,
+                status="ok",
+            )
+        rows.append(row)
+    return rows
+
+
+# A grid worker's (base, datasets), set once as the worker starts.  Under
+# ``fork`` the worker inherits them from the parent's memory, so the dataset
+# arrays are shared copy-on-write, never pickled, and numpy is not imported
+# again.  Unset in every other process.
+_WORKER_RUN: tuple[TrainConfig, tuple[Dataset, Dataset]] | None = None
+
+_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
+
+
+def _adopt_run(base: TrainConfig, datasets: tuple[Dataset, Dataset], parent: int) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = (base, datasets)
+    if sys.platform == "linux":
+        # Once its parent is gone a worker waits for its next stack for ever,
+        # so the kernel kills it when the parent dies, even by SIGKILL.  A
+        # parent that died before the request is caught by its pid.
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
+def _worker_stack_rows(stack: list[tuple[float, int]]) -> list[GridRow]:
+    base, datasets = _WORKER_RUN
+    return _stack_rows(base, stack, datasets)
+
+
+def _rows_by_stack(
+    base: TrainConfig,
+    stacks: list[list[tuple[float, int]]],
+    datasets: tuple[Dataset, Dataset] | None,
+    workers: int,
+):
+    """Yield each stack's rows, stack by stack in sweep order.
+
+    With one worker the stacks train here, one after another.  With more,
+    they train in that many forked worker processes, and at most ``workers``
+    stacks are handed out beyond the ones already yielded, so a stack waits
+    in the parent only while an earlier one is still training.  A worker's
+    exception is raised here with its own type.  The pool is shut down and
+    joined however the generator ends: the stacks not yet started are
+    cancelled, and the ones training run to their end.
+    """
+    if workers == 1:
+        for stack in stacks:
+            yield _stack_rows(base, stack, datasets)
+        return
+    # Imported here: the pool machinery adds about 2 MiB to any process that
+    # imports it, and only a grid on more than one CPU needs it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_run,
+        initargs=(base, datasets, os.getpid()),
+    )
+    try:
+        queued = deque()
+        for stack in stacks:
+            queued.append(pool.submit(_worker_stack_rows, stack))
+            if len(queued) == workers:
+                yield queued.popleft().result()
+        while queued:
+            yield queued.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

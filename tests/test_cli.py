@@ -1,8 +1,16 @@
 """End-to-end command-line behaviour: precedence, manifests, exit codes."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gradtamper
 import gradtamper.cli as cli
 from gradtamper import __version__
 from gradtamper.cli import main, parse_config_file, parse_value_list
@@ -103,6 +111,28 @@ weight_decay = 0.0005
 
 def run_train(tmp_path, *extra):
     return main(["train", "--out", str(tmp_path), *TINY, *extra])
+
+
+def cli_process(argv, prelude="", **env):
+    """The CLI on ``argv`` in a fresh interpreter that first runs ``prelude``,
+    with ``env`` added to the environment."""
+    code = f"import os, sys\n{prelude}\nfrom gradtamper.cli import main\nsys.exit(main(sys.argv[1:]))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradtamper.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+def alive(pid):
+    """Whether process ``pid`` exists and is not a zombie (Linux /proc)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def idx_flags_with_one_unreadable(tmp_path, key, absent):
@@ -298,6 +328,7 @@ class TestGridCommand:
         out = capsys.readouterr().out
         assert "alpha=0.5: mean final train_acc" in out
         assert "alpha=1.0:" in out
+        assert multiprocessing.active_children() == []
 
     def test_resume_skips_finished_cells(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
@@ -490,6 +521,54 @@ class TestVerifyCommand:
     def test_bad_classes_exit_3(self, capsys):
         assert main(["verify", "--classes", "1,5"]) == 3
         assert "class_counts" in capsys.readouterr().err
+
+
+class TestProcessIndependence:
+    """A run's bytes depend neither on BLAS threads nor on the CPUs it may use."""
+
+    def test_blas_thread_count_leaves_the_bytes(self, tmp_path):
+        # Unpinned, the 784-input layer's GEMM rounds differently on two threads.
+        argv = ["train", "--features", "784", "--hidden", "256", "--per-class", "10",
+                "--epochs", "1", "--warmup-epochs", "0", "--cooldown-epochs", "0",
+                "--clip-lambda", "1.0"]
+        for threads in ("1", "2"):
+            out = str(tmp_path / threads)
+            proc = cli_process([*argv, "--out", out], OPENBLAS_NUM_THREADS=threads)
+            assert proc.wait(timeout=120) == 0
+        for name in ("net.ckpt", "metrics.csv"):
+            one, two = (tmp_path / t / "train-000" / name for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_grid_on_one_cpu_writes_the_bytes_of_every_cpu(self, tmp_path):
+        argv = ["grid", *TINY, "--grid-alphas", "0.5,1.0", "--grid-seeds", "0,1"]
+        one_cpu = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+        assert cli_process([*argv, "--out", str(tmp_path / "one")], one_cpu).wait(timeout=120) == 0
+        assert cli_process([*argv, "--out", str(tmp_path / "all")]).wait(timeout=120) == 0
+        one, every = (tmp_path / d / "grid-000" / "grid.csv" for d in ("one", "all"))
+        assert one.read_bytes() == every.read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
+    def test_killed_grid_leaves_no_worker(self, tmp_path):
+        # Two workers whatever the CPUs, on a grid that runs for seconds.
+        two = "import gradtamper.harness as h\nh._grid_workers = lambda: 2"
+        argv = ["grid", "--per-class", "400", "--grid-seeds", "0:7:1", "--out", str(tmp_path)]
+        proc = cli_process(argv, two)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                workers = children.read_text().split()
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(alive(pid) for pid in workers)
 
 
 def test_version_flag(capsys):

@@ -98,12 +98,12 @@ class TestDatasetDtypes:
     def test_other_dtypes_become_float64_unscaled(self, dtype):
         x = np.array([[0, 3], [255, 7]], dtype=dtype)
         ds = Dataset(x, np.array([0, 1]), num_classes=2)
-        assert ds.inputs.dtype == np.float64
+        assert ds.inputs.dtype == np.float64 and not ds.pixels
         assert_array_equal(ds.features(slice(None)), x.astype(np.float64))
 
     def test_uint8_stays_uint8(self):
         ds = Dataset(np.arange(12, dtype=np.uint8).reshape(3, 4), np.array([0, 2, 1]), 3)
-        assert ds.inputs.dtype == np.uint8
+        assert ds.inputs.dtype == np.uint8 and ds.pixels
         assert len(ds) == 3 and ds.num_classes == 3 and ds.num_features == 4
 
     def test_float_nan_still_rejected(self):
@@ -122,10 +122,17 @@ class TestDatasetDtypes:
             got = ds.features(where)
             assert got.dtype == np.float64
             assert_array_equal(got.view(np.int64), widened[where].view(np.int64))
+            # Widened into a reused buffer, the bits are the same.
+            out = np.full(got.shape, np.nan)
+            assert ds.features(where, out=out) is out
+            assert_array_equal(out.view(np.int64), widened[where].view(np.int64))
 
     def test_float64_features_of_a_slice_are_a_view(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
         assert np.shares_memory(ds.features(slice(1, 3)), ds.inputs)
+        out = np.full((2, 2), np.nan)
+        assert np.shares_memory(ds.features(slice(1, 3), out=out), ds.inputs)
+        assert np.isnan(out).all()  # a float64 read leaves the buffer alone
 
 
 class TestIdxFiles:

@@ -1,6 +1,7 @@
 """Training loop determinism, grid resume, verify kit."""
 
 import math
+import multiprocessing
 import re
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradtamper.harness as harness
 from gradtamper.data import Dataset, write_idx_images, write_idx_labels
 from gradtamper.harness import (
     GRID_HEADER,
@@ -71,10 +73,14 @@ def step_schedule(lr):
     )
 
 
+def pin_grid_workers(monkeypatch, workers=1):
+    """Make ``grid_search`` use ``workers`` processes; one runs its stacks in
+    this process, where a spy sees their calls."""
+    monkeypatch.setattr(harness, "_grid_workers", lambda: workers)
+
+
 def count_evaluations(monkeypatch):
     """Route ``harness._evaluate`` through a spy; returns its growing call list."""
-    import gradtamper.harness as harness
-
     calls = []
 
     def spy(*args):
@@ -341,8 +347,6 @@ class TestGrid:
     ):
         # A step of the tiny 6-16-4 net at batch 16 holds 180 parameters and
         # 16 rows of 6 + 16 + 4 widths: 596 elements a cell.
-        import gradtamper.harness as harness
-
         cfg = tiny_config()
         whole = tmp_path / "whole.csv"
         grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], whole)
@@ -354,6 +358,7 @@ class TestGrid:
             seen.append((len(cells), len(p.read_text().splitlines())))
             return _train_cells(base, cells, datasets, **kw)
 
+        pin_grid_workers(monkeypatch)
         monkeypatch.setattr(harness, "_STACK_ELEMENTS", budget)
         monkeypatch.setattr(harness, "_train_cells", spy)
         grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], p)
@@ -369,8 +374,6 @@ class TestGrid:
         # The desk sweep (20-64-10 at batch 32, 5,002 step elements a cell)
         # and a 20-256-10 one (17,098) train as one stack whose grid.csv holds
         # the bytes of a sweep that trains its cells one at a time.
-        import gradtamper.harness as harness
-
         cfg = TrainConfig(hidden=hidden, epochs=epochs)
         alphas, seeds = [0.1, 0.3, 0.6, 1.0], [11, 22, 33, 44]
         seen = []
@@ -379,6 +382,7 @@ class TestGrid:
             seen.append(len(cells))
             return _train_cells(base, cells, datasets, **kw)
 
+        pin_grid_workers(monkeypatch)
         monkeypatch.setattr(harness, "_train_cells", spy)
         grid_search(cfg, alphas, seeds, tmp_path / "stacked.csv")
         assert seen == stacks
@@ -388,6 +392,7 @@ class TestGrid:
         assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
 
     def test_evaluates_each_finished_cell_once(self, tmp_path, monkeypatch):
+        pin_grid_workers(monkeypatch)
         calls = count_evaluations(monkeypatch)
         grid_search(tiny_config(), [0.5, 1.0, 0.25], [0, 1], tmp_path / "grid.csv")
         assert len(calls) == 6
@@ -437,6 +442,65 @@ class TestGrid:
         assert not (tmp_path / "g.csv").exists()
 
 
+class TestGridWorkers:
+    """A grid's stacks train in forked worker processes, one per usable CPU."""
+
+    @pytest.mark.parametrize(
+        "cells, bound, workers, sizes",
+        [
+            (16, 104, 1, [16]),
+            (16, 104, 2, [8, 8]),
+            (16, 104, 3, [6, 6, 4]),
+            (6, 2, 1, [2, 2, 2]),
+            (6, 2, 2, [2, 2, 2]),
+            (6, 2, 3, [2, 2, 2]),
+            (5, 104, 2, [3, 2]),
+            (5, 104, 3, [2, 2, 1]),
+            (2, 0, 1, [1, 1]),
+            (2, 0, 3, [1, 1]),
+        ],
+    )
+    def test_stack_split(self, cells, bound, workers, sizes):
+        pending = [(alpha, seed) for alpha in (0.1, 0.3, 0.6, 1.0) for seed in range(4)][:cells]
+        stacks = harness._grid_stacks(pending, bound, workers)
+        assert [len(stack) for stack in stacks] == sizes
+        assert [cell for stack in stacks for cell in stack] == pending
+
+    @pytest.mark.parametrize(
+        "cfg, alphas, seeds",
+        [
+            # the desk sweep: 8 + 8 cells on two workers, 16 in one stack on one
+            (TrainConfig(), [0.1, 0.3, 0.6, 1.0], [11, 22, 33, 44]),
+            # seed 3 diverges while evaluating and seeds 0-2 finish
+            (tiny_config(schedule=step_schedule(4e9)), [0.01, 1.0], [0, 1, 2, 3]),
+            # 784 inputs, the width at which BLAS threads change the bits
+            (
+                tiny_config(epochs=1, data=replace(TINY_DATA, features=784, per_class=10)),
+                [0.5, 1.0],
+                [5],
+            ),
+        ],
+        ids=["desk", "mixed-divergence", "784-inputs"],
+    )
+    def test_two_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, cfg, alphas, seeds):
+        rows = {}
+        for workers in (1, 2):
+            pin_grid_workers(monkeypatch, workers)
+            rows[workers] = grid_search(cfg, alphas, seeds, tmp_path / f"{workers}.csv")
+        assert repr(rows[1]) == repr(rows[2])
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, monkeypatch):
+        # Each of the two one-cell stacks raises in its worker.
+        pin_grid_workers(monkeypatch, 2)
+        p = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match="exceeds training set"):
+            grid_search(tiny_config(batch_size=4096), [0.5, 1.0], [0], p)
+        assert multiprocessing.active_children() == []
+        assert p.read_text() == GRID_HEADER + "\n"
+
+
 class TestVerify:
     def test_small_run_passes_everything(self):
         report = verify_claims(seed=0, trials=20, class_counts=(2, 5))
@@ -453,8 +517,6 @@ class TestVerify:
     def test_wide_band_rejects_transform_of_underflowed_softmax(self, monkeypatch):
         # Computing the tampered gradient as transform(softmax(z)) - q keeps
         # the exact zeros of an underflowed softmax; only the wide band sees it.
-        import gradtamper.harness as harness
-
         def transformed_softmax(logits, q, alpha):
             return power_transform_rows(softmax(logits, axis=-1), alpha) - q
 
