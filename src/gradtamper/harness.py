@@ -99,6 +99,14 @@ _STACK_ELEMENTS = 1 << 19
 # Rows per ``forward`` call in evaluation: its temporaries stay a few MB.
 _EVAL_ROWS = 4096
 
+# A training step computes its loss only when some logit's magnitude passes
+# this bound.  Within it, each row's max-shifted logits lie in [-max/2, 0], so
+# log_softmax is finite and at most max/2 + log C in magnitude; a row loss is a
+# q-weighted sum of those values with q summing to 1, so it is finite too, and
+# ``batch_cross_entropy`` keeps the mean of finite rows finite.  So no cell's
+# loss can be non-finite while every logit lies within the bound.
+_SAFE_LOGIT = np.finfo(np.float64).max / 4
+
 
 class DivergenceError(RuntimeError):
     """Raised when logits go non-finite or the loss turns NaN; says where."""
@@ -349,48 +357,51 @@ def _train_cells(
         np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
 
     n_batches = math.ceil(n / base.batch_size)
+    # Row y is the smoothed one-hot row of label y, as smooth_label_rows writes it.
+    classes = train_ds.num_classes
+    q_table = smooth_label_rows(np.arange(classes), classes, base.label_smoothing)
     step = 0
     for epoch in range(base.epochs):
         # Tampering is backward-only and gated on the start epoch; alpha=1 is
         # the untouched baseline.
         gated = epoch >= base.tamper.start_epoch
         perms = np.stack([rng.permutation(n) for rng in rngs])
+        labels = train_ds.labels[perms]
         last_lr = math.nan
         for b in range(n_batches):
-            idx = perms[:, b * base.batch_size : (b + 1) * base.batch_size]
+            batch = slice(b * base.batch_size, (b + 1) * base.batch_size)
+            idx = perms[:, batch]
             xb = train_ds.features(idx)
-            yb = train_ds.labels[idx]
+            q = q_table[labels[:, batch]]
             lr = lr_at(base.schedule, epoch + b / n_batches)
 
             # Overflow in a diverging run is expected and reported as a
             # DivergenceError below, so numpy's warnings add nothing here.
             with np.errstate(over="ignore", invalid="ignore"):
                 logits, cache = forward(net, xb)
-                q = smooth_label_rows(yb.ravel(), logits.shape[-1], base.label_smoothing)
-                q = q.reshape(logits.shape)
-                losses = batch_cross_entropy(logits, q)
-            # The logsumexp loss stays finite right up until the logits
-            # themselves overflow, so divergence is detected on the logits: a
-            # non-finite entry means the loss is about to be meaningless (NaN
-            # after the inf - inf in the max shift).  A NaN or infinite logit
-            # always makes its cell's loss NaN or +inf, so the cells need a
-            # look only when some loss is not finite.
-            if not np.isfinite(losses).all():
-                finite = np.isfinite(logits).all(axis=(-2, -1))
-                for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
-                    where = f"at step {step} (epoch {epoch}, batch {b})"
-                    errors[row] = DivergenceError(
-                        f"non-finite logits (diverged) {where}" if not finite[row]
-                        else f"training loss became NaN {where}"
-                    )
-                    dead[row] = True
-                if dead.all():
-                    break
-                if not finite.all():  # only dead cells' logits, which softmax would refuse
-                    logits = np.where(finite[:, None, None], logits, 0.0)
+                # Divergence is detected on the logits: the logsumexp loss
+                # stays finite right up until they overflow, and a NaN or
+                # infinite logit always makes its cell's loss NaN or +inf (NaN
+                # after the inf - inf in the max shift).  No loss can be
+                # non-finite while every logit lies within _SAFE_LOGIT, so the
+                # loss is computed, and the cells looked at, only past it.
+                safe = np.abs(logits).max() <= _SAFE_LOGIT
+                losses = None if safe else batch_cross_entropy(logits, q)
+                if losses is not None and not np.isfinite(losses).all():
+                    finite = np.isfinite(logits).all(axis=(-2, -1))
+                    for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
+                        where = f"at step {step} (epoch {epoch}, batch {b})"
+                        errors[row] = DivergenceError(
+                            f"non-finite logits (diverged) {where}" if not finite[row]
+                            else f"training loss became NaN {where}"
+                        )
+                        dead[row] = True
+                    if dead.all():
+                        break
+                    if not finite.all():  # only dead cells' logits, which softmax would refuse
+                        logits = np.where(finite[:, None, None], logits, 0.0)
 
-            alpha = alphas if gated else 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
+                alpha = alphas if gated else 1.0
                 dlogits = tampered_dlogits(logits, q, alpha)
                 dlogits /= idx.shape[1]
                 grads = backward(net, cache, dlogits)

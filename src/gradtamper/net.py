@@ -231,7 +231,12 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         inp, s = cache[k]
-        ds = d * (s > 0.0) if layer.activation == "relu" else d
+        ds = d
+        if layer.activation == "relu":
+            # d * (s > 0.0) without casting a bool array inside the product:
+            # times a float 0/1 mask, d keeps its bits, -0.0 and NaN included.
+            ds = np.greater(s, 0.0, out=np.empty_like(s))
+            ds *= d
         np.matmul(np.swapaxes(ds, -1, -2), inp, out=views[k][0])
         ds.sum(axis=-2, out=views[k][1])
         if k:  # nothing consumes the gradient at the network's input

@@ -91,6 +91,49 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def plant_logits(monkeypatch, cell, plant):
+    """Route ``harness.forward`` through a spy that, on its first call (a
+    training step 0), overwrites the logits of stacked cell ``cell`` by
+    ``plant(logits[cell])``."""
+    calls = []
+
+    def spy(net, batch):
+        logits, cache = forward(net, batch)
+        if not calls:
+            logits[cell] = plant(logits[cell])
+        calls.append(None)
+        return logits, cache
+
+    monkeypatch.setattr(harness, "forward", spy)
+
+
+def spread_rows(logits):
+    """Finite logits with a NaN loss: every row holds the largest float and,
+    on its other classes, its negation, so the max shift overflows to -inf on
+    a class whose unsmoothed target weight is 0, and 0 * -inf is NaN."""
+    out = np.full_like(logits, -np.finfo(np.float64).max)
+    out[..., 0] = np.finfo(np.float64).max
+    return out
+
+
+def nan_entry(logits):
+    out = logits.copy()
+    out[0, 0] = math.nan
+    return out
+
+
+def count_calls(monkeypatch, *names):
+    """Route each named ``harness`` function through a counting spy."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(harness, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, spy)
+    return counts
+
+
 class TestTrain:
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = tiny_config()
@@ -158,6 +201,25 @@ class TestTrain:
             _, records = train(tiny_config(schedule=step_schedule(5e9)))
         assert records[-1].train_loss > 1e306
         assert math.isfinite(records[-1].train_loss)
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (spread_rows, "training loss became NaN at step 0 (epoch 0, batch 0)"),
+            (nan_entry, "non-finite logits (diverged) at step 0 (epoch 0, batch 0)"),
+        ],
+        ids=["finite-spread", "nan"],
+    )
+    def test_planted_logits_end_the_run_at_step_0(self, monkeypatch, plant, message):
+        plant_logits(monkeypatch, 0, plant)
+        with pytest.raises(DivergenceError, match=re.escape(message)):
+            train(tiny_config())
+
+    def test_a_step_computes_no_loss_and_no_label_rows(self, monkeypatch):
+        # Only the evaluations compute a loss; the steps screen the logits.
+        counts = count_calls(monkeypatch, "batch_cross_entropy", "smooth_label_rows")
+        train(TrainConfig(epochs=2))
+        assert counts == {"batch_cross_entropy": 2, "smooth_label_rows": 1 + 2}
 
     def test_evaluates_once_per_epoch(self, monkeypatch):
         calls = count_evaluations(monkeypatch)
@@ -338,6 +400,25 @@ class TestGrid:
             (early,) = _train_cells(replace(cfg, epochs=2), [(0.01, 2)])
             assert not isinstance(early, DivergenceError)
             assert "while evaluating" in str(stacked[2])
+
+    @pytest.mark.parametrize("plant", [spread_rows, nan_entry], ids=["finite-spread", "nan"])
+    def test_planted_cell_diverges_and_the_others_match_solo_runs(
+        self, tmp_path, monkeypatch, plant
+    ):
+        cfg = tiny_config()
+        cells = [(alpha, seed) for alpha in (0.5, 1.0) for seed in range(2)]
+        pin_grid_workers(monkeypatch)
+        plant_logits(monkeypatch, 1, plant)
+        rows = grid_search(cfg, [0.5, 1.0], range(2), tmp_path / "grid.csv")
+        monkeypatch.undo()
+        assert [(row.alpha, row.seed) for row in rows] == cells
+        assert [row.status for row in rows] == ["ok", "diverged", "ok", "ok"]
+        for (alpha, seed), row in zip(cells, rows):
+            if row.status == "ok":
+                last = train(replace(cfg, tamper=TamperSpec(alpha), seed=seed))[1][-1]
+                assert repr(astuple(row)) == repr(astuple(GridRow(
+                    alpha, seed, last.train_acc, last.test_acc, last.gap, last.mean_logit_norm, "ok"
+                )))
 
     @pytest.mark.parametrize(
         "budget, stacks", [(1192, [2, 2, 2]), (1787, [2, 2, 2]), (595, [1] * 6)]

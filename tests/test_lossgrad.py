@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradtamper.harness import _SAFE_LOGIT
 from gradtamper.lossgrad import (
     batch_cross_entropy,
     log_softmax,
@@ -180,6 +181,28 @@ class TestCrossEntropy:
             bad = ~np.isfinite(z).all(axis=(1, 2))
             assert bad.any() and not np.isfinite(losses[bad]).any()
             assert not (np.isneginf(losses) | (losses < 0)).any()  # NaN or +inf, never -inf
+
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.sampled_from([2, 10, 100]),
+        st.sampled_from([0.0, 0.1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_logits_within_the_screen_bound_give_finite_losses(
+        self, data, cells, batch, classes, eps
+    ):
+        # A training step computes no loss while every logit lies within
+        # _SAFE_LOGIT, which is sound only if this holds.
+        shape = (cells, batch, classes)
+        bound = _SAFE_LOGIT
+        elements = st.sampled_from([-bound, bound]) | st.floats(-bound, bound)
+        z = data.draw(arrays(np.float64, shape, elements=elements))
+        z[0, 0] = np.where(np.arange(classes) % 2, -bound, bound)  # both ends in one row
+        targets = data.draw(arrays(np.int64, cells * batch, elements=st.integers(0, classes - 1)))
+        losses = batch_cross_entropy(z, smooth_label_rows(targets, classes, eps).reshape(shape))
+        assert np.isfinite(losses).all()
 
     def test_perfect_fit_is_positive_zero(self):
         # Every non-target exp underflows next to the target's, so the loss

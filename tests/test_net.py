@@ -357,6 +357,34 @@ class TestStack:
             assert_array_equal(net.params[s], cell.params)
             assert_array_equal(state.velocity[s], cell_state.velocity)
 
+    def test_relu_mask_keeps_the_bits_of_a_bool_product(self):
+        # An all-ReLU stack, so the logit gradient meets a mask too.  Units 0
+        # and 1 are off in every row, where a negative d gives -0.0 and a NaN
+        # or inf in d gives NaN.  The sums that follow turn -0.0 into 0.0, so
+        # it is cells 0 and 1, with a NaN and an inf, that tell apart a mask
+        # that writes 0.0 instead (np.where).
+        rng = np.random.default_rng(84)
+        net = DenseNet([
+            DenseLayer(layer.weights, layer.biases, "relu") for layer in stack_nets(self.cells()).layers
+        ])
+        logits, cache = forward(net, rng.normal(size=(3, 10, 6)))
+        for _, s in cache:
+            s[..., 0] = rng.choice([-1.0, 0.0, -0.0, math.nan], size=s.shape[:-1])
+            s[..., 1] = 0.0
+        d = np.where(cache[-1][1] > 0.0, rng.normal(size=logits.shape), -rng.random(logits.shape))
+        d[0, 0, 1] = math.nan
+        d[1, 0, 0] = math.inf
+        ref = copy.deepcopy(net)  # filled layer by layer as backward would, with the bool product
+        with np.errstate(invalid="ignore"):  # inf * 0.0, as in the training loop
+            grads = backward(net, cache, d)
+            for k in range(len(net.layers) - 1, -1, -1):
+                inp, s = cache[k]
+                ds = d * (s > 0.0)
+                np.matmul(np.swapaxes(ds, -1, -2), inp, out=ref.layers[k].weights)
+                ds.sum(axis=-2, out=ref.layers[k].biases)
+                d = ds @ net.layers[k].weights
+        assert_array_equal(grads.view(np.int64), ref.params.view(np.int64))
+
     def test_batch_needs_the_cell_axis(self):
         net = stack_nets(self.cells())
         for bad in (np.zeros((10, 6)), np.zeros((2, 10, 6)), np.zeros((3, 10, 5))):
