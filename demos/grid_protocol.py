@@ -18,7 +18,8 @@ Run:  python3 demos/grid_protocol.py
 import tempfile
 from pathlib import Path
 
-from gradtamper.harness import DataSpec, TrainConfig, grid_search, load_datasets
+from gradtamper.grid import grid_search
+from gradtamper.harness import DataSpec, TrainConfig, load_datasets
 from gradtamper.schedule import ScheduleSpec
 
 sched = ScheduleSpec(

@@ -7,12 +7,13 @@ forward pass — and therefore every reported metric — stays untouched.  The
 package provides the transform and its stationary-threshold analysis, the
 loss/gradient stage, a small dense network with SGD momentum training,
 learning-rate schedules, synthetic and IDX data loading, an experiment
-harness (training, grid sweeps, claim verification), and a CLI
+harness (training, claim verification), resumable grid sweeps, and a CLI
 (``gradtamper train|grid|analyze|verify``).
 """
 
 from .data import load_idx, synth_blobs
-from .harness import DataSpec, TrainConfig, grid_search, train, verify_claims
+from .grid import grid_search
+from .harness import DataSpec, TrainConfig, train, verify_claims
 from .lossgrad import softmax, tampered_dlogits
 from .net import backward, clip_grads_global, forward, init_dense_net, init_opt_state, sgd_step
 from .schedule import ScheduleSpec, lr_at

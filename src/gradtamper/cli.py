@@ -42,13 +42,12 @@ from dataclasses import Field, fields
 import numpy as np
 
 from . import __version__
+from .grid import check_grid, grid_search
 from .harness import (
     DataSpec,
     DivergenceError,
     TrainConfig,
-    check_grid,
     format_verify_report,
-    grid_search,
     load_datasets,
     train,
     verify_claims,

@@ -1,42 +1,33 @@
-"""Experiment engine: training loop, grid search, verification.
+"""Experiment engine: configuration, training loop, verification.
 
 ``train`` wires the dense net, the loss/gradient stage, the schedule, and a
 dataset into a deterministic run in one process that emits one metrics
-record per epoch.  Tampering enters in exactly one place: the logit gradient
-handed to the backward pass is ``(softmax(alpha * z) - q) / batch``, with
-``alpha = 1`` (the plain ``softmax(z) - q``) until the configured start epoch
-is reached.  The forward pass, the reported loss, and the accuracies never
-see the transform.
+record per epoch.  Tampering enters in exactly one place, :func:`_step`: the
+logit gradient handed to the backward pass is ``(softmax(alpha * z) - q) /
+batch``, with ``alpha = 1`` (the plain ``softmax(z) - q``) until the
+configured start epoch is reached.  The forward pass, the reported loss, and
+the accuracies never see the transform.
 
 ``train`` is the one-cell case of one training loop that trains a stack of
-cells, differing only in tampering strength and seed, in lockstep.
-``grid_search`` sweeps tampering strengths and seeds through that loop, in
-stacks of small nets that train in forked worker processes, one per usable
-CPU, evaluating each cell after its last epoch alone, with CSV persistence
-by this process alone, so an interrupted sweep resumes by skipping finished
-cells.
+cells, differing only in tampering strength and seed, in lockstep;
+``gradtamper.grid`` sweeps tampering strengths and seeds through that loop.
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
 calls; its report has one line per property and an overall verdict.
-Comparisons between trained runs, such as the logit-norm trend, are
-``grid_search`` sweeps.
+Comparisons between trained runs, such as the logit-norm trend, are grid
+sweeps.
 
-CSV conventions: floats are written with ``repr``, which is the shortest
-string that round-trips the exact float64 value; identical runs therefore
-produce byte-identical files.
+CSV conventions: a file's header names its record's fields in order, and
+floats are written with ``repr``, which is the shortest string that
+round-trips the exact float64 value; identical runs therefore produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import signal
-import sys
-from collections import deque
-from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,6 +42,7 @@ from .lossgrad import (
 )
 from .net import (
     DenseNet,
+    OptState,
     backward,
     check_opt_settings,
     clip_grads_global,
@@ -68,33 +60,6 @@ from .transform import (
     threshold_monotonicity_check,
     transform_probabilities,
 )
-
-METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,gap,mean_logit_norm,lr"
-GRID_HEADER = "alpha,seed,final_train_acc,final_test_acc,gap,mean_logit_norm,status"
-
-# ``grid_search`` trains its cells in stacks whose ``_step_elements`` add up
-# to at most this many.  Stacking pays while per-call overhead dominates a
-# step, and a step's work and memory grow with the batch as well as with the
-# parameters, so a bound on parameters alone made full-batch grids slower.
-# Grid time per cell in ms, by cells per stack: the first grid of a fresh
-# process, median of 4 to 8 interleaved runs of 16 to 128 cells on 800 blob
-# rows (784 features for the 784-input nets, 8 and 4 epochs), one BLAS
-# thread, 2-vCPU x86 host.  [n] is what this bound gives, (n) what the former
-# bound of 2^14 parameters gave.
-#
-#   net         batch  elements  ms per cell at that many cells per stack
-#   20-64-10       32     5,002  (8) 44-51  16: 41-43  32: 38  [104]  128: 36
-#   20-64-10        8     2,746  (8) 130-144  32: 83  128: 74  [190]
-#   20-64-10      160    17,034  (8) 35  16: 34  [30]  32: 33  128: 41
-#   20-64-10      800    77,194  1: 44  2: 36  5: 33  [6] 37  (8) 33-39  16: 39  128: 54
-#   20-256-10      32    17,098  (2) 158-163  4: 129  16: 99-111  [30]  32: 104
-#   20-256-10     800   236,746  1: 110  (2) [2] 89-100  4: 99  16: 129  32: 178
-#   784-64-10      32    78,346  (1) 147  2: 124  5: 116  [6]  10: 109
-#   784-256-10     32   237,130  (1) 206  [2] 197
-#
-# No size measured slower at this bound than at the former one.  It also caps
-# what a kill loses and what a stack holds in memory.
-_STACK_ELEMENTS = 1 << 19
 
 # Rows per ``forward`` call in evaluation: its temporaries stay a few MB.
 _EVAL_ROWS = 4096
@@ -231,6 +196,20 @@ class MetricsRecord:
             raise ValueError("gap must equal train_acc - test_acc")
 
 
+def _csv_header(record_type: type) -> str:
+    """The CSV header of a record dataclass: its field names, in order."""
+    return ",".join(f.name for f in fields(record_type))
+
+
+def _csv_line(record) -> str:
+    """One CSV row of a record: floats by ``repr``, other values by ``str``."""
+    values = (getattr(record, f.name) for f in fields(record))
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+
+
+METRICS_HEADER = _csv_header(MetricsRecord)
+
+
 def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
     """Materialise the (train, test) pair described by ``spec``."""
     if spec.kind == "blobs":
@@ -243,8 +222,13 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
         )
     train = load_idx(spec.train_images, spec.train_labels, split="train")
     test = load_idx(spec.test_images, spec.test_labels, split="test")
+    # Checked on the merged count: a split may lack a class the other holds.
+    classes = max(train.num_classes, test.num_classes)
+    if classes < 2:
+        raise ValueError(
+            f"need at least 2 classes, got {classes} in {spec.train_labels} and {spec.test_labels}"
+        )
     if train.num_classes != test.num_classes:
-        classes = max(train.num_classes, test.num_classes)
         train = replace(train, num_classes=classes)
         test = replace(test, num_classes=classes)
     return train, test
@@ -280,12 +264,13 @@ def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
 
 
 def _evaluate(
-    net: DenseNet, train_ds: Dataset, test_ds: Dataset, epsilon: float
+    net: DenseNet, train_ds: Dataset, test_ds: Dataset, q_table: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """What a record keeps: full-set train loss (with the training-time
-    smoothing) and top-1 accuracy, then test accuracy and mean L2 logit norm."""
+    """What a record keeps: full-set train loss (against the run's target rows,
+    ``q_table[label]``) and top-1 accuracy, then test accuracy and mean L2
+    logit norm."""
     logits = _logits(net, train_ds)
-    loss = batch_cross_entropy(logits, smooth_label_rows(train_ds.labels, logits.shape[1], epsilon))
+    loss = batch_cross_entropy(logits, q_table[train_ds.labels])
     train_acc = float(np.mean(np.argmax(logits, axis=1) == train_ds.labels))
     logits = _logits(net, test_ds)
     test_acc = float(np.mean(np.argmax(logits, axis=1) == test_ds.labels))
@@ -306,6 +291,48 @@ def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
     return params + base.batch_size * sum(sizes)
 
 
+def _step(
+    net: DenseNet,
+    opt: OptState,
+    xb: np.ndarray,
+    q: np.ndarray,
+    alpha: float | np.ndarray,
+    lr: float,
+    clip_lambda: float | None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One optimizer step of every stacked cell, on its (S, B, in) batch ``xb``
+    with target rows ``q``, tampered at ``alpha`` (a scalar, or one per cell).
+
+    Returns ``None`` when every logit lies within ``_SAFE_LOGIT``, else each
+    cell's finite-logit mask and its loss, for the caller to tell which cells
+    diverged.  Every cell takes the step either way; a cell with a non-finite
+    logit takes it on zeroed logits, which softmax accepts.
+    """
+    # Overflow in a diverging run is expected and reported by the caller as a
+    # DivergenceError, so numpy's warnings add nothing here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward(net, xb)
+        # Divergence is detected on the logits: the logsumexp loss stays
+        # finite right up until they overflow, and a NaN or infinite logit
+        # always makes its cell's loss NaN or +inf (NaN after the inf - inf in
+        # the max shift).  No loss can be non-finite while every logit lies
+        # within _SAFE_LOGIT, so the loss is computed, and the cells looked
+        # at, only past it.
+        verdict = None
+        if not np.abs(logits).max() <= _SAFE_LOGIT:
+            finite = np.isfinite(logits).all(axis=(-2, -1))
+            verdict = finite, batch_cross_entropy(logits, q)
+            if not finite.all():
+                logits = np.where(finite[:, None, None], logits, 0.0)
+        dlogits = tampered_dlogits(logits, q, alpha)
+        dlogits /= xb.shape[1]
+        grads = backward(net, cache, dlogits)
+        if clip_lambda is not None:
+            grads = clip_grads_global(grads, clip_lambda)
+        sgd_step(net, grads, opt, lr)
+    return verdict
+
+
 def _train_cells(
     base: TrainConfig,
     cells: list[tuple[float, int]],
@@ -316,15 +343,15 @@ def _train_cells(
     """Train ``base`` once per ``(alpha, seed)`` cell, all cells in lockstep.
 
     The cells are one stacked net (``gradtamper.net``'s cell axis) that takes
-    every step together; each cell draws its init and then one permutation
-    per epoch from its own ``default_rng(seed)``, so it ends bit for bit
-    where a run of that cell alone would.  A cell that diverges is recorded
-    once and then rides along as dead weight: every stacked operation works
-    cell by cell, so its non-finite values never reach another cell.  Live
-    cells are evaluated after every epoch, or with ``final_only`` after the
-    last one alone.  Returns, per cell, ``(net, records)`` (with
-    ``final_only``, the last epoch's record) or the :class:`DivergenceError`
-    that ended it.
+    every step together, one :func:`_step` per batch; each cell draws its
+    init and then one permutation per epoch from its own
+    ``default_rng(seed)``, so it ends bit for bit where a run of that cell
+    alone would.  A cell that diverges is recorded once and then rides along
+    as dead weight: every stacked operation works cell by cell, so its
+    non-finite values never reach another cell.  Live cells are evaluated
+    after every epoch, or with ``final_only`` after the last one alone.
+    Returns, per cell, ``(net, records)`` (with ``final_only``, the last
+    epoch's record) or the :class:`DivergenceError` that ended it.
     """
     train_ds, test_ds = datasets if datasets is not None else load_datasets(base.data)
     n = len(train_ds)
@@ -345,95 +372,65 @@ def _train_cells(
     errors: list[DivergenceError | None] = [None] * len(cells)
     dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained along, never evaluated
     first_evaluated = base.epochs - 1 if final_only else 0
-    if len(cells) > 1:
-        # A stacked step allocates and frees some MB of temporaries.  glibc's
-        # malloc hands the top of its heap back to the system once more than
-        # twice its mmap threshold lies free there, and the next step faults
-        # those pages in again: 98k page faults in a fresh process's 16-cell
-        # desk stack, a fifth of its time.  Freeing an mmapped block raises
-        # that threshold to the block's size; four float64 values per step
-        # element of every cell bound what a step allocates.  Under another
-        # malloc it is an idle block.
-        np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
+    # A step allocates and frees some MB of temporaries, all of them by the time
+    # ``_step`` returns.  glibc's malloc hands the top of its heap back to the
+    # system once more than twice its mmap threshold lies free there, and the
+    # next step faults those pages in again: 98k page faults in a fresh
+    # process's 16-cell desk stack, a fifth of its time, and 1.27M in a fresh
+    # process's first one-epoch 784-256-10 ``train``, 2 s of 6.  Freeing an
+    # mmapped block raises that threshold to the block's size; four float64
+    # values per step element of every cell bound what a step allocates.  Under
+    # another malloc it is an idle block.
+    np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
 
     n_batches = math.ceil(n / base.batch_size)
     # Row y is the smoothed one-hot row of label y, as smooth_label_rows writes it.
     classes = train_ds.num_classes
     q_table = smooth_label_rows(np.arange(classes), classes, base.label_smoothing)
-    step = 0
     for epoch in range(base.epochs):
         # Tampering is backward-only and gated on the start epoch; alpha=1 is
         # the untouched baseline.
-        gated = epoch >= base.tamper.start_epoch
+        alpha = alphas if epoch >= base.tamper.start_epoch else 1.0
         perms = np.stack([rng.permutation(n) for rng in rngs])
         labels = train_ds.labels[perms]
-        last_lr = math.nan
         for b in range(n_batches):
             batch = slice(b * base.batch_size, (b + 1) * base.batch_size)
-            idx = perms[:, batch]
-            xb = train_ds.features(idx)
-            q = q_table[labels[:, batch]]
             lr = lr_at(base.schedule, epoch + b / n_batches)
+            verdict = _step(
+                net, opt, train_ds.features(perms[:, batch]), q_table[labels[:, batch]],
+                alpha, lr, base.clip_lambda,
+            )
+            if verdict is None:
+                continue
+            finite, losses = verdict
+            for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
+                where = f"at step {epoch * n_batches + b} (epoch {epoch}, batch {b})"
+                errors[row] = DivergenceError(
+                    f"non-finite logits (diverged) {where}" if not finite[row]
+                    else f"training loss became NaN {where}"
+                )
+                dead[row] = True
+            if dead.all():
+                break
 
-            # Overflow in a diverging run is expected and reported as a
-            # DivergenceError below, so numpy's warnings add nothing here.
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits, cache = forward(net, xb)
-                # Divergence is detected on the logits: the logsumexp loss
-                # stays finite right up until they overflow, and a NaN or
-                # infinite logit always makes its cell's loss NaN or +inf (NaN
-                # after the inf - inf in the max shift).  No loss can be
-                # non-finite while every logit lies within _SAFE_LOGIT, so the
-                # loss is computed, and the cells looked at, only past it.
-                safe = np.abs(logits).max() <= _SAFE_LOGIT
-                losses = None if safe else batch_cross_entropy(logits, q)
-                if losses is not None and not np.isfinite(losses).all():
-                    finite = np.isfinite(logits).all(axis=(-2, -1))
-                    for row in np.flatnonzero((~finite | np.isnan(losses)) & ~dead):
-                        where = f"at step {step} (epoch {epoch}, batch {b})"
-                        errors[row] = DivergenceError(
-                            f"non-finite logits (diverged) {where}" if not finite[row]
-                            else f"training loss became NaN {where}"
-                        )
-                        dead[row] = True
-                    if dead.all():
-                        break
-                    if not finite.all():  # only dead cells' logits, which softmax would refuse
-                        logits = np.where(finite[:, None, None], logits, 0.0)
-
-                alpha = alphas if gated else 1.0
-                dlogits = tampered_dlogits(logits, q, alpha)
-                dlogits /= idx.shape[1]
-                grads = backward(net, cache, dlogits)
-                if base.clip_lambda is not None:
-                    grads = clip_grads_global(grads, base.clip_lambda)
-                sgd_step(net, grads, opt, lr)
-            last_lr = lr
-            step += 1
-
+        # An epoch that ran to its end left ``lr`` at its last step's rate.
         for row in np.flatnonzero(~dead) if epoch >= first_evaluated else ():
             try:
                 train_loss, train_acc, test_acc, test_norm = _evaluate(
-                    net.cell(row), train_ds, test_ds, base.label_smoothing
+                    net.cell(row), train_ds, test_ds, q_table
                 )
                 if math.isnan(train_loss):
+                    last = (epoch + 1) * n_batches - 1
                     raise DivergenceError(
-                        f"training loss became NaN after step {step - 1} (end of epoch {epoch})"
+                        f"training loss became NaN after step {last} (end of epoch {epoch})"
                     )
             except DivergenceError as error:
                 errors[row] = error
                 dead[row] = True
                 continue
+            gap = train_acc - test_acc
             records[row].append(
-                MetricsRecord(
-                    epoch=epoch,
-                    train_loss=float(train_loss),
-                    train_acc=float(train_acc),
-                    test_acc=float(test_acc),
-                    gap=float(train_acc - test_acc),
-                    mean_logit_norm=float(test_norm),
-                    lr=float(last_lr),
-                )
+                MetricsRecord(epoch, train_loss, train_acc, test_acc, gap, test_norm, float(lr))
             )
         if dead.all():
             break
@@ -462,257 +459,9 @@ def train(
 
 def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
     """Write per-epoch metrics; floats use repr so reruns are byte-identical."""
-    lines = [METRICS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.epoch},{r.train_loss!r},{r.train_acc!r},{r.test_acc!r},"
-            f"{r.gap!r},{r.mean_logit_norm!r},{r.lr!r}"
-        )
+    lines = [METRICS_HEADER, *map(_csv_line, records)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# grid search
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridRow:
-    """Final metrics of one (alpha, seed) cell; NaNs when the cell diverged."""
-
-    alpha: float
-    seed: int
-    final_train_acc: float
-    final_test_acc: float
-    gap: float
-    mean_logit_norm: float
-    status: str
-
-
-def _format_grid_row(row: GridRow) -> str:
-    return (
-        f"{row.alpha!r},{row.seed},{row.final_train_acc!r},{row.final_test_acc!r},"
-        f"{row.gap!r},{row.mean_logit_norm!r},{row.status}"
-    )
-
-
-def _parse_grid_row(line: str) -> GridRow:
-    parts = line.split(",")
-    if len(parts) != 7 or parts[6] not in ("ok", "diverged"):
-        raise ValueError(f"malformed grid row: {line!r}")
-    return GridRow(
-        alpha=float(parts[0]),
-        seed=int(parts[1]),
-        final_train_acc=float(parts[2]),
-        final_test_acc=float(parts[3]),
-        gap=float(parts[4]),
-        mean_logit_norm=float(parts[5]),
-        status=parts[6],
-    )
-
-
-def check_grid(alphas: list[float], seeds: list[int]) -> None:
-    """Reject an empty, out-of-range or repeated alpha or seed with ValueError."""
-    if not alphas:
-        raise ValueError("grid needs at least one alpha")
-    if not seeds or not all(is_count(seed) and seed >= 0 for seed in seeds):
-        raise ValueError(f"grid needs at least one seed, all integers >= 0, got {seeds!r}")
-    for alpha in alphas:
-        TamperSpec(alpha)  # rejects a bad alpha before any training
-    if len(set(map(float, alphas))) < len(alphas) or len(set(seeds)) < len(seeds):
-        raise ValueError(f"grid alphas and seeds must not repeat, got {alphas!r} and {seeds!r}")
-
-
-def grid_search(
-    base: TrainConfig,
-    alphas: list[float],
-    seeds: list[int],
-    csv_path: str,
-    datasets: tuple[Dataset, Dataset] | None = None,
-) -> list[GridRow]:
-    """Sweep ``alphas x seeds``, appending one CSV row per cell.
-
-    The cells not yet in the CSV train in lockstep, in consecutive stacks of
-    at most ``_STACK_ELEMENTS`` step elements in all (parameters plus a
-    batch's rows of every layer width, so one cell at a time for a cell of
-    more than half of that), and of at most an equal share of the cells per
-    CPU that this process may run on.  The stacks train in forked worker
-    processes, one per CPU, or in this process where there is one CPU or no
-    ``fork``; a cell's bits do not depend on its stack or its process.  This
-    process alone writes the CSV: a stack's rows are appended in sweep order
-    and flushed once it and every earlier stack have finished, and at most
-    one stack per worker is out at a time.  If ``csv_path`` already holds
-    rows (same header), those (alpha, seed) cells are skipped and the stored
-    rows are returned in their place, so a killed sweep resumes where it
-    stopped; a kill loses the stacks not yet written, at most one per worker:
-    the whole of a 16-cell desk grid, or 2 cells of a 784-256-10 net at batch
-    32 per worker.  A last line without its newline is a row the kill cut
-    short: it is cut off the file and its cell runs again.  An exception in
-    a worker is raised here with its own type, once the stacks still
-    training have ended; no worker outlives the call.
-    A cell is evaluated once, after its last epoch, the one its row keeps.
-    It is recorded with status ``diverged`` and NaN metrics iff a training
-    step's logits or loss, or that evaluation, go non-finite; it does not
-    stop the sweep.  Rows come back in sweep order.
-    """
-    check_grid(alphas, seeds)
-    done: dict[tuple[str, int], GridRow] = {}
-    fresh = True
-    if os.path.exists(csv_path) and os.path.getsize(csv_path) > 0:
-        with open(csv_path, "r+b") as fh:
-            blob = fh.read()
-            end = blob.rfind(b"\n") + 1  # every complete row ends in a newline
-            lines = [ln.strip() for ln in blob[:end].decode().splitlines() if ln.strip()]
-            if not lines or lines[0] != GRID_HEADER:
-                raise ValueError(
-                    f"{csv_path} exists but does not start with the grid header {GRID_HEADER!r}"
-                )
-            for ln in lines[1:]:
-                row = _parse_grid_row(ln)
-                done[(repr(row.alpha), row.seed)] = row
-            if end < len(blob):
-                fh.truncate(end)
-        fresh = False
-
-    sweep = [(float(alpha), int(seed)) for alpha in alphas for seed in seeds]
-    pending = [cell for cell in sweep if (repr(cell[0]), cell[1]) not in done]
-    stacks = []
-    workers = 1
-    if pending:
-        if datasets is None:
-            datasets = load_datasets(base.data)
-        most = _grid_workers()
-        stacks = _grid_stacks(pending, _STACK_ELEMENTS // _step_elements(base, datasets[0]), most)
-        workers = min(most, len(stacks))
-
-    with open(csv_path, "a", newline="\n") as fh, closing(
-        _rows_by_stack(base, stacks, datasets, workers)
-    ) as results:
-        if fresh:
-            fh.write(GRID_HEADER + "\n")
-            fh.flush()
-        for rows in results:
-            for row in rows:
-                done[(repr(row.alpha), row.seed)] = row
-                fh.write(_format_grid_row(row) + "\n")
-            fh.flush()
-    return [done[(repr(alpha), seed)] for alpha, seed in sweep]
-
-
-def _grid_workers() -> int:
-    """Most processes a grid trains in: one per CPU this process may run on,
-    or one (this process) where the OS cannot ``fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _grid_stacks(
-    pending: list[tuple[float, int]], bound: int, workers: int
-) -> list[list[tuple[float, int]]]:
-    """``pending`` cut into consecutive stacks of at most ``bound`` cells (at
-    least one), and of at most an equal share of the cells per worker, so
-    that every worker gets a stack."""
-    size = max(1, min(bound, -(-len(pending) // workers)))
-    return [pending[lo : lo + size] for lo in range(0, len(pending), size)]
-
-
-def _stack_rows(
-    base: TrainConfig, stack: list[tuple[float, int]], datasets: tuple[Dataset, Dataset]
-) -> list[GridRow]:
-    """Train one stack of cells in lockstep; returns their rows in its order."""
-    rows = []
-    for (alpha, seed), outcome in zip(stack, _train_cells(base, stack, datasets, final_only=True)):
-        if isinstance(outcome, DivergenceError):
-            row = GridRow(alpha, seed, math.nan, math.nan, math.nan, math.nan, "diverged")
-        else:
-            last = outcome[1][-1]
-            row = GridRow(
-                alpha=alpha,
-                seed=seed,
-                final_train_acc=last.train_acc,
-                final_test_acc=last.test_acc,
-                gap=last.gap,
-                mean_logit_norm=last.mean_logit_norm,
-                status="ok",
-            )
-        rows.append(row)
-    return rows
-
-
-# A grid worker's (base, datasets), set once as the worker starts.  Under
-# ``fork`` the worker inherits them from the parent's memory, so the dataset
-# arrays are shared copy-on-write, never pickled, and numpy is not imported
-# again.  Unset in every other process.
-_WORKER_RUN: tuple[TrainConfig, tuple[Dataset, Dataset]] | None = None
-
-_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
-
-
-def _adopt_run(base: TrainConfig, datasets: tuple[Dataset, Dataset], parent: int) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = (base, datasets)
-    if sys.platform == "linux":
-        # Once its parent is gone a worker waits for its next stack for ever,
-        # so the kernel kills it when the parent dies, even by SIGKILL.  A
-        # parent that died before the request is caught by its pid.
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:
-            os._exit(1)
-
-
-def _worker_stack_rows(stack: list[tuple[float, int]]) -> list[GridRow]:
-    base, datasets = _WORKER_RUN
-    return _stack_rows(base, stack, datasets)
-
-
-def _rows_by_stack(
-    base: TrainConfig,
-    stacks: list[list[tuple[float, int]]],
-    datasets: tuple[Dataset, Dataset] | None,
-    workers: int,
-):
-    """Yield each stack's rows, stack by stack in sweep order.
-
-    With one worker the stacks train here, one after another.  With more,
-    they train in that many forked worker processes, and at most ``workers``
-    stacks are handed out beyond the ones already yielded, so a stack waits
-    in the parent only while an earlier one is still training.  A worker's
-    exception is raised here with its own type.  The pool is shut down and
-    joined however the generator ends: the stacks not yet started are
-    cancelled, and the ones training run to their end.
-    """
-    if workers == 1:
-        for stack in stacks:
-            yield _stack_rows(base, stack, datasets)
-        return
-    # Imported here: the pool machinery adds about 2 MiB to any process that
-    # imports it, and only a grid on more than one CPU needs it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_run,
-        initargs=(base, datasets, os.getpid()),
-    )
-    try:
-        queued = deque()
-        for stack in stacks:
-            queued.append(pool.submit(_worker_stack_rows, stack))
-            if len(queued) == workers:
-                yield queued.popleft().result()
-        while queued:
-            yield queued.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

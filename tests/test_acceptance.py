@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from gradtamper.data import IdxFormatError, read_idx_images, read_idx_labels, write_idx_images
+from gradtamper.grid import grid_search
 from gradtamper.harness import (
     DataSpec,
     TrainConfig,
-    grid_search,
     load_datasets,
     train,
     write_metrics_csv,

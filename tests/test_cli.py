@@ -15,7 +15,8 @@ import gradtamper.cli as cli
 from gradtamper import __version__
 from gradtamper.cli import main, parse_config_file, parse_value_list
 from gradtamper.data import write_idx_images, write_idx_labels
-from gradtamper.harness import GRID_HEADER, DataSpec, PropertyResult, TrainConfig, VerifyReport
+from gradtamper.grid import GRID_HEADER
+from gradtamper.harness import DataSpec, PropertyResult, TrainConfig, VerifyReport
 from gradtamper.transform import stationary_threshold, transform_probabilities
 
 TINY = [
@@ -152,6 +153,26 @@ def idx_flags_with_one_unreadable(tmp_path, key, absent):
     return flags, str(paths[key])
 
 
+def one_class_idx_flags(tmp_path):
+    """Flags naming four tiny IDX files whose labels are all 0, and the two
+    label files' paths."""
+    flags, label_paths = [], []
+    for split in ("train", "test"):
+        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+        write_idx_images(images, np.zeros((20, 2, 2), dtype=np.uint8))
+        write_idx_labels(labels, np.zeros(20, dtype=np.uint8))
+        flags += [f"--{split}-images", str(images), f"--{split}-labels", str(labels)]
+        label_paths.append(str(labels))
+    return flags, label_paths
+
+
+def assert_one_class_rejected(err, label_paths, out):
+    """A one-class dataset is named, with both label files, before any run directory."""
+    assert err.startswith("error: need at least 2 classes, got 1")
+    assert all(path in err for path in label_paths)
+    assert list(out.glob("*-[0-9][0-9][0-9]")) == []
+
+
 class TestValueLists:
     def test_range_is_inclusive(self):
         assert parse_value_list("0:1:0.25", "x") == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -279,6 +300,11 @@ class TestTrainCommand:
         assert err.startswith("error: cannot read IDX file") and bad in err
         # The data is read before the run directory is made.
         assert list((tmp_path / "out").glob("*-[0-9][0-9][0-9]")) == []
+
+    def test_one_class_idx_labels_exit_3(self, tmp_path, capsys):
+        flags, label_paths = one_class_idx_flags(tmp_path)
+        assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
+        assert_one_class_rejected(capsys.readouterr().err, label_paths, tmp_path / "out")
 
     def test_divergence_exit_5(self, tmp_path, capsys):
         code = run_train(
@@ -423,6 +449,13 @@ class TestGridCommand:
         assert err.startswith("error: cannot read IDX file") and bad in err
         assert list(out.glob("*-[0-9][0-9][0-9]")) == []
 
+    def test_one_class_idx_labels_exit_3(self, tmp_path, capsys):
+        flags, label_paths = one_class_idx_flags(tmp_path)
+        out = tmp_path / "out"
+        argv = ["grid", "--out", str(out), *TINY, *self.GRID_ARGS, "--data", "idx", *flags]
+        assert main(argv) == 3
+        assert_one_class_rejected(capsys.readouterr().err, label_paths, out)
+
     def test_resume_needs_the_manifest(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0
         run = tmp_path / "grid-000"
@@ -551,7 +584,7 @@ class TestProcessIndependence:
     @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
     def test_killed_grid_leaves_no_worker(self, tmp_path):
         # Two workers whatever the CPUs, on a grid that runs for seconds.
-        two = "import gradtamper.harness as h\nh._grid_workers = lambda: 2"
+        two = "import gradtamper.grid as g\ng._grid_workers = lambda: 2"
         argv = ["grid", "--per-class", "400", "--grid-seeds", "0:7:1", "--out", str(tmp_path)]
         proc = cli_process(argv, two)
         children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")

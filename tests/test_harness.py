@@ -1,4 +1,4 @@
-"""Training loop determinism, grid resume, verify kit."""
+"""Training loop and step determinism, metrics CSV, grid resume, verify kit."""
 
 import math
 import multiprocessing
@@ -12,33 +12,42 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradtamper.grid as grid
 import gradtamper.harness as harness
 from gradtamper.data import Dataset, write_idx_images, write_idx_labels
+from gradtamper.grid import GRID_HEADER, GridRow, grid_search
 from gradtamper.harness import (
-    GRID_HEADER,
     METRICS_HEADER,
     DataSpec,
     DivergenceError,
-    GridRow,
     MetricsRecord,
     PropertyResult,
     TrainConfig,
     format_verify_report,
-    grid_search,
     load_datasets,
     max_relative_error,
     train,
     verify_claims,
     _EVAL_ROWS,
+    _csv_line,
     _evaluate,
     _fd_logit_grad,
     _logits,
     _stable_order_mismatches,
+    _step,
     _train_cells,
     write_metrics_csv,
 )
 from gradtamper.lossgrad import smooth_label_rows, softmax
-from gradtamper.net import DenseLayer, DenseNet, check_opt_settings, forward, init_dense_net
+from gradtamper.net import (
+    DenseLayer,
+    DenseNet,
+    check_opt_settings,
+    forward,
+    init_dense_net,
+    init_opt_state,
+    stack_nets,
+)
 from gradtamper.schedule import ScheduleSpec
 from gradtamper.transform import TamperSpec, power_transform_rows
 
@@ -76,7 +85,7 @@ def step_schedule(lr):
 def pin_grid_workers(monkeypatch, workers=1):
     """Make ``grid_search`` use ``workers`` processes; one runs its stacks in
     this process, where a spy sees their calls."""
-    monkeypatch.setattr(harness, "_grid_workers", lambda: workers)
+    monkeypatch.setattr(grid, "_grid_workers", lambda: workers)
 
 
 def count_evaluations(monkeypatch):
@@ -191,7 +200,7 @@ class TestTrain:
         ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, norm = _evaluate(net, ds, ds, 0.0)
+            *_, norm = _evaluate(net, ds, ds, smooth_label_rows(np.arange(2), 2, 0.0))
         assert norm == 1e200
 
     def test_loss_mean_of_finite_huge_rows_is_finite(self):
@@ -217,9 +226,17 @@ class TestTrain:
 
     def test_a_step_computes_no_loss_and_no_label_rows(self, monkeypatch):
         # Only the evaluations compute a loss; the steps screen the logits.
+        # The run's one label table gives the targets of steps and evaluations.
         counts = count_calls(monkeypatch, "batch_cross_entropy", "smooth_label_rows")
         train(TrainConfig(epochs=2))
-        assert counts == {"batch_cross_entropy": 2, "smooth_label_rows": 1 + 2}
+        assert counts == {"batch_cross_entropy": 2, "smooth_label_rows": 1}
+
+    def test_one_step_call_per_optimizer_step(self, monkeypatch):
+        n = len(load_datasets(TINY_DATA)[0])
+        assert n % 24  # an epoch ends on a short batch
+        counts = count_calls(monkeypatch, "_step")
+        train(tiny_config(epochs=3, batch_size=24))
+        assert counts == {"_step": 3 * math.ceil(n / 24)}
 
     def test_evaluates_once_per_epoch(self, monkeypatch):
         calls = count_evaluations(monkeypatch)
@@ -233,6 +250,66 @@ class TestTrain:
         losses = [r.train_loss for r in records]
         assert 0.0 in losses
         assert all(math.copysign(1.0, loss) == 1.0 for loss in losses)
+
+
+class TestStep:
+    """One ``_step`` of a stack moves each cell as a step of that cell alone does."""
+
+    ALPHAS = np.array([0.1, 0.5, 1.0])[:, None, None]
+    CLIP = 5.0
+    LR = 0.1
+
+    @staticmethod
+    def batches(steps=4):
+        """``steps`` (3, 8, 6) batches and their targets at smoothing 0.1; the
+        middle cell's inputs are 10x larger, so that the clip fires in it alone."""
+        rng = np.random.default_rng(41)
+        xs = rng.normal(size=(steps, 3, 8, 6)) * np.array([1.0, 10.0, 1.0])[:, None, None]
+        qs = smooth_label_rows(np.arange(4), 4, 0.1)[rng.integers(0, 4, size=(steps, 3, 8))]
+        return xs, qs
+
+    @staticmethod
+    def fresh(seeds):
+        """A stack of 6-16-4 nets, one per seed, and its optimizer state."""
+        net = stack_nets([init_dense_net([6, 16, 4], np.random.default_rng(s)) for s in seeds])
+        return net, init_opt_state(net)
+
+    def run(self, seeds, alphas, xs, qs, clip):
+        net, opt = self.fresh(seeds)
+        verdicts = [_step(net, opt, xb, q, alphas, self.LR, clip) for xb, q in zip(xs, qs)]
+        return net, opt, verdicts
+
+    def assert_cell_matches(self, net, opt, cell, solo_net, solo_opt):
+        assert_array_equal(net.params[cell].view(np.int64), solo_net.params[0].view(np.int64))
+        assert_array_equal(opt.velocity[cell].view(np.int64), solo_opt.velocity[0].view(np.int64))
+
+    def test_stack_equals_its_cells_alone(self):
+        xs, qs = self.batches()
+        net, opt, verdicts = self.run(range(3), self.ALPHAS, xs, qs, self.CLIP)
+        unclipped = self.run(range(3), self.ALPHAS, xs, qs, None)[0]
+        fired = [not np.array_equal(net.params[s], unclipped.params[s]) for s in range(3)]
+        assert fired == [False, True, False]
+        assert verdicts == [None] * len(xs)
+        for s in range(3):
+            one = slice(s, s + 1)
+            solo = self.run([s], self.ALPHAS[one], xs[:, one], qs[:, one], self.CLIP)
+            assert solo[2] == verdicts
+            self.assert_cell_matches(net, opt, s, *solo[:2])
+
+    def test_planted_nan_cell_leaves_the_others_alone(self, monkeypatch):
+        xs, qs = self.batches(steps=1)
+        net, opt = self.fresh(range(3))
+        plant_logits(monkeypatch, 1, nan_entry)
+        finite, losses = _step(net, opt, xs[0], qs[0], self.ALPHAS, self.LR, self.CLIP)
+        monkeypatch.undo()
+        assert finite.tolist() == [True, False, True]
+        assert np.isfinite(losses[[0, 2]]).all() and not np.isfinite(losses[1])
+        for s in (0, 2):
+            one = slice(s, s + 1)
+            solo_net, solo_opt = self.fresh([s])
+            assert _step(solo_net, solo_opt, xs[0, one], qs[0, one], self.ALPHAS[one],
+                         self.LR, self.CLIP) is None
+            self.assert_cell_matches(net, opt, s, solo_net, solo_opt)
 
 
 class TestEvaluationBlocks:
@@ -280,7 +357,7 @@ class TestEvaluationBlocks:
         train_ds, test_ds = self.blobs(rows, 784), self.blobs(100, 784, "test")
         tracemalloc.start()
         try:
-            _evaluate(net, train_ds, test_ds, 0.1)
+            _evaluate(net, train_ds, test_ds, smooth_label_rows(np.arange(10), 10, 0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,6 +365,15 @@ class TestEvaluationBlocks:
 
 
 class TestMetricsCsv:
+    def test_format_is_pinned(self, tmp_path):
+        # The header is MetricsRecord's field names: a renamed field would
+        # change every metrics.csv written after it.
+        assert METRICS_HEADER == "epoch,train_loss,train_acc,test_acc,gap,mean_logit_norm,lr"
+        p = tmp_path / "m.csv"
+        write_metrics_csv([MetricsRecord(3, 0.1 + 0.2, 1.0, 0.75, 0.25, 1e300, 0.05)], p)
+        row = "3,0.30000000000000004,1.0,0.75,0.25,1e+300,0.05"
+        assert p.read_text() == f"{METRICS_HEADER}\n{row}\n"
+
     def test_header_and_repr_round_trip(self, tmp_path):
         _, records = train(tiny_config(epochs=2))
         p = tmp_path / "m.csv"
@@ -337,6 +423,24 @@ class TestPixelInputs:
         assert (train_ds.split, test_ds.split) == ("train", "test")
         assert train_ds.inputs.dtype == test_ds.inputs.dtype == np.uint8
 
+    @pytest.mark.parametrize("test_labels, classes", [([0, 0], 1), ([0, 1], 2)])
+    def test_idx_splits_need_two_classes_between_them(self, tmp_path, test_labels, classes):
+        # A train split of class 0 alone still trains when the test split
+        # holds another class; one class in both splits is rejected.
+        paths = {}
+        for split, labels in (("train", [0, 0, 0]), ("test", test_labels)):
+            paths[f"{split}_images"] = str(tmp_path / f"{split}-images")
+            paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels")
+            write_idx_images(paths[f"{split}_images"], np.zeros((len(labels), 2, 2), np.uint8))
+            write_idx_labels(paths[f"{split}_labels"], np.array(labels, dtype=np.uint8))
+        spec = DataSpec(kind="idx", **paths)
+        if classes == 2:
+            assert [ds.num_classes for ds in load_datasets(spec)] == [2, 2]
+            return
+        with pytest.raises(ValueError, match="need at least 2 classes, got 1") as error:
+            load_datasets(spec)
+        assert all(paths[key] in str(error.value) for key in ("train_labels", "test_labels"))
+
     def test_grid_rows_match_float64_features(self, tmp_path):
         pixels, widened = self.pixel_pair()
         cfg = tiny_config(epochs=2)
@@ -344,6 +448,27 @@ class TestPixelInputs:
         rows_f64 = grid_search(cfg, [0.5, 1.0], [3], tmp_path / "f64.csv", widened)
         assert len(rows_u8) == 2 and rows_u8 == rows_f64
         assert (tmp_path / "u8.csv").read_bytes() == (tmp_path / "f64.csv").read_bytes()
+
+
+class TestGridCsv:
+    def test_header_is_pinned(self):
+        # The header is GridRow's field names: a renamed field would change
+        # every grid.csv written after it, and stop old ones from resuming.
+        assert GRID_HEADER == "alpha,seed,final_train_acc,final_test_acc,gap,mean_logit_norm,status"
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            (GridRow(0.25, 3, 0.875, 0.75, 0.125, 0.1 + 0.2, "ok"),
+             "0.25,3,0.875,0.75,0.125,0.30000000000000004,ok"),
+            (GridRow(0.1, 7, math.nan, math.nan, math.nan, math.nan, "diverged"),
+             "0.1,7,nan,nan,nan,nan,diverged"),
+        ],
+        ids=["ok", "diverged"],
+    )
+    def test_rows_round_trip(self, row, line):
+        assert _csv_line(row) == line
+        assert repr(grid._parse_grid_row(line)) == repr(row)
 
 
 class TestGrid:
@@ -440,8 +565,8 @@ class TestGrid:
             return _train_cells(base, cells, datasets, **kw)
 
         pin_grid_workers(monkeypatch)
-        monkeypatch.setattr(harness, "_STACK_ELEMENTS", budget)
-        monkeypatch.setattr(harness, "_train_cells", spy)
+        monkeypatch.setattr(grid, "_STACK_ELEMENTS", budget)
+        monkeypatch.setattr(grid, "_train_cells", spy)
         grid_search(cfg, [0.5, 1.0, 0.25], [0, 1], p)
         # Each stack starts with the rows of every earlier stack on disk.
         rows_before = [1 + sum(stacks[:k]) for k in range(len(stacks))]
@@ -464,10 +589,10 @@ class TestGrid:
             return _train_cells(base, cells, datasets, **kw)
 
         pin_grid_workers(monkeypatch)
-        monkeypatch.setattr(harness, "_train_cells", spy)
+        monkeypatch.setattr(grid, "_train_cells", spy)
         grid_search(cfg, alphas, seeds, tmp_path / "stacked.csv")
         assert seen == stacks
-        monkeypatch.setattr(harness, "_STACK_ELEMENTS", 1)
+        monkeypatch.setattr(grid, "_STACK_ELEMENTS", 1)
         grid_search(cfg, alphas, seeds, tmp_path / "solo.csv")
         assert seen == stacks + [1] * 16
         assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
@@ -543,7 +668,7 @@ class TestGridWorkers:
     )
     def test_stack_split(self, cells, bound, workers, sizes):
         pending = [(alpha, seed) for alpha in (0.1, 0.3, 0.6, 1.0) for seed in range(4)][:cells]
-        stacks = harness._grid_stacks(pending, bound, workers)
+        stacks = grid._grid_stacks(pending, bound, workers)
         assert [len(stack) for stack in stacks] == sizes
         assert [cell for stack in stacks for cell in stack] == pending
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import gradtamper
-from gradtamper import harness
+from gradtamper import grid, harness
 from gradtamper.harness import (
     DataSpec,
     TrainConfig,
@@ -123,5 +123,5 @@ def test_readme_states_the_stack_bound():
     bound, alone, desk = (int(group.replace(",", "")) for group in match.groups())
     desk_cell = harness._step_elements(TrainConfig(), load_datasets(DataSpec())[0])
     assert (bound, alone, desk) == (
-        harness._STACK_ELEMENTS, harness._STACK_ELEMENTS // 2, desk_cell
+        grid._STACK_ELEMENTS, grid._STACK_ELEMENTS // 2, desk_cell
     )
