@@ -47,8 +47,8 @@ from .harness import (
     DataSpec,
     DivergenceError,
     TrainConfig,
+    datasets_for,
     format_verify_report,
-    load_datasets,
     train,
     verify_claims,
     write_metrics_csv,
@@ -281,7 +281,7 @@ def _write_atomically(path: str, write) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     kv = resolve_config(args, _TRAIN_DEFAULTS)
     config = build_train_config(kv)
-    datasets = load_datasets(config.data)  # an unreadable input leaves no run directory
+    datasets = datasets_for(config)  # a bad input or batch size leaves no run directory
     run_dir = _make_run_dir(_output_root(args), "train")
     write_manifest(os.path.join(run_dir, "manifest.cfg"), "train", kv)
 
@@ -342,7 +342,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     else:
         kv = resolve_config(args, _GRID_DEFAULTS)
         base, alphas, seeds = _build_grid(kv)
-        datasets = load_datasets(base.data)  # an unreadable input leaves no run directory
+        datasets = datasets_for(base)  # a bad input or batch size leaves no run directory
         run_dir = _make_run_dir(_output_root(args), "grid")
         csv_path = os.path.join(run_dir, "grid.csv")
         write_manifest(os.path.join(run_dir, "manifest.cfg"), "grid", kv)

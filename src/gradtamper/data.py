@@ -8,6 +8,7 @@ are parsed bit-exactly: big-endian u32 header words, magic 0x00000803 for
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ __all__ = [
     "LABEL_MAGIC",
     "Dataset",
     "IdxFormatError",
+    "check_blob_settings",
     "synth_blobs",
     "read_idx_images",
     "read_idx_labels",
@@ -94,6 +96,20 @@ class Dataset:
         return np.divide(rows, 255.0, out=out, dtype=np.float64)
 
 
+def check_blob_settings(
+    classes: int, per_class: int, features: int, spread: float, seed: int
+) -> None:
+    """The one check of the blob settings; a bad one raises ValueError."""
+    counts = (classes, per_class, features, seed)
+    if not all(map(is_count, counts)) or min(classes, per_class) < 2 or features < 1 or seed < 0:
+        raise ValueError(
+            "blobs need integers classes >= 2, per_class >= 2, features >= 1, seed >= 0; got "
+            f"classes={classes!r}, per_class={per_class!r}, features={features!r}, seed={seed!r}"
+        )
+    if not (spread > 0.0 and math.isfinite(spread)):
+        raise ValueError(f"blob spread must be positive and finite, got {spread!r}")
+
+
 def synth_blobs(
     num_classes: int,
     per_class: int,
@@ -106,14 +122,7 @@ def synth_blobs(
     The split is stratified: each class contributes the same train/test
     counts (at least one test point per class).  Deterministic in ``seed``.
     """
-    counts = (num_classes, per_class, num_features)
-    if not all(map(is_count, counts)) or num_classes < 2 or per_class < 2 or num_features < 1:
-        raise ValueError(
-            f"need integers num_classes >= 2, per_class >= 2, num_features >= 1; "
-            f"got {num_classes}, {per_class}, {num_features}"
-        )
-    if not spread > 0.0:
-        raise ValueError(f"spread must be positive, got {spread!r}")
+    check_blob_settings(num_classes, per_class, num_features, spread, seed)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(num_classes, num_features))
     n_train = min(per_class - 1, max(1, round(0.8 * per_class)))
@@ -130,63 +139,46 @@ def synth_blobs(
     return train, test
 
 
-def _open(path):
+def _read_idx(path, magic: int, words: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its header: ``words`` big-endian
+    u32 words, ``magic`` and then the dimensions; ``what`` names the header."""
     try:
-        return open(path, "rb")
+        fh = open(path, "rb")
     except OSError as exc:  # a missing or unreadable input is a bad value, like a malformed one
         raise ValueError(f"cannot read IDX file {path}: {exc}") from None
-
-
-def _read_header(fh, path, count: int, what: str) -> tuple[tuple[int, ...], int]:
-    """The header's ``count`` u32 words, and the file's bytes after them."""
-    need = 4 * count
-    head = fh.read(need)
-    if len(head) < need:
-        raise IdxFormatError(
-            f"{path}: truncated {what}: need {need} header bytes, file has {len(head)}"
-        )
-    return struct.unpack(f">{count}I", head), os.fstat(fh.fileno()).st_size - need
-
-
-def _read_payload(fh, path, size: int) -> np.ndarray:
-    """The next ``size`` bytes of ``fh``, read straight into a uint8 array."""
-    out = np.empty(size, dtype=np.uint8)
-    got = fh.readinto(out)
-    if got != size:  # the file shrank after its size was taken
-        raise IdxFormatError(f"{path}: payload ended after {got} of {size} bytes")
-    return out
+    with fh:
+        need = 4 * words
+        head = fh.read(need)
+        if len(head) < need:
+            raise IdxFormatError(
+                f"{path}: truncated {what}: need {need} header bytes, file has {len(head)}"
+            )
+        found, *dims = struct.unpack(f">{words}I", head)
+        if found != magic:
+            raise IdxFormatError(
+                f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}"
+            )
+        payload, expected = os.fstat(fh.fileno()).st_size - need, math.prod(dims)
+        if payload != expected:
+            shape = " x ".join(map(str, dims)) + (f" = {expected}" if len(dims) > 1 else "")
+            raise IdxFormatError(
+                f"{path}: payload from byte {need} holds {payload} bytes, header promises {shape}"
+            )
+        out = np.empty(expected, dtype=np.uint8)  # read straight into the array
+        got = fh.readinto(out)
+        if got != expected:  # the file shrank after its size was taken
+            raise IdxFormatError(f"{path}: payload ended after {got} of {expected} bytes")
+        return out.reshape(dims)
 
 
 def read_idx_images(path) -> np.ndarray:
     """Raw N x rows x cols uint8 pixel tensor from an IDX image file."""
-    with _open(path) as fh:
-        (magic, count, rows, cols), payload = _read_header(fh, path, 4, "image header")
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IMAGE_MAGIC:08x}"
-            )
-        expected = count * rows * cols
-        if payload != expected:
-            raise IdxFormatError(
-                f"{path}: payload from byte 16 holds {payload} bytes, "
-                f"header promises {count} x {rows} x {cols} = {expected}"
-            )
-        return _read_payload(fh, path, expected).reshape(count, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC, 4, "image header")
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Raw length-N uint8 label vector from an IDX label file."""
-    with _open(path) as fh:
-        (magic, count), payload = _read_header(fh, path, 2, "label header")
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{LABEL_MAGIC:08x}"
-            )
-        if payload != count:
-            raise IdxFormatError(
-                f"{path}: payload from byte 8 holds {payload} bytes, header promises {count}"
-            )
-        return _read_payload(fh, path, count)
+    return _read_idx(path, LABEL_MAGIC, 2, "label header")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

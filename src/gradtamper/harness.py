@@ -32,10 +32,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._checks import is_count
-from .data import Dataset, load_idx, synth_blobs
+from .data import Dataset, check_blob_settings, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
-    log_softmax,
+    cross_entropy_rows,
     smooth_label_rows,
     softmax,
     tampered_dlogits,
@@ -49,6 +49,7 @@ from .net import (
     forward,
     init_dense_net,
     init_opt_state,
+    row_norms,
     sgd_step,
     stack_nets,
 )
@@ -102,12 +103,7 @@ class DataSpec:
         if self.kind not in ("blobs", "idx"):
             raise ValueError(f"unknown data kind {self.kind!r}; expected 'blobs' or 'idx'")
         if self.kind == "blobs":
-            for name, least in (("classes", 2), ("per_class", 2), ("features", 1), ("seed", 0)):
-                value = getattr(self, name)
-                if not (is_count(value) and value >= least):
-                    raise ValueError(f"blobs need an integer {name} >= {least}, got {value!r}")
-            if not (self.spread > 0 and math.isfinite(self.spread)):
-                raise ValueError("blob spread must be positive and finite")
+            check_blob_settings(self.classes, self.per_class, self.features, self.spread, self.seed)
         else:
             missing = [name for name in self.IDX_PATHS if getattr(self, name) is None]
             if missing:
@@ -239,6 +235,15 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
+def datasets_for(config: TrainConfig, datasets: tuple | None = None) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair a run of ``config`` trains on: ``datasets``, else
+    its data spec's; the one check that a batch fits in the training set."""
+    train_ds, test_ds = datasets if datasets is not None else load_datasets(config.data)
+    if config.batch_size > len(train_ds):
+        raise ValueError(f"batch_size {config.batch_size} exceeds training set size {len(train_ds)}")
+    return train_ds, test_ds
+
+
 def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
     """Full-set logits; a non-finite one raises :class:`DivergenceError`.
 
@@ -274,13 +279,7 @@ def _evaluate(
     train_acc = float(np.mean(np.argmax(logits, axis=1) == train_ds.labels))
     logits = _logits(net, test_ds)
     test_acc = float(np.mean(np.argmax(logits, axis=1) == test_ds.labels))
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(logits, axis=1)
-        big = np.isinf(norms)
-        if big.any():  # the squares overflowed: rescale those rows by their largest entry
-            scale = np.abs(logits[big]).max(axis=1)
-            norms[big] = scale * np.linalg.norm(logits[big] / scale[:, None], axis=1)
-    return float(loss), train_acc, test_acc, float(np.mean(norms))
+    return float(loss), train_acc, test_acc, float(np.mean(row_norms(logits)))
 
 
 def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
@@ -353,10 +352,8 @@ def _train_cells(
     Returns, per cell, ``(net, records)`` (with ``final_only``, the last
     epoch's record) or the :class:`DivergenceError` that ended it.
     """
-    train_ds, test_ds = datasets if datasets is not None else load_datasets(base.data)
+    train_ds, test_ds = datasets_for(base, datasets)
     n = len(train_ds)
-    if base.batch_size > n:
-        raise ValueError(f"batch_size {base.batch_size} exceeds training set size {n}")
 
     rngs = [np.random.default_rng(seed) for _, seed in cells]
     sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
@@ -523,17 +520,11 @@ class VerifyReport:
         return all(p.passed for p in self.properties)
 
 
-def _ce_rows(logit_rows: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Cross-entropy of softmax(scale * row) against q, one value per row;
-    scales the caller's fresh ``logit_rows`` in place."""
-    ls = log_softmax(np.multiply(scale, logit_rows, out=logit_rows))
-    return -np.multiply(ls, q, out=ls).sum(axis=-1)
-
-
 def _fd_logit_grad(
     z: np.ndarray, q: np.ndarray, scale: float = 1.0, h: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference gradient of z -> CE(softmax(scale*z), q).
+    """Central-difference gradient of the engine's row loss at scaled logits,
+    z -> ``cross_entropy_rows(scale * z, q)``.
 
     ``z`` and ``q`` are one vector each, or (n, C) rows giving (n, C).  A
     row's C perturbations ``z +- h e_k`` are a (C, C) block; rows go in
@@ -547,7 +538,9 @@ def _fd_logit_grad(
     step = max(1, (1 << 16) // (c * c))
     for lo in range(0, n, step):
         zb, qb = z2[lo : lo + step, None, :], q2[lo : lo + step, None, :]
-        grad[lo : lo + step] = _ce_rows(zb + eye, qb, scale) - _ce_rows(zb - eye, qb, scale)
+        # One (rows, C, C) block at a time: zb - eye is zb + (-eye), bit for bit.
+        plus, minus = (cross_entropy_rows(scale * (zb + d), qb) for d in (eye, -eye))
+        grad[lo : lo + step] = plus - minus
     return np.divide(grad, 2.0 * h, out=grad).reshape(np.shape(z))
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "smooth_label_rows",
+    "cross_entropy_rows",
     "batch_cross_entropy",
     "tampered_dlogits",
 ]
@@ -65,13 +66,18 @@ def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> 
     return q
 
 
+def cross_entropy_rows(logits: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Cross-entropy ``-sum(q * log_softmax(logits))`` of each row, one value per row."""
+    ls = log_softmax(logits)
+    return -np.multiply(ls, q, out=ls).sum(axis=-1)
+
+
 def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     """Mean cross-entropy of ``softmax(logits)`` rows against target rows ``q``.
 
     A float for one (B, C) batch; an array of S means for a stack (S, B, C).
     """
-    ls = log_softmax(logits)
-    rows = -np.multiply(ls, q, out=ls).sum(axis=-1)
+    rows = cross_entropy_rows(logits, q)
     with np.errstate(over="ignore"):
         loss = rows.mean(axis=-1)
     inf = np.isinf(loss)

@@ -50,6 +50,7 @@ __all__ = [
     "forward",
     "backward",
     "sgd_step",
+    "row_norms",
     "clip_grads_global",
     "save_checkpoint",
     "load_checkpoint",
@@ -313,6 +314,25 @@ def sgd_step(
     return net, state
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of ``x`` (along its last axis), keeping that axis.
+
+    A row of finite entries whose squares overflow is rescaled by its largest
+    magnitude, so its norm is finite wherever it fits in float64, and inf
+    otherwise; a row with an inf or NaN entry keeps the plain sum's inf or NaN.
+    """
+    # numpy's own reduction, not a BLAS dot, so the sum does not depend on
+    # the BLAS thread count.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        inf = np.isinf(norms[..., 0])
+        if inf.any():  # rows are tested for finiteness only once a norm is infinite
+            big = inf & np.isfinite(x).all(axis=-1)
+            scale = np.abs(x[big]).max(axis=-1, keepdims=True)
+            norms[big] = scale * row_norms(x[big] / scale)  # entries in [-1, 1]: no overflow
+    return norms
+
+
 def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.ndarray:
     """Scale each gradient vector (one per cell) to norm ``clip_norm`` if it
     exceeds it; ``clip_norm`` is one bound, or one per cell shaped (S, 1).
@@ -330,9 +350,7 @@ def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.nd
         raise ValueError(
             f"clip norms of shape {np.shape(clip_norm)} do not match gradients {np.shape(grads)}"
         )
-    # numpy's own reduction, not a BLAS dot, so the sum does not depend on
-    # the BLAS thread count.
-    norms = np.sqrt((grads * grads).sum(axis=-1, keepdims=True))
+    norms = row_norms(grads)
     fire = ~(norms <= clip_norm)  # a NaN norm fires, as a scalar compare would
     if not fire.any():
         return grads

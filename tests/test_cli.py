@@ -306,6 +306,24 @@ class TestTrainCommand:
         assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
         assert_one_class_rejected(capsys.readouterr().err, label_paths, tmp_path / "out")
 
+    def test_oversized_batch_exits_3_before_the_run_dir(self, tmp_path, capsys):
+        # 4 classes of 2 points hold 4 training points, fewer than a batch of 16.
+        assert run_train(tmp_path / "out", "--per-class", "2") == 3
+        assert capsys.readouterr().err == "error: batch_size 16 exceeds training set size 4\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nesterov_false_is_read_and_written(self, tmp_path, capsys):
+        assert run_train(tmp_path, "--nesterov", "false") == 0
+        manifest = tmp_path / "train-000" / "manifest.cfg"
+        assert "\nnesterov = false\n" in manifest.read_text()
+        assert cli.build_train_config(parse_config_file(manifest)).nesterov is False
+        capsys.readouterr()
+
+    def test_unreadable_bool_exits_3(self, tmp_path, capsys):
+        assert run_train(tmp_path / "out", "--nesterov", "maybe") == 3
+        assert capsys.readouterr().err == "error: nesterov: expected true/false, got 'maybe'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_exit_5(self, tmp_path, capsys):
         code = run_train(
             tmp_path, "--schedule", "step", "--warmup-epochs", "0",
@@ -355,6 +373,21 @@ class TestGridCommand:
         assert "alpha=0.5: mean final train_acc" in out
         assert "alpha=1.0:" in out
         assert multiprocessing.active_children() == []
+
+    def test_oversized_batch_exits_3_before_the_run_dir(self, tmp_path, capsys):
+        argv = ["grid", "--out", str(tmp_path / "out"), *TINY, *self.GRID_ARGS, "--per-class", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: batch_size 16 exceeds training set size 4\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_of_a_sweep_whose_cells_all_diverge(self, tmp_path, capsys):
+        lr = ["--schedule", "step", "--warmup-epochs", "0", "--cooldown-epochs", "0",
+              "--base-lr", "1e150", "--peak-lr", "1e150"]
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, *lr]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:4] == [
+            "alpha=0.5: no completed cells", "alpha=1.0: no completed cells", "2 cell(s) diverged",
+        ]
 
     def test_resume_skips_finished_cells(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS]) == 0

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import gradtamper.grid as grid
 import gradtamper.harness as harness
-from gradtamper.data import Dataset, write_idx_images, write_idx_labels
+from gradtamper.data import Dataset, synth_blobs, write_idx_images, write_idx_labels
 from gradtamper.grid import GRID_HEADER, GridRow, grid_search
 from gradtamper.harness import (
     METRICS_HEADER,
@@ -38,7 +38,7 @@ from gradtamper.harness import (
     _train_cells,
     write_metrics_csv,
 )
-from gradtamper.lossgrad import smooth_label_rows, softmax
+from gradtamper.lossgrad import cross_entropy_rows, smooth_label_rows, softmax
 from gradtamper.net import (
     DenseLayer,
     DenseNet,
@@ -223,6 +223,19 @@ class TestTrain:
         plant_logits(monkeypatch, 0, plant)
         with pytest.raises(DivergenceError, match=re.escape(message)):
             train(tiny_config())
+
+    def test_nan_evaluation_loss_ends_the_run_after_its_epoch(self, monkeypatch):
+        # Finite training-split logits that span more than the float64 range
+        # give an unsmoothed NaN loss at the end of epoch 0, after 4 steps.
+        def spy(net, ds):
+            logits = _logits(net, ds)
+            return spread_rows(logits) if ds.split == "train" else logits
+
+        monkeypatch.setattr(harness, "_logits", spy)
+        message = "training loss became NaN after step 3 (end of epoch 0)"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=re.escape(message)):
+                train(tiny_config(label_smoothing=0.0))
 
     def test_a_step_computes_no_loss_and_no_label_rows(self, monkeypatch):
         # Only the evaluations compute a loss; the steps screen the logits.
@@ -833,6 +846,20 @@ class TestVerifyKernels:
             assert_array_equal(z, z_before)
             assert_array_equal(q, q_before)
 
+    def test_fd_oracle_differentiates_the_engine_row_loss(self, monkeypatch):
+        # The oracle's loss is lossgrad's own, taken at scale * (z +- h e_k).
+        calls = []
+
+        def spy(logits, q):
+            calls.append(logits.copy())
+            return cross_entropy_rows(logits, q)
+
+        monkeypatch.setattr(harness, "cross_entropy_rows", spy)
+        z, q = np.array([0.5, -1.0, 2.0]), smooth_label_rows(np.array([2]), 3, 0.1)[0]
+        _fd_logit_grad(z, q, scale=0.3, h=1e-4)
+        eye = np.eye(3) * 1e-4
+        assert_array_equal(np.concatenate(calls), [0.3 * (z + eye), 0.3 * (z - eye)])
+
     def test_order_mismatches_equal_stable_argsort(self):
         probs = np.array(
             [
@@ -909,6 +936,19 @@ class TestConfigValidation:
             check_opt_settings(**settings)
         with pytest.raises(ValueError, match=re.escape(str(opt_err.value))):
             tiny_config(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(classes=1), dict(per_class=2.5), dict(features=True), dict(seed=-1),
+         dict(spread=0.0), dict(spread=math.inf), dict(spread=math.nan)],
+    )
+    def test_blob_settings_checked_as_synth_blobs_checks_them(self, kw):
+        names = ("classes", "per_class", "features", "spread", "seed")
+        settings = {name: getattr(DataSpec(), name) for name in names} | kw
+        with pytest.raises(ValueError) as blob_err:
+            synth_blobs(*settings.values())
+        with pytest.raises(ValueError, match=re.escape(str(blob_err.value))):
+            DataSpec(**kw)
 
     def test_dataspec_validation(self):
         with pytest.raises(ValueError, match="unknown data kind"):

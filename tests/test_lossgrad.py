@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gradtamper.harness import _SAFE_LOGIT
 from gradtamper.lossgrad import (
     batch_cross_entropy,
+    cross_entropy_rows,
     log_softmax,
     smooth_label_rows,
     softmax,
@@ -151,6 +152,16 @@ class TestCrossEntropy:
             q = smooth_label_rows(targets, 5, eps)
             per_row = [row_loss(z[i], q[i]) for i in range(7)]
             assert_allclose(batch_cross_entropy(z, q), np.mean(per_row), rtol=1e-14)
+
+    def test_batch_loss_is_the_mean_of_the_row_losses(self):
+        rng = np.random.default_rng(10)
+        z = rng.normal(0, 3, size=(2, 7, 5))
+        q = smooth_label_rows(rng.integers(0, 5, size=14), 5, 0.1).reshape(z.shape)
+        rows = cross_entropy_rows(z, q)
+        assert rows.shape == (2, 7)
+        for s, i in np.ndindex(2, 7):
+            assert_allclose(rows[s, i], cross_entropy_mp(z[s, i], q[s, i]), rtol=1e-13)
+        assert_array_equal(batch_cross_entropy(z, q), rows.mean(axis=-1) + 0.0)
 
     def test_mean_of_huge_finite_rows_is_finite(self):
         # Each row of cell 0 loses 1.5e308; the sum of two overflows, their

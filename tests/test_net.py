@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_ulp
 
 from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
 from gradtamper.net import (
@@ -20,6 +20,7 @@ from gradtamper.net import (
     init_dense_net,
     init_opt_state,
     load_checkpoint,
+    row_norms,
     save_checkpoint,
     sgd_step,
     stack_nets,
@@ -313,6 +314,44 @@ class TestGradUtils:
         grads = np.r_[np.full(4, 0.1), np.zeros(2)]
         assert clip_grads_global(grads, 10.0) is grads
 
+    def test_clip_of_a_vector_whose_squares_overflow(self):
+        # (4e154)**2 overflows float64; the norm, 5e154, does not.
+        clipped = clip_grads_global(np.array([3e154, 4e154]), 1.0)
+        assert_array_max_ulp(clipped, np.array([0.6, 0.8]), maxulp=4)
+
+    def test_clip_of_a_row_with_an_inf_or_nan_entry_is_unchanged(self):
+        # Such a row's norm is inf or NaN; its result is the plain scaling's,
+        # grads * (bound / norm), bit for bit.
+        grads = np.array([[np.inf, 1.0, -2.0], [np.nan, 1.0, 0.0], [3.0, 4.0, 0.0]])
+        with np.errstate(invalid="ignore"):  # inf * 0
+            clipped = clip_grads_global(grads, 1.0)
+            want = grads * np.array([[1.0 / np.inf], [np.nan], [1.0 / 5.0]])
+        assert_array_equal(clipped.view(np.int64), want.view(np.int64))
+
+
+class TestRowNorms:
+    def test_plain_rows_give_the_sum_of_squares(self):
+        x = np.random.default_rng(87).normal(size=(2, 5, 7)) * 1e3
+        norms = row_norms(x)
+        assert norms.shape == (2, 5, 1)
+        assert_array_equal(norms, np.sqrt((x * x).sum(axis=-1, keepdims=True)))
+        assert_array_equal(norms, np.linalg.norm(x, axis=-1, keepdims=True))
+        assert_array_equal(row_norms(x[0, 0]), norms[0, 0])
+
+    def test_finite_rows_whose_squares_overflow(self):
+        # Under the suite's warnings-as-errors: no overflow warning either.
+        x = np.array([[3e154, 4e154], [1e308, 1e308], [1.0, 2.0], [1.5e308, 1.5e308]])
+        norms = row_norms(x)[:, 0]
+        assert_array_max_ulp(norms[:3], np.hypot(x[:3, 0], x[:3, 1]), maxulp=2)
+        assert norms[3] == np.inf  # its norm exceeds the float64 range
+        assert_array_equal(row_norms(x[0]), [norms[0]])
+
+    def test_rows_with_inf_or_nan_keep_the_plain_result(self):
+        x = np.array([[np.inf, 1e200], [-np.inf, 1.0], [np.nan, 1e200], [np.nan, np.inf]])
+        with np.errstate(over="ignore"):
+            plain = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        assert_array_equal(row_norms(x), plain)
+
 
 class TestStack:
     """A stack of cells gives, cell by cell, the bits of the unstacked calls."""
@@ -402,6 +441,17 @@ class TestStack:
         assert_array_equal(clipped[1], grads[1])
         short = grads * 1e-3
         assert clip_grads_global(short, 1.0) is short
+
+    def test_clip_of_an_overflowing_row_leaves_its_neighbours_bits(self):
+        rng = np.random.default_rng(86)
+        grads = rng.normal(size=(3, 50))
+        grads[1] *= 1e160  # its squares overflow
+        clipped = clip_grads_global(grads, 1.0)
+        for s in (0, 2):  # the plain sum of squares, as before overflow was handled
+            want = grads[s] * (1.0 / np.sqrt((grads[s] * grads[s]).sum()))
+            assert_array_equal(clipped[s].view(np.int64), want.view(np.int64))
+        unscaled = grads[1] / 1e160
+        assert_allclose(clipped[1], unscaled / np.linalg.norm(unscaled), rtol=1e-14)
 
     def test_clip_takes_one_norm_per_cell(self):
         rng = np.random.default_rng(85)

@@ -84,6 +84,20 @@ def test_only_data_reads_dataset_inputs():
     assert readers == []
 
 
+def test_only_lossgrad_reads_log_softmax():
+    # The loss has one implementation, lossgrad's row cross-entropy, which the
+    # training loss and verify's finite-difference oracle both call.
+    package = ROOT / "src" / "gradtamper"
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "lossgrad.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "log_softmax" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert readers == []
+
+
 def test_every_import_is_used(monkeypatch):
     # A module imports only what it reads.  The exceptions are the package's
     # re-exports in ``__init__`` and the import sites bench/spans.py patches.
