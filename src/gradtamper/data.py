@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import is_count
+from ._checks import check_real, is_count
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -106,8 +106,7 @@ def check_blob_settings(
             "blobs need integers classes >= 2, per_class >= 2, features >= 1, seed >= 0; got "
             f"classes={classes!r}, per_class={per_class!r}, features={features!r}, seed={seed!r}"
         )
-    if not (spread > 0.0 and math.isfinite(spread)):
-        raise ValueError(f"blob spread must be positive and finite, got {spread!r}")
+    check_real("blob spread", spread, 0, math.inf, "()")
 
 
 def synth_blobs(

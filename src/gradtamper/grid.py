@@ -19,6 +19,7 @@ import sys
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from typing import get_type_hints
 
 from ._checks import is_count
 from .data import Dataset
@@ -73,12 +74,19 @@ class GridRow:
 
 GRID_HEADER = _csv_header(GridRow)
 
+# The type of each GridRow field, in order, which reads its CSV text back.
+_GRID_TYPES = tuple(get_type_hints(GridRow).values())
+
 
 def _parse_grid_row(line: str) -> GridRow:
-    parts = line.split(",")
-    if len(parts) != 7 or parts[6] not in ("ok", "diverged"):
+    """A ``grid.csv`` row, each field read as :class:`GridRow` annotates it."""
+    try:
+        values = [kind(raw) for kind, raw in zip(_GRID_TYPES, line.split(","), strict=True)]
+    except ValueError:  # a field that does not parse, or too few or too many
+        values = None
+    if values is None or values[-1] not in ("ok", "diverged"):
         raise ValueError(f"malformed grid row: {line!r}")
-    return GridRow(float(parts[0]), int(parts[1]), *map(float, parts[2:6]), parts[6])
+    return GridRow(*values)
 
 
 def check_grid(alphas: list[float], seeds: list[int]) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._checks import is_count
+from ._checks import check_count, check_real, is_count
 from .data import Dataset, check_blob_settings, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
@@ -151,24 +151,18 @@ class TrainConfig:
             raise ValueError("hidden layer widths must be positive integers")
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (is_count(self.epochs) and self.epochs >= 1):
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        check_count("epochs", self.epochs, 1)
         if self.epochs > self.schedule.total_epochs:
             raise ValueError(
                 f"schedule covers {self.schedule.total_epochs} epochs "
                 f"but the run asks for {self.epochs}"
             )
-        if not (is_count(self.batch_size) and self.batch_size >= 1):
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        check_count("batch_size", self.batch_size, 1)
         check_opt_settings(self.momentum, self.weight_decay, self.nesterov)
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.clip_lambda is not None and not (
-            self.clip_lambda > 0 and math.isfinite(self.clip_lambda)
-        ):
-            raise ValueError("clip_lambda must be positive and finite when set")
-        if not (is_count(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_real("label_smoothing", self.label_smoothing, 0, 1)
+        if self.clip_lambda is not None:
+            check_real("clip_lambda", self.clip_lambda, 0, math.inf, "()")
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -185,9 +179,7 @@ class MetricsRecord:
 
     def __post_init__(self) -> None:
         for name in ("train_acc", "test_acc"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            check_real(name, getattr(self, name), 0, 1, "[]")
         if abs(self.gap - (self.train_acc - self.test_acc)) > 1e-12:
             raise ValueError("gap must equal train_acc - test_acc")
 
@@ -275,7 +267,9 @@ def _evaluate(
     ``q_table[label]``) and top-1 accuracy, then test accuracy and mean L2
     logit norm."""
     logits = _logits(net, train_ds)
-    loss = batch_cross_entropy(logits, q_table[train_ds.labels])
+    # A NaN loss is reported by the caller as a DivergenceError, as in _step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = batch_cross_entropy(logits, q_table[train_ds.labels])
     train_acc = float(np.mean(np.argmax(logits, axis=1) == train_ds.labels))
     logits = _logits(net, test_ds)
     test_acc = float(np.mean(np.argmax(logits, axis=1) == test_ds.labels))
@@ -588,10 +582,8 @@ def verify_claims(
     relative-error floor of 3e-4; see :func:`max_relative_error` for how the
     floor is set by the cancellation-noise budget.
     """
-    if not (is_count(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (is_count(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_count("seed", seed, 0)
+    check_count("trials", trials, 1)
     if not class_counts or not all(is_count(c) and c >= 2 for c in class_counts):
         raise ValueError(f"class_counts must all be integers >= 2, got {class_counts!r}")
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import check_count, check_real
+
 # The benchmark's span tracer wraps this import site (bench/spans.py TARGETS).
 from .transform import power_transform_rows  # noqa: F401
 
@@ -52,10 +54,8 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> np.ndarray:
     """Rowwise smoothed one-hot matrix: 1-eps on the target, eps/(C-1) elsewhere."""
     targets = np.asarray(targets)
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"smoothing epsilon must lie in [0, 1), got {epsilon!r}")
+    check_count("num_classes", num_classes, 2)
+    check_real("smoothing epsilon", epsilon, 0, 1)
     # Checked here because numpy indexing would wrap a negative target.
     if targets.dtype.kind not in "iu":
         raise ValueError(f"targets must be integers, got dtype {targets.dtype}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import is_count
+from ._checks import check_real, is_count
 
 __all__ = [
     "DenseLayer",
@@ -247,10 +247,8 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
 
 def check_opt_settings(momentum: float, weight_decay: float, nesterov: bool) -> None:
     """The one check of the SGD settings; a bad one raises ValueError."""
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
-    if not 0.0 <= weight_decay < math.inf:
-        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay!r}")
+    check_real("momentum", momentum, 0, 1)
+    check_real("weight_decay", weight_decay, 0, math.inf)
     if not isinstance(nesterov, bool):
         raise ValueError(f"nesterov must be a bool, got {nesterov!r}")
 
@@ -292,8 +290,7 @@ def sgd_step(
     Each block of the flat vectors (a stack's cells end to end) runs the ufuncs
     of ``g = grads + wd*p; v = mu*v + g; p -= lr*(g + mu*v)`` in that order.
     """
-    if not 0.0 < lr < math.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
+    check_real("learning rate", lr, 0, math.inf, "()")
     if np.shape(grads) != net.params.shape:
         raise ValueError(f"gradient shape {np.shape(grads)} != params {net.params.shape}")
     mu, wd = state.momentum, state.weight_decay

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import is_count
+from ._checks import check_real, is_count
 
 __all__ = ["ScheduleSpec", "lr_at"]
 
@@ -36,10 +36,8 @@ class ScheduleSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {_KINDS}")
-        if not (math.isfinite(self.peak_lr) and 0.0 < self.base_lr <= self.peak_lr):
-            raise ValueError(
-                f"need 0 < base_lr <= peak_lr < inf, got {self.base_lr!r} and {self.peak_lr!r}"
-            )
+        check_real("base_lr", self.base_lr, 0, math.inf, "()")
+        check_real("peak_lr (>= base_lr)", self.peak_lr, self.base_lr, math.inf)
         epochs = (self.warmup_epochs, self.total_epochs, self.cooldown_epochs)
         if not all(map(is_count, epochs)) or min(epochs) < 0 or self.total_epochs < 1:
             raise ValueError(f"epoch counts must be integers >= 0 with total >= 1, got {epochs}")
@@ -48,8 +46,7 @@ class ScheduleSpec:
                 f"warmup ({self.warmup_epochs}) + cooldown ({self.cooldown_epochs}) "
                 f"exceed total epochs ({self.total_epochs})"
             )
-        if not 0.0 < self.step_factor < 1.0:
-            raise ValueError(f"step_factor must lie in (0, 1), got {self.step_factor!r}")
+        check_real("step_factor", self.step_factor, 0, 1, "()")
         ms = self.step_milestones
         ok = isinstance(ms, (tuple, list)) and all(is_count(m) and m > 0 for m in ms)
         if not ok or any(b <= a for a, b in zip(ms, ms[1:])):
@@ -59,11 +56,7 @@ class ScheduleSpec:
 
 def lr_at(spec: ScheduleSpec, epoch_progress: float) -> float:
     """Learning rate at fractional epoch ``epoch_progress`` in [0, total)."""
-    t = float(epoch_progress)
-    if not (math.isfinite(t) and 0.0 <= t < spec.total_epochs):
-        raise ValueError(
-            f"epoch progress {epoch_progress!r} outside [0, {spec.total_epochs})"
-        )
+    t = float(check_real("epoch progress", epoch_progress, 0, spec.total_epochs))
     if t < spec.warmup_epochs:
         return spec.base_lr + (spec.peak_lr - spec.base_lr) * (t / spec.warmup_epochs)
     if spec.kind == "step":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import is_count
+from ._checks import check_count, check_real
 
 __all__ = [
     "MONOTONE_TOL",
@@ -56,8 +56,7 @@ class TamperSpec:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not (is_count(self.start_epoch) and self.start_epoch >= 0):
-            raise ValueError(f"start_epoch must be an integer >= 0, got {self.start_epoch!r}")
+        check_count("start_epoch", self.start_epoch, 0)
 
 
 def prob_vec(values) -> np.ndarray:
@@ -91,11 +90,7 @@ def _check_simplex(p: np.ndarray) -> np.ndarray:
 
 
 def _check_alpha(alpha: float, *, exclude_one: bool = False) -> float:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a finite real, got {alpha!r}")
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = float(check_real("alpha", alpha, 0, 1, "[]"))
     if exclude_one and alpha == 1.0:
         raise ValueError("alpha = 1 has no stationary threshold: every point is stationary")
     return alpha

@@ -191,6 +191,12 @@ class TestValueLists:
                 parse_value_list(bad, "x", integral=integral)
 
 
+    @pytest.mark.parametrize("text", [",", " , ,"])
+    def test_commas_only_is_an_empty_list(self, text):
+        with pytest.raises(ValueError, match="x: empty list"):
+            parse_value_list(text, "x")
+
+
 class TestConfigFiles:
     def test_parse_key_value_with_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -470,6 +476,12 @@ class TestGridCommand:
     def test_rejected_sweep_exits_3_before_the_run_dir(self, tmp_path, capsys, axes):
         assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, *axes]) == 3
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("grid-*")) == []
+
+    def test_alpha_list_of_commas_only_exits_3(self, tmp_path, capsys):
+        argv = ["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, "--grid-alphas", ","]
+        assert main(argv) == 3
+        assert "error: grid_alphas: empty list" in capsys.readouterr().err
         assert list(tmp_path.glob("grid-*")) == []
 
     @pytest.mark.parametrize("key, absent", [("train_images", "missing"), ("test_labels", "dir")])

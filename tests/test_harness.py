@@ -5,7 +5,7 @@ import multiprocessing
 import re
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,9 +233,8 @@ class TestTrain:
 
         monkeypatch.setattr(harness, "_logits", spy)
         message = "training loss became NaN after step 3 (end of epoch 0)"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=re.escape(message)):
-                train(tiny_config(label_smoothing=0.0))
+        with pytest.raises(DivergenceError, match=re.escape(message)):
+            train(tiny_config(label_smoothing=0.0))
 
     def test_a_step_computes_no_loss_and_no_label_rows(self, monkeypatch):
         # Only the evaluations compute a loss; the steps screen the logits.
@@ -641,6 +640,19 @@ class TestGrid:
             grid_search(tiny_config(), [1.0], [0], p)
         assert p.read_text().endswith(",o\n")  # left as it was
 
+    @pytest.mark.parametrize(
+        "line",
+        ["1.0,1.0,1.0,1.0,0.0,3.0,ok", "1.0,0,1.0,high,0.0,3.0,ok", "1.0,0,1.0,1.0,ok"],
+        ids=["non-integer-seed", "non-number-metric", "short-row"],
+    )
+    def test_unparsable_row_rejected(self, tmp_path, line):
+        p = tmp_path / "grid.csv"
+        text = f"{GRID_HEADER}\n{line}\n"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"malformed grid row: {line!r}")):
+            grid_search(tiny_config(), [1.0], [0], p)
+        assert p.read_text() == text  # left as it was
+
     def test_empty_axes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="alpha"):
             grid_search(tiny_config(), [], [0], tmp_path / "g.csv")
@@ -894,6 +906,15 @@ class TestVerifyKernels:
                            [0, 0, 2, 4, 0, 4])
 
 
+# Values of the wrong type for a numeric setting, by its field's annotation:
+# the config dataclasses' fields are read as the CLI reads them.
+SETTING_WRONG_TYPES = {
+    "float": ("0.5", True, [0.5], None),
+    "float | None": ("0.5", True, [0.5]),
+    "int": (1.5, True, "1"),
+}
+
+
 class TestConfigValidation:
     def test_epochs_must_fit_schedule(self):
         with pytest.raises(ValueError, match="schedule covers"):
@@ -963,6 +984,20 @@ class TestConfigValidation:
         cfg = tiny_config(epochs=np.int64(2), batch_size=np.int32(16), seed=np.int64(3))
         assert cfg.epochs == 2 and cfg.seed == 3
         assert DataSpec(classes=np.int64(3), seed=np.int64(1)).classes == 3
+
+    @pytest.mark.parametrize(
+        "spec, name, value",
+        [
+            pytest.param(spec, f.name, value, id=f"{spec.__name__}.{f.name}={value!r}")
+            for spec in (DataSpec, TrainConfig, ScheduleSpec, TamperSpec)
+            for f in fields(spec)
+            for value in SETTING_WRONG_TYPES.get(f.type, ())
+        ],
+    )
+    def test_every_numeric_setting_rejects_a_wrong_type(self, spec, name, value):
+        required = {"alpha": 1.0} if spec is TamperSpec else {}
+        with pytest.raises(ValueError):
+            spec(**(required | {name: value}))
 
     def test_metrics_record_checks(self):
         with pytest.raises(ValueError, match="gap"):

@@ -3,6 +3,8 @@ differences, optimizer arithmetic, checkpoint round-trips."""
 
 import copy
 import math
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -62,6 +64,40 @@ class TestInit:
     def test_sizes_must_be_positive_integers(self, sizes):
         with pytest.raises(ValueError, match="integers"):
             init_dense_net(sizes, np.random.default_rng(0))
+
+
+class TestLayerChecks:
+    @pytest.mark.parametrize(
+        "weights, biases, activation, message",
+        [
+            (np.zeros(3), np.zeros(3), "identity", "weights must be 2-D"),
+            (np.zeros((2, 3)), np.zeros((1, 2)), "identity", "weights must be 2-D"),
+            (np.zeros((2, 3)), np.zeros(3), "identity", "bias shape (3,)"),
+            (np.zeros((2, 3)), np.zeros(2), "tanh", "unknown activation 'tanh'"),
+            (np.full((2, 3), math.nan), np.zeros(2), "identity", "NaN or Inf"),
+            (np.zeros((2, 3)), np.array([0.0, math.inf]), "relu", "NaN or Inf"),
+        ],
+        ids=["1-d-weights", "biases-rank", "bias-shape", "activation", "nan-weight", "inf-bias"],
+    )
+    def test_bad_layer_rejected(self, weights, biases, activation, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DenseLayer(weights, biases, activation)
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ([], "at least one layer"),
+            ([DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3))),
+              DenseLayer(np.zeros((5, 3)), np.zeros(5))], "same cell axis"),
+            ([DenseLayer(np.zeros((3, 4)), np.zeros(3)),
+              DenseLayer(np.zeros((2, 5)), np.zeros(2))],
+             "layer input size 5 does not match previous output size 3"),
+        ],
+        ids=["empty", "mixed-cell-axis", "size-mismatch"],
+    )
+    def test_bad_net_rejected(self, layers, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DenseNet(layers)
 
 
 class TestLayout:
@@ -504,6 +540,21 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"JUNK" + bytes(20))
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value, message",
+        [(4, "<I", 2, "unsupported checkpoint version 2"),
+         (12, "<B", 7, "unknown activation code 7 at byte 12")],
+        ids=["version", "activation-code"],
+    )
+    def test_unreadable_header_field_rejected(self, tmp_path, offset, fmt, value, message):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_dense_net([2, 2], np.random.default_rng(73)), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

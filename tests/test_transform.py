@@ -268,6 +268,11 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             threshold_monotonicity_check(P3, np.array([0.5, 1.0]))  # 1.0 excluded
 
+    @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan, 0.5]], ids=["last", "first"])
+    def test_grid_holding_a_nan_rejected(self, grid):
+        with pytest.raises(ValueError, match="alpha grid contains NaN"):
+            threshold_monotonicity_check(P3, np.array(grid))
+
 
 class TestValidation:
     def test_prob_vec_rejects_bad_inputs(self):
