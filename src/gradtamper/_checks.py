@@ -21,10 +21,13 @@ def check_count(name: str, value, least: int) -> None:
 def check_real(name: str, value, low, high, ends: str = "[)"):
     """``value``, a Python or numpy int or float (never a bool) inside the
     interval from ``low`` to ``high``, whose ends ``ends`` writes as brackets:
-    ``[`` or ``]`` includes an end, ``(`` or ``)`` leaves it out.  Else
-    ValueError; NaN lies in no interval."""
-    real = isinstance(value, _REALS) and not isinstance(value, bool)
-    above = real and (low <= value if ends[0] == "[" else low < value)
-    if not (above and (value <= high if ends[1] == "]" else value < high)):
+    ``[`` or ``]`` includes an end, ``(`` or ``)`` leaves it out.  A non-empty
+    numpy array of ints or floats (one setting per cell) must have its min and
+    max inside.  Else ValueError; NaN lies in no interval."""
+    cells = isinstance(value, np.ndarray) and value.size > 0 and value.dtype.kind in "iuf"
+    least, most = (value.min(), value.max()) if cells else (value, value)
+    real = cells or isinstance(value, _REALS) and not isinstance(value, bool)
+    above = real and (low <= least if ends[0] == "[" else low < least)
+    if not (above and (most <= high if ends[1] == "]" else most < high)):
         raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value

@@ -212,17 +212,13 @@ _GRID_DEFAULTS = {**_TRAIN_DEFAULTS, "grid_alphas": "0.25,0.5,0.75,1.0", "grid_s
 def build_train_config(kv: dict[str, str]) -> TrainConfig:
     """Turn resolved key=value strings into a validated TrainConfig.
 
-    Each spec is built as soon as its keys are read.  A blob source reads no
-    path key and an IDX source no blob key; ``total_epochs = none`` follows
-    ``epochs``.
+    Each spec is built as soon as its keys are read, every key whatever the
+    data source; ``total_epochs = none`` follows ``epochs``.
     """
-    idx = kv["data"] == "idx"
     built = {}
     for spec, keys in _GROUPS.items():
         values = {}
         for key, f in keys.items():
-            if spec == "data" and key != "data" and (key in DataSpec.IDX_PATHS) != idx:
-                continue
             raw = kv["epochs"] if key == "total_epochs" and _is_none(kv[key]) else kv[key]
             values[f.name] = _read(key, f, raw)
         built[spec] = values if spec is None else _SPECS[spec](**values)

@@ -102,12 +102,10 @@ class DataSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("blobs", "idx"):
             raise ValueError(f"unknown data kind {self.kind!r}; expected 'blobs' or 'idx'")
-        if self.kind == "blobs":
-            check_blob_settings(self.classes, self.per_class, self.features, self.spread, self.seed)
-        else:
-            missing = [name for name in self.IDX_PATHS if getattr(self, name) is None]
-            if missing:
-                raise ValueError(f"idx data source needs paths for: {', '.join(missing)}")
+        check_blob_settings(self.classes, self.per_class, self.features, self.spread, self.seed)
+        missing = [name for name in self.IDX_PATHS if getattr(self, name) is None]
+        if self.kind == "idx" and missing:
+            raise ValueError(f"idx data source needs paths for: {', '.join(missing)}")
 
 
 def _desk_schedule() -> ScheduleSpec:

@@ -99,8 +99,5 @@ def tampered_dlogits(
     ``alpha = 1`` gives the plain cross-entropy gradient ``softmax(z) - q``.
     A stack (S, B, C) may take one alpha per cell, shaped (S, 1, 1).
     """
-    a = np.asarray(alpha)
-    if not np.all((0.0 <= a) & (a <= 1.0)):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    p = softmax(alpha * logits)
+    p = softmax(check_real("alpha", alpha, 0, 1, "[]") * logits)
     return np.subtract(p, q, out=p)

@@ -332,13 +332,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.ndarray:
     """Scale each gradient vector (one per cell) to norm ``clip_norm`` if it
-    exceeds it; ``clip_norm`` is one bound, or one per cell shaped (S, 1).
+    exceeds it; ``clip_norm`` is one bound in (0, inf], or a numpy array of
+    one per cell shaped (S, 1).
 
     Returns ``grads`` itself when every vector is short enough, a new array
     otherwise, in which the short vectors keep their values.
     """
-    if not np.all(np.greater(clip_norm, 0.0)):
-        raise ValueError(f"clip norm must be positive, got {clip_norm!r}")
+    check_real("clip norm", clip_norm, 0, math.inf, "(]")
     if np.ndim(grads) not in (1, 2):
         raise ValueError(
             f"gradient must be a vector or one per cell, got shape {np.shape(grads)}"

@@ -207,8 +207,7 @@ def threshold_monotonicity_check(p, alpha_grid) -> MonotonicityReport:
         raise ValueError("alpha grid must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(grid)):
         raise ValueError("alpha grid contains NaN or Inf")
-    if grid[0] < 0.0 or grid[-1] >= 1.0:
-        raise ValueError(f"alpha grid values must lie in [0, 1), got range [{grid[0]}, {grid[-1]}]")
+    check_real("alpha grid", np.asarray(alpha_grid), 0, 1)
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("alpha grid must be strictly increasing")
 

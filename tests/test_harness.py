@@ -986,16 +986,23 @@ class TestConfigValidation:
         assert DataSpec(classes=np.int64(3), seed=np.int64(1)).classes == 3
 
     @pytest.mark.parametrize(
-        "spec, name, value",
+        "spec, required, name, value",
         [
-            pytest.param(spec, f.name, value, id=f"{spec.__name__}.{f.name}={value!r}")
-            for spec in (DataSpec, TrainConfig, ScheduleSpec, TamperSpec)
+            pytest.param(spec, required, f.name, value, id=f"{label}.{f.name}={value!r}")
+            for spec, required, label in (
+                (DataSpec, {}, "DataSpec"),
+                # An IDX source uses no blob setting, but its spec checks them all.
+                (DataSpec, {"kind": "idx"} | {name: "x" for name in DataSpec.IDX_PATHS},
+                 "DataSpec[idx]"),
+                (TrainConfig, {}, "TrainConfig"),
+                (ScheduleSpec, {}, "ScheduleSpec"),
+                (TamperSpec, {"alpha": 1.0}, "TamperSpec"),
+            )
             for f in fields(spec)
             for value in SETTING_WRONG_TYPES.get(f.type, ())
         ],
     )
-    def test_every_numeric_setting_rejects_a_wrong_type(self, spec, name, value):
-        required = {"alpha": 1.0} if spec is TamperSpec else {}
+    def test_every_numeric_setting_rejects_a_wrong_type(self, spec, required, name, value):
         with pytest.raises(ValueError):
             spec(**(required | {name: value}))
 

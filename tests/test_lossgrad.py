@@ -384,3 +384,38 @@ class TestClip:
         for bad_shape in (np.ones((1, 1, 3)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 clip_grads_global(bad_shape, 1.0)
+
+    def test_infinite_bound_clips_nothing(self):
+        grads = np.array([[3e300, 4e300], [1.0, 2.0]])
+        assert clip_grads_global(grads, np.inf) is grads
+        assert clip_grads_global(grads, np.full((2, 1), np.inf)) is grads
+
+
+# The engine's two per-cell settings: a scalar, or a numpy array with one value
+# per stacked cell, shaped to broadcast against the stack.
+PER_CELL_SETTINGS = {
+    "alpha": ((2, 1, 1), lambda v: tampered_dlogits(np.zeros((2, 1, 3)), one_hot(0, 3), v)),
+    "clip norm": ((2, 1), lambda v: clip_grads_global(np.full((2, 3), 5.0), v)),
+}
+
+
+@pytest.mark.parametrize("setting", PER_CELL_SETTINGS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda shape: True,
+        lambda shape: "0.5",
+        lambda shape: None,
+        lambda shape: [0.5],
+        lambda shape: np.array([True]),
+        lambda shape: np.array([]),
+        lambda shape: np.array([0.5, np.nan]).reshape(shape),
+    ],
+    ids=["True", "str", "None", "list", "bool-array", "empty-array", "nan-cell"],
+)
+def test_per_cell_setting_rejects_a_wrong_type(setting, bad):
+    shape, call = PER_CELL_SETTINGS[setting]
+    call(0.5)
+    call(np.full(shape, 0.5))
+    with pytest.raises(ValueError, match=f"{setting} must lie in"):
+        call(bad(shape))

@@ -4,7 +4,9 @@ hooks, dead imports."""
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,22 +23,34 @@ from gradtamper.harness import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def readme_library_import():
-    """The ``from gradtamper import (...)`` statement of the README's Library block."""
-    text = (ROOT / "README.md").read_text()
-    match = re.search(r"## Library\s+```python\n(from gradtamper import \(.*?\))\n```", text, re.S)
-    assert match, "README has no Library block"
-    return match.group(1)
-
-
 def test_readme_library_block_imports():
-    statement = readme_library_import()
+    # The README's Library block imports each name from its module; the top
+    # level holds only the version.
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"## Library\s+```python\n(.*?)\n```", text, re.S)
+    assert match, "README has no Library block"
+    block = ast.parse(match.group(1)).body
+    assert block and all(
+        isinstance(node, ast.ImportFrom) and node.module.startswith("gradtamper.")
+        for node in block
+    )
     namespace = {}
-    exec(statement, namespace)
-    names = set(re.findall(r"\w+", re.sub(r"#.*", "", statement.split("(", 1)[1])))
-    assert names and all(name in namespace for name in names)
-    # That block is the whole top level, apart from the version.
-    assert set(gradtamper.__all__) == names | {"__version__"}
+    exec(match.group(1), namespace)
+    assert all(alias.name in namespace for node in block for alias in node.names)
+    assert gradtamper.__all__ == ["__version__"]
+
+
+def test_top_level_import_loads_no_submodule_and_not_numpy():
+    code = (
+        "import sys, gradtamper\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gradtamper') or m == 'numpy'))"
+    )
+    src = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "['gradtamper']"
 
 
 def load_bench_module(name, monkeypatch):
@@ -99,8 +113,8 @@ def test_only_lossgrad_reads_log_softmax():
 
 
 def test_every_import_is_used(monkeypatch):
-    # A module imports only what it reads.  The exceptions are the package's
-    # re-exports in ``__init__`` and the import sites bench/spans.py patches.
+    # A module imports only what it reads.  The exceptions are the import
+    # sites bench/spans.py patches.
     spans = load_bench_module("spans", monkeypatch)
     patched = {(module_name, attr) for module_name, attr, _ in spans.TARGETS}
     unused = []
@@ -115,10 +129,7 @@ def test_every_import_is_used(monkeypatch):
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                exempt = (module_name, name) in patched or (
-                    module_name == "gradtamper" and name in gradtamper.__all__
-                )
-                if name not in read and not exempt:
+                if name not in read and (module_name, name) not in patched:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 
