@@ -235,43 +235,49 @@ def datasets_for(config: TrainConfig, datasets: tuple | None = None) -> tuple[Da
 
 
 def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
-    """Full-set logits; a non-finite one raises :class:`DivergenceError`.
+    """Full-set logits of every cell of ``net``, (S, N, C), or (N, C) for an
+    unstacked net; non-finite ones are returned as they are.
 
     ``forward`` runs over the fewest near-equal blocks of at most ``_EVAL_ROWS``
     rows.  A short block would take BLAS's small-matrix kernel, whose sums round
     differently; blocks of half ``_EVAL_ROWS`` or more keep the whole-split bits.
-    uint8 blocks are widened into one float64 buffer the size of the longest
-    block, reused block after block;
-    float64 blocks are views of the inputs and need none.
+    Each block goes to every cell at once, broadcast over the cell axis, so it
+    is read once however many cells there are.  uint8 blocks are widened into
+    one float64 buffer the size of the longest block, reused block after
+    block; float64 blocks are views of the inputs and need none.
     """
-    n = len(ds)
-    logits = np.empty((n, net.num_classes))
+    n, cells = len(ds), net.params.shape[:-1]
+    logits = np.empty((*cells, n, net.num_classes))
     blocks = -(-n // _EVAL_ROWS)
     bounds = [n * k // blocks for k in range(blocks + 1)]
     widened = np.empty((-(-n // blocks), ds.num_features)) if ds.pixels else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(bounds, bounds[1:]):
-            out = None if widened is None else widened[: hi - lo]
-            logits[lo:hi] = forward(net, ds.features(slice(lo, hi), out=out))[0]
-    if not np.all(np.isfinite(logits)):
-        raise DivergenceError(f"non-finite logits while evaluating the {ds.split} split")
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = ds.features(slice(lo, hi), out=None if widened is None else widened[: hi - lo])
+        logits[..., lo:hi, :] = forward(net, np.broadcast_to(rows, (*cells, *rows.shape)))[0]
     return logits
 
 
 def _evaluate(
     net: DenseNet, train_ds: Dataset, test_ds: Dataset, q_table: np.ndarray
-) -> tuple[float, float, float, float]:
-    """What a record keeps: full-set train loss (against the run's target rows,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What a record keeps, one value per cell of ``net`` (0-d for an unstacked
+    net): full-set train loss (against the run's target rows,
     ``q_table[label]``) and top-1 accuracy, then test accuracy and mean L2
-    logit norm."""
-    logits = _logits(net, train_ds)
-    # A NaN loss is reported by the caller as a DivergenceError, as in _step.
+    logit norm; last, the split whose logits went non-finite (``"train"``
+    before ``"test"``), or ``""``.  A cell with such a split has values that
+    mean nothing, and so does a cell that diverged earlier."""
+    # A diverging cell overflows here as in _step, and its caller ignores it.
     with np.errstate(over="ignore", invalid="ignore"):
+        logits = _logits(net, train_ds)
+        train_finite = np.isfinite(logits).all(axis=(-2, -1))
         loss = batch_cross_entropy(logits, q_table[train_ds.labels])
-    train_acc = float(np.mean(np.argmax(logits, axis=1) == train_ds.labels))
-    logits = _logits(net, test_ds)
-    test_acc = float(np.mean(np.argmax(logits, axis=1) == test_ds.labels))
-    return float(loss), train_acc, test_acc, float(np.mean(row_norms(logits)))
+        train_acc = np.mean(np.argmax(logits, axis=-1) == train_ds.labels, axis=-1)
+        logits = _logits(net, test_ds)
+        test_acc = np.mean(np.argmax(logits, axis=-1) == test_ds.labels, axis=-1)
+        norm = np.mean(row_norms(logits)[..., 0], axis=-1)
+    test_finite = np.isfinite(logits).all(axis=(-2, -1))
+    split = np.where(train_finite, np.where(test_finite, "", "test"), "train")
+    return np.asarray(loss), train_acc, test_acc, norm, split
 
 
 def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
@@ -337,12 +343,16 @@ def _train_cells(
     every step together, one :func:`_step` per batch; each cell draws its
     init and then one permutation per epoch from its own
     ``default_rng(seed)``, so it ends bit for bit where a run of that cell
-    alone would.  A cell that diverges is recorded once and then rides along
-    as dead weight: every stacked operation works cell by cell, so its
-    non-finite values never reach another cell.  Live cells are evaluated
-    after every epoch, or with ``final_only`` after the last one alone.
-    Returns, per cell, ``(net, records)`` (with ``final_only``, the last
-    epoch's record) or the :class:`DivergenceError` that ended it.
+    alone would.  The stack is evaluated after every epoch, or with
+    ``final_only`` after the last one alone, by one :func:`_evaluate` call,
+    and not at all once every cell has diverged.  A cell that diverges, in a
+    step or in an evaluation, is recorded once and then rides along as dead
+    weight, trained and evaluated with its stack, its values ignored: every
+    stacked operation works cell by cell, so its non-finite values never
+    reach another cell.  This loop is where a :class:`DivergenceError` is
+    built, and nothing catches one.  Returns, per cell, ``(net, records)``
+    (with ``final_only``, the last epoch's record) or the
+    :class:`DivergenceError` that ended it.
     """
     train_ds, test_ds = datasets_for(base, datasets)
     n = len(train_ds)
@@ -359,7 +369,7 @@ def _train_cells(
     alphas = np.array([alpha for alpha, _ in cells], dtype=np.float64)[:, None, None]
     records: list[list[MetricsRecord]] = [[] for _ in cells]
     errors: list[DivergenceError | None] = [None] * len(cells)
-    dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained along, never evaluated
+    dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained and evaluated along
     first_evaluated = base.epochs - 1 if final_only else 0
     # A step allocates and frees some MB of temporaries, all of them by the time
     # ``_step`` returns.  glibc's malloc hands the top of its heap back to the
@@ -402,25 +412,23 @@ def _train_cells(
             if dead.all():
                 break
 
-        # An epoch that ran to its end left ``lr`` at its last step's rate.
-        for row in np.flatnonzero(~dead) if epoch >= first_evaluated else ():
-            try:
-                train_loss, train_acc, test_acc, test_norm = _evaluate(
-                    net.cell(row), train_ds, test_ds, q_table
-                )
-                if math.isnan(train_loss):
-                    last = (epoch + 1) * n_batches - 1
-                    raise DivergenceError(
-                        f"training loss became NaN after step {last} (end of epoch {epoch})"
+        if epoch >= first_evaluated and not dead.all():
+            losses, train_accs, test_accs, norms, splits = _evaluate(net, train_ds, test_ds, q_table)
+            last = (epoch + 1) * n_batches - 1
+            for row in np.flatnonzero(~dead):
+                if splits[row] or math.isnan(losses[row]):
+                    errors[row] = DivergenceError(
+                        f"non-finite logits while evaluating the {splits[row]} split" if splits[row]
+                        else f"training loss became NaN after step {last} (end of epoch {epoch})"
                     )
-            except DivergenceError as error:
-                errors[row] = error
-                dead[row] = True
-                continue
-            gap = train_acc - test_acc
-            records[row].append(
-                MetricsRecord(epoch, train_loss, train_acc, test_acc, gap, test_norm, float(lr))
-            )
+                    dead[row] = True
+                    continue
+                train_acc, test_acc = float(train_accs[row]), float(test_accs[row])
+                # An epoch that ran to its end left ``lr`` at its last step's rate.
+                records[row].append(MetricsRecord(
+                    epoch, float(losses[row]), train_acc, test_acc, train_acc - test_acc,
+                    float(norms[row]), float(lr),
+                ))
         if dead.all():
             break
     return [

@@ -200,8 +200,8 @@ class TestTrain:
         ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, norm = _evaluate(net, ds, ds, smooth_label_rows(np.arange(2), 2, 0.0))
-        assert norm == 1e200
+            *_, norm, split = _evaluate(net, ds, ds, smooth_label_rows(np.arange(2), 2, 0.0))
+        assert norm == 1e200 and split == ""
 
     def test_loss_mean_of_finite_huge_rows_is_finite(self):
         # At lr 5e9 the per-row losses stay finite while their sum overflows.
@@ -357,9 +357,15 @@ class TestEvaluationBlocks:
         net.params[...] = np.abs(net.params)  # every sum of huge inputs overflows
         ds = self.blobs(2 * _EVAL_ROWS + 5, 40, split="test")
         ds.inputs[-1] = 1e308
-        assert np.all(np.isfinite(forward(net, ds.inputs[:-1])[0]))
-        with pytest.raises(DivergenceError, match="the test split"):
-            _logits(net, ds)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(_logits(net, ds)).all(axis=-1)
+        assert finite[:-1].all() and not finite[-1]
+        # Training on a sound split, the run ends at its first evaluation.
+        cfg = tiny_config(hidden=(32,), epochs=2)
+        with pytest.raises(DivergenceError, match=re.escape(
+            "non-finite logits while evaluating the test split"
+        )):
+            train(cfg, (self.blobs(64, 40), ds))
 
     def test_peak_memory_stays_below_one_hidden_activation(self):
         # Whole-split evaluation held the hidden pre-activation and its relu,
@@ -374,6 +380,41 @@ class TestEvaluationBlocks:
         finally:
             tracemalloc.stop()
         assert peak < rows * hidden * 8
+
+
+class TestStackEvaluation:
+    """One ``_evaluate`` of a stack gives each cell, bit for bit, what an
+    evaluation of that cell alone gives."""
+
+    @staticmethod
+    def assert_cells_match(net, train_ds, test_ds, q_table):
+        *stacked, splits = _evaluate(net, train_ds, test_ds, q_table)
+        for s in range(net.params.shape[0]):
+            *solo, split = _evaluate(net.cell(s), train_ds, test_ds, q_table)
+            assert splits[s] == split
+            for many, one in zip(stacked, solo):
+                assert_array_equal(np.asarray(many[s]).view(np.int64), one.view(np.int64))
+        return splits
+
+    def test_desk_stack_of_8_matches_its_cells(self):
+        train_ds, test_ds = load_datasets(DataSpec())
+        net = stack_nets([init_dense_net([20, 64, 10], np.random.default_rng(s)) for s in range(8)])
+        net.params[5] *= 1e300  # a diverged cell rides along
+        q_table = smooth_label_rows(np.arange(10), 10, 0.1)
+        splits = self.assert_cells_match(net, train_ds, test_ds, q_table)
+        assert splits.tolist() == [""] * 5 + ["train"] + [""] * 2
+
+    def test_uint8_stack_of_2_matches_its_cells_over_row_blocks(self):
+        rng = np.random.default_rng(100)
+
+        def pixels(rows, split):
+            images = rng.integers(0, 256, size=(rows, 40), dtype=np.uint8)
+            return Dataset(images, rng.integers(0, 10, rows), 10, split)
+
+        train_ds, test_ds = pixels(2 * _EVAL_ROWS + 1, "train"), pixels(_EVAL_ROWS + 3000, "test")
+        net = stack_nets([init_dense_net([40, 32, 10], np.random.default_rng(s)) for s in (1, 2)])
+        q_table = smooth_label_rows(np.arange(10), 10, 0.0)
+        assert self.assert_cells_match(net, train_ds, test_ds, q_table).tolist() == ["", ""]
 
 
 class TestMetricsCsv:
@@ -610,11 +651,17 @@ class TestGrid:
         assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
 
     def test_evaluates_each_finished_cell_once(self, tmp_path, monkeypatch):
+        # A stack is evaluated once, after its last epoch, in one call that
+        # covers all of its cells.
         pin_grid_workers(monkeypatch)
         calls = count_evaluations(monkeypatch)
         grid_search(tiny_config(), [0.5, 1.0, 0.25], [0, 1], tmp_path / "grid.csv")
-        assert len(calls) == 6
-        # Cells that diverge while training are never evaluated.
+        assert [net.params.shape[0] for net, *_ in calls] == [6]
+        calls.clear()
+        monkeypatch.setattr(grid, "_STACK_ELEMENTS", 1192)  # stacks of two tiny cells
+        grid_search(tiny_config(), [0.5, 1.0, 0.25], [0, 1], tmp_path / "pairs.csv")
+        assert [net.params.shape[0] for net, *_ in calls] == [2, 2, 2]
+        # A stack whose cells all diverge while training is never evaluated.
         calls.clear()
         grid_search(tiny_config(schedule=step_schedule(1e150)), [0.5], [0, 1], tmp_path / "d.csv")
         assert calls == []

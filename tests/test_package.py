@@ -1,5 +1,5 @@
 """Package surface: the README's library import and stack bound, the benchmark's
-hooks, dead imports."""
+hooks, dead imports, where a divergence error is built and caught."""
 
 import ast
 import importlib
@@ -150,3 +150,29 @@ def test_readme_states_the_stack_bound():
     assert (bound, alone, desk) == (
         grid._STACK_ELEMENTS, grid._STACK_ELEMENTS // 2, desk_cell
     )
+
+
+def test_divergence_errors_are_built_in_the_training_loop_and_caught_in_main():
+    # Divergence stays per-cell data inside the training loop: only
+    # harness._train_cells turns it into a DivergenceError, and only cli.main
+    # catches one (to exit 5).
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    built, caught = set(), set()
+    for path in sorted((ROOT / "src" / "gradtamper").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> its outermost enclosing function; ast.walk goes outside in
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            where = f"{path.stem}.{owner.get(node, '<module>')}"
+            if isinstance(node, ast.Call) and "DivergenceError" in names(node.func):
+                built.add(where)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "DivergenceError" in names(node.type):
+                    caught.add(where)
+    assert built == {"harness._train_cells"}
+    assert caught == {"cli.main"}
