@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_real, is_count
+from ._checks import check_count, check_real, is_count
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -56,9 +56,13 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs)
+        check_count("num_classes", self.num_classes, 1)
+        inputs, labels = np.asarray(self.inputs), np.asarray(self.labels)
         self.inputs = inputs if inputs.dtype == np.uint8 else np.asarray(inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        # Checked as smooth_label_rows checks targets: a cast would truncate 1.7 to 1.
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ValueError(f"inputs must be a non-empty N x D matrix, got {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
@@ -180,24 +184,27 @@ def read_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABEL_MAGIC, 2, "label header")
 
 
+def _write_idx(path, magic: int, values, what: str, ndim: int) -> None:
+    """Write ``values``, ``ndim``-D integers in [0, 255], as an IDX file."""
+    values = np.asarray(values)
+    if values.ndim != ndim:
+        raise ValueError(f"expected {what}, got shape {values.shape}")
+    # Checked, not cast: uint8 would wrap 300 to 44 and truncate 2.7 to 2.
+    if values.dtype.kind not in "iu" or values.size and not 0 <= values.min() <= values.max() <= 255:
+        raise ValueError(f"{what} must hold integers in [0, 255], got dtype {values.dtype}")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + ndim}I", magic, *values.shape))
+        fh.write(values.astype(np.uint8, copy=False).tobytes())
+
+
 def write_idx_images(path, images: np.ndarray) -> None:
     """Inverse of ``read_idx_images``; byte-exact for uint8 input."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"expected N x rows x cols uint8 array, got shape {images.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">4I", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
+    _write_idx(path, IMAGE_MAGIC, images, "an N x rows x cols array of pixels", 3)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     """Inverse of ``read_idx_labels``."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError(f"expected a 1-D label vector, got shape {labels.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2I", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
+    _write_idx(path, LABEL_MAGIC, labels, "a 1-D label vector", 1)
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -215,4 +222,4 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"{labels_path} has {labels.shape[0]} labels"
         )
     flat = images.reshape(images.shape[0], -1)
-    return Dataset(flat, labels.astype(np.int64), int(labels.max()) + 1, split)
+    return Dataset(flat, labels, int(labels.max()) + 1, split)

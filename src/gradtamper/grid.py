@@ -30,7 +30,7 @@ from .harness import (
     _csv_line,
     _step_elements,
     _train_cells,
-    load_datasets,
+    datasets_for,
 )
 from .transform import TamperSpec
 
@@ -156,9 +156,8 @@ def grid_search(
     pending = [cell for cell in sweep if (repr(cell[0]), cell[1]) not in done]
     stacks = []
     workers = 1
-    if pending:
-        if datasets is None:
-            datasets = load_datasets(base.data)
+    if pending:  # loaded and checked before the CSV is opened or a worker forked
+        datasets = datasets_for(base, datasets)
         most = _grid_workers()
         stacks = _grid_stacks(pending, _STACK_ELEMENTS // _step_elements(base, datasets[0]), most)
         workers = min(most, len(stacks))

@@ -199,13 +199,7 @@ METRICS_HEADER = _csv_header(MetricsRecord)
 def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
     """Materialise the (train, test) pair described by ``spec``."""
     if spec.kind == "blobs":
-        return synth_blobs(
-            num_classes=spec.classes,
-            per_class=spec.per_class,
-            num_features=spec.features,
-            spread=spec.spread,
-            seed=spec.seed,
-        )
+        return synth_blobs(spec.classes, spec.per_class, spec.features, spec.spread, spec.seed)
     train = load_idx(spec.train_images, spec.train_labels, split="train")
     test = load_idx(spec.test_images, spec.test_labels, split="test")
     # Checked on the merged count: a split may lack a class the other holds.
@@ -526,22 +520,26 @@ def _fd_logit_grad(
     """Central-difference gradient of the engine's row loss at scaled logits,
     z -> ``cross_entropy_rows(scale * z, q)``.
 
-    ``z`` and ``q`` are one vector each, or (n, C) rows giving (n, C).  A
-    row's C perturbations ``z +- h e_k`` are a (C, C) block; rows go in
-    (rows, C, C) blocks of at most 2^16 elements (at least one row), which
-    stay in cache: 50 rows at C=100 took 20 ms as one block, 8 ms so split.
+    ``z`` is one vector or (n, C) rows, and ``q`` its target rows, of ``z``'s
+    shape or with extra leading axes, say a (2, n, C) stack of two label
+    smoothings; the result has ``q``'s shape.  A row's C perturbations
+    ``z +- h e_k`` are a (C, C) block, whose scaled log-softmax is taken once
+    for every set of targets; rows go in (rows, C, C) blocks of at most 2^16
+    elements (at least one row), which stay in cache: 50 rows at C=100 took
+    20 ms as one block, 8 ms so split.
     """
-    z2, q2 = np.atleast_2d(z, q)
+    z2 = np.atleast_2d(z)
     n, c = z2.shape
+    q2 = np.reshape(q, (-1, n, c))
     eye = np.eye(c) * h
-    grad = np.empty((n, c))
+    grad = np.empty(q2.shape)
     step = max(1, (1 << 16) // (c * c))
     for lo in range(0, n, step):
-        zb, qb = z2[lo : lo + step, None, :], q2[lo : lo + step, None, :]
+        zb, qb = z2[lo : lo + step, None, :], q2[:, lo : lo + step, None, :]
         # One (rows, C, C) block at a time: zb - eye is zb + (-eye), bit for bit.
         plus, minus = (cross_entropy_rows(scale * (zb + d), qb) for d in (eye, -eye))
-        grad[lo : lo + step] = plus - minus
-    return np.divide(grad, 2.0 * h, out=grad).reshape(np.shape(z))
+        grad[:, lo : lo + step] = plus - minus
+    return np.divide(grad, 2.0 * h, out=grad).reshape(np.shape(q))
 
 
 def max_relative_error(a, b, floor: float = 1e-4) -> float | np.ndarray:
@@ -680,15 +678,20 @@ def verify_claims(
                     lhs = power_transform_rows(p_of_z, alpha)
                     props["temperature-equivalence"].add(np.abs(lhs - (g + q_rows)).max(axis=1))
 
-            # Step 1e-4 balances truncation (~h^2) against cancellation noise
-            # (~|CE| * 1e-16 / 2h); the floor is widened to 3e-4 because the
-            # logits here are deliberately wild (CE values up to ~30).
-            # At alpha = 1 the scaled surrogate is the plain cross-entropy.
-            z, q = logits[: min(trials, 50)], q_rows[: min(trials, 50)]
-            for alpha in (1.0, 0.3, 0.5):
-                fd = _fd_logit_grad(z, q, scale=alpha, h=1e-4) / alpha
-                name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
-                props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd, floor=3e-4))
+        # The finite-difference oracles take the first 50 rows' targets at
+        # both smoothings as one (2, rows, C) stack, one oracle call per
+        # strength.  Step 1e-4 balances truncation (~h^2) against
+        # cancellation noise (~|CE| * 1e-16 / 2h); the floor is widened to
+        # 3e-4 because the logits here are deliberately wild (CE values up
+        # to ~30).  At alpha = 1 the scaled surrogate is the plain
+        # cross-entropy.
+        rows = min(trials, 50)
+        q = np.stack([smooth_label_rows(targets[:rows], c, eps) for eps in (0.0, 0.1)])
+        z = logits[:rows]
+        for alpha in (1.0, 0.3, 0.5):
+            fd = _fd_logit_grad(z, q, scale=alpha, h=1e-4) / alpha
+            name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
+            props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd, floor=3e-4))
 
         # Clipping facts on random gradient vectors, through the engine's
         # global clip on a stack of them, one bound per row.  The reference
@@ -709,14 +712,12 @@ def verify_claims(
         # softmax(z) underflows to exact zeros while softmax(alpha z) does
         # not.  The reference is the finite-difference gradient of the
         # cross-entropy taken at the scaled logits alpha*z, where it is well
-        # conditioned.
-        wide = rng.normal(0.0, 300.0, size=(min(trials, 50), c))
-        for eps in (0.0, 0.1):
-            q_rows = smooth_label_rows(targets[: wide.shape[0]], c, eps)
-            for alpha in (0.01, 0.02):
-                g = tampered_dlogits(wide, q_rows, alpha)
-                fd = _fd_logit_grad(alpha * wide, q_rows, h=1e-4)
-                props["wide-logit-gradient"].add(max_relative_error(g, fd, floor=3e-4))
+        # conditioned.  The targets are the same rows' stack.
+        wide = rng.normal(0.0, 300.0, size=(rows, c))
+        for alpha in (0.01, 0.02):
+            g = tampered_dlogits(wide, q, alpha)
+            fd = _fd_logit_grad(alpha * wide, q, h=1e-4)
+            props["wide-logit-gradient"].add(max_relative_error(g, fd, floor=3e-4))
 
     return VerifyReport(
         seed=seed,

@@ -66,10 +66,20 @@ def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> 
     return q
 
 
+def _out(a: np.ndarray, q) -> np.ndarray | None:
+    """``a`` when broadcasting it against ``q`` keeps its shape, so that an
+    elementwise result can overwrite it; else None, a fresh array."""
+    return a if np.broadcast(a, q).shape == a.shape else None
+
+
 def cross_entropy_rows(logits: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Cross-entropy ``-sum(q * log_softmax(logits))`` of each row, one value per row."""
+    """Cross-entropy ``-sum(q * log_softmax(logits))`` of each row, one value per row.
+
+    ``q`` may carry extra leading axes, say one set of target rows per label
+    smoothing; the log-softmax is then taken once and serves every set.
+    """
     ls = log_softmax(logits)
-    return -np.multiply(ls, q, out=ls).sum(axis=-1)
+    return -np.multiply(ls, q, out=_out(ls, q)).sum(axis=-1)
 
 
 def batch_cross_entropy(logits: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -97,7 +107,9 @@ def tampered_dlogits(
 
     This is ``p' - q`` with ``p'`` the power transform of ``softmax(logits)``;
     ``alpha = 1`` gives the plain cross-entropy gradient ``softmax(z) - q``.
-    A stack (S, B, C) may take one alpha per cell, shaped (S, 1, 1).
+    A stack (S, B, C) may take one alpha per cell, shaped (S, 1, 1).  As in
+    :func:`cross_entropy_rows`, ``q`` may carry extra leading axes, which
+    share one softmax.
     """
     p = softmax(check_real("alpha", alpha, 0, 1, "[]") * logits)
-    return np.subtract(p, q, out=p)
+    return np.subtract(p, q, out=_out(p, q))

@@ -369,26 +369,34 @@ def save_checkpoint(net: DenseNet, path) -> None:
 
 
 def load_checkpoint(path) -> DenseNet:
-    """Read a network written by ``save_checkpoint``; bit-exact round-trip."""
+    """Read a network written by ``save_checkpoint``; bit-exact round-trip.
+
+    A file cut short raises ValueError naming its path and the byte offset at
+    which the part it cuts begins."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    version, n_layers = struct.unpack_from("<II", blob, 4)
+        blob = memoryview(fh.read())
+    offset = 0
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if len(blob) - offset < size:
+            raise ValueError(f"{path}: truncated {what} at byte {offset}: "
+                             f"needs {size} bytes, {len(blob) - offset} remain")
+        offset += size
+        return blob[offset - size : offset]
+
+    if take(4, "magic") != _CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic {bytes(blob[:4])!r})")
+    version, n_layers = struct.unpack("<II", take(8, "header"))
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     layers = []
-    for _ in range(n_layers):
-        code, out_size, in_size = struct.unpack_from("<BII", blob, offset)
-        offset += 9
+    for k in range(n_layers):
+        code, out_size, in_size = struct.unpack("<BII", take(9, f"layer {k} header"))
         if code not in _ACT_NAMES:
             raise ValueError(f"{path}: unknown activation code {code} at byte {offset - 9}")
-        w_bytes = out_size * in_size * 8
-        w = np.frombuffer(blob, dtype="<f8", count=out_size * in_size, offset=offset)
-        offset += w_bytes
-        b = np.frombuffer(blob, dtype="<f8", count=out_size, offset=offset)
-        offset += out_size * 8
+        w = np.frombuffer(take(out_size * in_size * 8, f"layer {k} weights"), dtype="<f8")
+        b = np.frombuffer(take(out_size * 8, f"layer {k} biases"), dtype="<f8")
         # No copy: DenseNet packs the read-only buffer views into its params.
         layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
     if offset != len(blob):

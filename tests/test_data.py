@@ -90,6 +90,34 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="NaN"):
             Dataset(x, np.array([0, 1]), num_classes=2)
 
+    # Labels follow the rule smooth_label_rows applies to targets: integers
+    # only, never cast (0.5 and 1.7 would become 0 and 1).
+    def test_float_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            Dataset(np.zeros((2, 2)), np.array([0.5, 1.7]), num_classes=2)
+
+    def test_bool_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype bool"):
+            Dataset(np.zeros((2, 2)), np.array([False, True]), num_classes=2)
+
+    # num_classes is a count, checked by the package's one rule.
+    def test_fractional_num_classes_rejected(self):
+        with pytest.raises(ValueError, match=r"num_classes must be an integer >= 1, got 2\.5"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=2.5)
+
+    def test_string_num_classes_rejected(self):
+        with pytest.raises(ValueError, match="num_classes must be an integer >= 1, got '3'"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), num_classes="3")
+
+    def test_none_num_classes_rejected(self):
+        with pytest.raises(ValueError, match="num_classes must be an integer >= 1, got None"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=None)
+
+    def test_integer_labels_of_any_width_kept(self):
+        for dtype in (np.uint8, np.int32, np.int64):
+            ds = Dataset(np.zeros((2, 2)), np.array([1, 0], dtype=dtype), np.int64(2))
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
 
 class TestDatasetDtypes:
     """uint8 inputs are 8-bit pixels, read as / 255; every other dtype is float64."""
@@ -217,6 +245,31 @@ class TestIdxFiles:
             write_idx_images(tmp_path / "x", np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             write_idx_labels(tmp_path / "y", np.zeros((2, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[300, 0, 2], [-1, 0, 2], [300.0, -1.0, 2.7], [1.0, 0.0, 2.0], [True, False, True]],
+        ids=["above-255", "negative", "floats-out-of-range", "integral-floats", "bool"],
+    )
+    def test_write_rejects_what_uint8_would_change(self, tmp_path, values):
+        # uint8 would wrap 300 to 44 and -1 to 255, and truncate 2.7 to 2.
+        values = np.array(values)
+        with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+            write_idx_images(tmp_path / "x", values.reshape(3, 1, 1))
+        with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+            write_idx_labels(tmp_path / "y", values)
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+    def test_write_takes_in_range_integers_of_any_width(self, tmp_path):
+        for dtype in (np.int64, np.uint16, np.int8):
+            write_idx_images(tmp_path / "x", np.arange(8, dtype=dtype).reshape(2, 2, 2))
+            write_idx_labels(tmp_path / "y", np.array([0, 1], dtype=dtype))
+            assert (tmp_path / "x").read_bytes() == GOLDEN_IMAGES
+            assert (tmp_path / "y").read_bytes() == GOLDEN_LABELS
+        write_idx_labels(tmp_path / "y", np.array([0, 255]))
+        assert_array_equal(read_idx_labels(tmp_path / "y"), [0, 255])
+        write_idx_labels(tmp_path / "y", np.zeros(0, dtype=np.int64))
+        assert read_idx_labels(tmp_path / "y").shape == (0,)
 
 
 class TestLoadIdx:

@@ -719,6 +719,27 @@ class TestGrid:
             grid_search(tiny_config(), alphas, seeds, tmp_path / "g.csv")
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oversized_batch_rejected_before_any_file(self, tmp_path, monkeypatch, workers):
+        pin_grid_workers(monkeypatch, workers)
+        cfg = replace(TrainConfig(epochs=2), batch_size=5000)
+        with pytest.raises(ValueError, match="exceeds training set size 800"):
+            grid_search(cfg, [0.5, 1.0], [0, 1], tmp_path / "grid.csv")
+        assert not (tmp_path / "grid.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_resume_with_nothing_pending_loads_no_data(self, tmp_path, monkeypatch):
+        p = tmp_path / "grid.csv"
+        rows = grid_search(tiny_config(epochs=1), [0.5, 1.0], [0], p)
+        complete = p.read_bytes()
+
+        def no_data(*args):
+            raise AssertionError("a finished sweep loaded its data")
+
+        monkeypatch.setattr(grid, "datasets_for", no_data)
+        assert grid_search(tiny_config(epochs=1), [0.5, 1.0], [0], p) == rows
+        assert p.read_bytes() == complete
+
 
 class TestGridWorkers:
     """A grid's stacks train in forked worker processes, one per usable CPU."""
@@ -770,11 +791,16 @@ class TestGridWorkers:
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, monkeypatch):
-        # Each of the two one-cell stacks raises in its worker.
+        # Each of the two one-cell stacks raises in its worker, which forks
+        # with the planted trainer in place.
+        def planted(base, stack, datasets, final_only):
+            raise ValueError(f"planted failure in {stack}")
+
         pin_grid_workers(monkeypatch, 2)
+        monkeypatch.setattr(grid, "_train_cells", planted)
         p = tmp_path / "grid.csv"
-        with pytest.raises(ValueError, match="exceeds training set"):
-            grid_search(tiny_config(batch_size=4096), [0.5, 1.0], [0], p)
+        with pytest.raises(ValueError, match="planted failure"):
+            grid_search(tiny_config(), [0.5, 1.0], [0], p)
         assert multiprocessing.active_children() == []
         assert p.read_text() == GRID_HEADER + "\n"
 
@@ -904,6 +930,36 @@ class TestVerifyKernels:
                     assert_array_equal(single, _former_fd_logit_grad(z[i], q[i], scale, 1e-4))
             assert_array_equal(z, z_before)
             assert_array_equal(q, q_before)
+
+    @pytest.mark.parametrize("c, n", [(2, 9), (10, 9), (100, 13)])
+    def test_fd_target_stack_equals_per_smoothing_calls(self, c, n):
+        # One (2, n, C) stack of smoothings 0 and 0.1 gives (2, n, C), each
+        # set bit for bit its own call; a 1-D z takes a (2, C) stack.
+        rng = np.random.default_rng(c)
+        targets = rng.integers(0, c, size=n)
+        q = np.stack([smooth_label_rows(targets, c, eps) for eps in (0.0, 0.1)])
+        for sigma in (3.0, 300.0):
+            z = rng.normal(0.0, sigma, size=(n, c))
+            for scale in (1.0, 0.3, 0.01):
+                for zs, qs in ((z, q), (z[0], q[:, 0])):
+                    stacked = _fd_logit_grad(zs, qs, scale=scale, h=1e-4)
+                    assert stacked.shape == qs.shape
+                    for s in range(2):
+                        alone = _fd_logit_grad(zs, qs[s], scale=scale, h=1e-4)
+                        assert_array_equal(stacked[s].view(np.int64), alone.view(np.int64))
+
+    def test_verify_calls_the_fd_oracle_five_times_per_class_count(self, monkeypatch):
+        # Three strengths on sigma-3 rows and two on sigma-300 rows, each call
+        # taking both smoothings of the first 50 rows as one stack.
+        shapes = []
+
+        def spy(z, q, *args, **kw):
+            shapes.append((np.shape(z), np.shape(q)))
+            return _fd_logit_grad(z, q, *args, **kw)
+
+        monkeypatch.setattr(harness, "_fd_logit_grad", spy)
+        assert verify_claims(seed=0, trials=60, class_counts=(2, 10, 100)).passed
+        assert shapes == [((50, c), (2, 50, c)) for c in (2, 10, 100) for _ in range(5)]
 
     def test_fd_oracle_differentiates_the_engine_row_loss(self, monkeypatch):
         # The oracle's loss is lossgrad's own, taken at scale * (z +- h e_k).

@@ -351,6 +351,43 @@ class TestInPlaceKernels:
         assert_array_equal(q, q_before)
 
 
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+class TestTargetStacks:
+    """Target rows with extra leading axes, one set per label smoothing, share
+    one (log-)softmax of the logits; each set's result equals the call on that
+    set alone bit for bit."""
+
+    @pytest.mark.parametrize("c", [2, 10, 100])
+    def test_stack_equals_per_smoothing_calls(self, c):
+        rng = np.random.default_rng(c)
+        n = 7
+        q = np.stack([smooth_label_rows(rng.integers(0, c, size=n), c, eps) for eps in (0.0, 0.1)])
+        z = rng.normal(0, 3, (n, c))
+        wide = rng.normal(0, 300, (n, c))
+        # The finite-difference oracle's layout: (rows, C, C) perturbed blocks
+        # against (2, rows, 1, C) targets.
+        blocks = z[:, None, :] + np.eye(c) * 1e-4
+        cases = [(z, q), (wide, q), (z[0], q[:, 0]), (blocks, q[:, :, None, :])]
+        q_before = q.copy()
+        for logits, targets in cases:
+            logits_before = logits.copy()
+            rows = cross_entropy_rows(logits, targets)
+            assert rows.shape == np.broadcast_shapes(logits.shape, targets.shape)[:-1]
+            for s in range(2):
+                assert_array_equal(bits(rows[s]), bits(cross_entropy_rows(logits, targets[s])))
+            for alpha in (1.0, 0.3, 0.01):
+                grads = tampered_dlogits(logits, targets, alpha)
+                assert grads.shape == np.broadcast_shapes(logits.shape, targets.shape)
+                for s in range(2):
+                    alone = tampered_dlogits(logits, targets[s], alpha)
+                    assert_array_equal(bits(grads[s]), bits(alone))
+            assert_array_equal(logits, logits_before)
+        assert_array_equal(q, q_before)
+
+
 class TestClip:
     """Global-norm clipping, the baseline intervention tampering is compared
     against; the engine clips the whole parameter-gradient vector."""

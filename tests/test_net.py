@@ -557,6 +557,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
 
+    def test_every_truncation_named_with_path_and_offset(self, tmp_path):
+        # A 3-4-2 checkpoint: magic [0, 4), header [4, 12), then per layer a
+        # 9-byte header, its weights and its biases.
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_dense_net([3, 4, 2], np.random.default_rng(74)), path)
+        blob = path.read_bytes()
+        parts = [(0, "magic"), (4, "header"), (12, "layer 0 header"), (21, "layer 0 weights"),
+                 (117, "layer 0 biases"), (149, "layer 1 header"), (158, "layer 1 weights"),
+                 (222, "layer 1 biases"), (238, None)]
+        assert len(blob) == parts[-1][0]
+        cut = tmp_path / "cut.ckpt"
+        for (start, what), (end, _) in zip(parts, parts[1:]):
+            for size in range(start, end):
+                cut.write_bytes(blob[:size])
+                message = (f"{cut}: truncated {what} at byte {start}: "
+                           f"needs {end - start} bytes, {size - start} remain")
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    load_checkpoint(cut)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         net = init_dense_net([2, 2], np.random.default_rng(72))
         path = tmp_path / "net.ckpt"
