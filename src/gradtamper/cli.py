@@ -17,8 +17,13 @@ rejects any explicit key that would change it.  The output root is taken
 from ``--out``, else the ``GRADTAMPER_OUT`` environment variable, else
 ``./runs``.
 
-List-valued options accept either comma lists (``0.1,0.3,1.0``) or inclusive
-ranges ``start:stop:step`` (``0:1:0.25`` -> 0, 0.25, 0.5, 0.75, 1.0).
+Every list, the keys ``hidden``, ``step_milestones``, ``grid_alphas`` and
+``grid_seeds`` and the flags ``analyze --alphas``, ``analyze --p`` and
+``verify --classes``, is a comma list (``0.1,0.3,1.0``) or an inclusive range
+``start:stop:step`` (``0:1:0.25`` -> 0, 0.25, 0.5, 0.75, 1.0).  A range's
+ends and step must be finite, and it holds at most 10^6 values.  Integers, in
+lists or alone, are read exactly; float text naming one (``2.0``, ``1e3``)
+reads as that integer.
 
 Exit codes:
     0  success
@@ -32,11 +37,15 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import Field, fields
 
 import numpy as np
@@ -71,10 +80,14 @@ def _float_of(key: str, raw: str) -> float:
 
 
 def _int_of(key: str, raw: str) -> int:
+    """An integer literal, read exactly, or float text naming an integer (``2.0``, ``1e3``)."""
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{key}: expected an integer, got {raw!r}") from None
+        with contextlib.suppress(ValueError):
+            if float(raw).is_integer():
+                return int(float(raw))
+    raise ValueError(f"{key}: expected an integer, got {raw!r}")
 
 
 def _bool_of(key: str, raw: str) -> bool:
@@ -90,41 +103,37 @@ def _is_none(raw: str) -> bool:
     return raw.strip().lower() in ("", "none", "null")
 
 
-def _int_tuple_of(key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_int_of(key, tok.strip()) for tok in raw.split(",") if tok.strip())
+_MAX_RANGE = 10**6
 
 
-def parse_value_list(text: str, what: str, integral: bool = False) -> list[float]:
-    """Comma list or inclusive ``start:stop:step`` range."""
-    text = text.strip()
-    if not text:
-        raise ValueError(f"{what}: empty list")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{what}: range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (_float_of(what, p) for p in parts)
-        if step <= 0:
-            raise ValueError(f"{what}: range step must be positive")
-        if stop < start:
-            raise ValueError(f"{what}: range stop must be >= start")
-        values = []
-        i = 0
-        while True:
-            value = round(start + i * step, 10)
-            if value > stop + 1e-9:
-                break
-            values.append(value)
-            i += 1
-    else:
-        values = [_float_of(what, tok.strip()) for tok in text.split(",") if tok.strip()]
+def parse_value_list(text: str, what: str, read: Callable[[str, str], float] = _float_of) -> list:
+    """A comma list, or an inclusive range ``start:stop:step``, of values read by
+    ``read`` (``_float_of`` or ``_int_of``) from each token, end and step.
+
+    A range's ends and step must be finite, and it holds at most ``_MAX_RANGE``
+    values.  An integer range is exact; a float range's values are
+    ``round(start + i*step, 10)`` up to 1e-9 past ``stop``.
+    """
+    if ":" not in text:
+        values = [read(what, tok.strip()) for tok in text.split(",") if tok.strip()]
         if not values:
             raise ValueError(f"{what}: empty list")
-    if integral:
-        bad = [v for v in values if v != int(v)]
-        if bad:
-            raise ValueError(f"{what}: expected integers, got {bad}")
-    return values
+        return values
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"{what}: range syntax is start:stop:step, got {text.strip()!r}")
+    start, stop, step = (read(what, part.strip()) for part in parts)
+    if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):  # NaN fails too
+        raise ValueError(f"{what}: range {text.strip()!r} needs finite start <= stop and step > 0")
+    last = stop if read is _int_of else stop + 1e-9  # an integer range has no slack
+    # round(v, 10) is v for an integer, and never falls as i grows: the count
+    # is the first i whose value passes the last, found before any is built.
+    count = bisect.bisect(
+        range(_MAX_RANGE + 1), False, key=lambda i: round(start + i * step, 10) > last
+    )
+    if count > _MAX_RANGE:
+        raise ValueError(f"{what}: range {text.strip()!r} holds more than {_MAX_RANGE} values")
+    return [round(start + i * step, 10) for i in range(count)]
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -179,7 +188,8 @@ _SPECS = {"data": DataSpec, None: TrainConfig, "schedule": ScheduleSpec, "tamper
 _RENAMED = {("data", "kind"): "data", ("data", "seed"): "data_seed",
             ("schedule", "kind"): "schedule"}
 _READERS = {"str": lambda key, raw: raw, "int": _int_of, "float": _float_of, "bool": _bool_of,
-            "tuple[int, ...]": _int_tuple_of}
+            "tuple[int, ...]": lambda key, raw: (
+                tuple(parse_value_list(raw, key, _int_of)) if raw.strip() else ())}
 _GROUPS: dict[str | None, dict[str, Field]] = {
     spec: {_RENAMED.get((spec, f.name), f.name): f for f in fields(cls) if f.name not in _SPECS}
     for spec, cls in _SPECS.items()
@@ -299,7 +309,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _build_grid(kv: dict[str, str]) -> tuple[TrainConfig, list[float], list[int]]:
     alphas = parse_value_list(kv["grid_alphas"], "grid_alphas")
-    seeds = [int(s) for s in parse_value_list(kv["grid_seeds"], "grid_seeds", integral=True)]
+    seeds = parse_value_list(kv["grid_seeds"], "grid_seeds", _int_of)
     config = build_train_config(kv)
     check_grid(alphas, seeds)
     return config, alphas, seeds
@@ -368,11 +378,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     alphas = parse_value_list(args.alphas, "--alphas")
-    try:
-        values = [float(tok) for tok in args.p.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--p: expected comma-separated numbers, got {args.p!r}") from None
-    p = prob_vec(values)
+    p = prob_vec(parse_value_list(args.p, "--p"))
     # Every row is computed before anything is printed or written: a bad
     # alpha anywhere in the list leaves no partial table.  At alpha = 1 the
     # transform is the identity and there is no threshold.
@@ -397,8 +403,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    classes = [int(c) for c in parse_value_list(args.classes, "--classes", integral=True)]
-    report = verify_claims(seed=args.seed, trials=args.trials, class_counts=tuple(classes))
+    classes = tuple(parse_value_list(args.classes, "--classes", _int_of))
+    report = verify_claims(seed=args.seed, trials=args.trials, class_counts=classes)
     print(format_verify_report(report))
     return 0 if report.passed else 6
 

@@ -215,6 +215,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     rows read.  The class count is taken from the largest label present.
     """
     images = read_idx_images(images_path)
+    if not images.size:  # no images, or images of no pixels
+        raise IdxFormatError(f"{images_path}: holds no pixels, shape {images.shape}")
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(

@@ -371,8 +371,8 @@ def save_checkpoint(net: DenseNet, path) -> None:
 def load_checkpoint(path) -> DenseNet:
     """Read a network written by ``save_checkpoint``; bit-exact round-trip.
 
-    A file cut short raises ValueError naming its path and the byte offset at
-    which the part it cuts begins."""
+    Every rejection raises ValueError led by the path; a file cut short names
+    the byte offset at which the part it cuts begins."""
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     offset = 0
@@ -380,25 +380,28 @@ def load_checkpoint(path) -> DenseNet:
     def take(size: int, what: str) -> memoryview:
         nonlocal offset
         if len(blob) - offset < size:
-            raise ValueError(f"{path}: truncated {what} at byte {offset}: "
+            raise ValueError(f"truncated {what} at byte {offset}: "
                              f"needs {size} bytes, {len(blob) - offset} remain")
         offset += size
         return blob[offset - size : offset]
 
-    if take(4, "magic") != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {bytes(blob[:4])!r})")
-    version, n_layers = struct.unpack("<II", take(8, "header"))
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    layers = []
-    for k in range(n_layers):
-        code, out_size, in_size = struct.unpack("<BII", take(9, f"layer {k} header"))
-        if code not in _ACT_NAMES:
-            raise ValueError(f"{path}: unknown activation code {code} at byte {offset - 9}")
-        w = np.frombuffer(take(out_size * in_size * 8, f"layer {k} weights"), dtype="<f8")
-        b = np.frombuffer(take(out_size * 8, f"layer {k} biases"), dtype="<f8")
-        # No copy: DenseNet packs the read-only buffer views into its params.
-        layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after layer data")
-    return DenseNet(layers)
+    try:
+        if take(4, "magic") != _CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint (bad magic {bytes(blob[:4])!r})")
+        version, n_layers = struct.unpack("<II", take(8, "header"))
+        if version != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        layers = []
+        for k in range(n_layers):
+            code, out_size, in_size = struct.unpack("<BII", take(9, f"layer {k} header"))
+            if code not in _ACT_NAMES:
+                raise ValueError(f"unknown activation code {code} at byte {offset - 9}")
+            w = np.frombuffer(take(out_size * in_size * 8, f"layer {k} weights"), dtype="<f8")
+            b = np.frombuffer(take(out_size * 8, f"layer {k} biases"), dtype="<f8")
+            # No copy: DenseNet packs the read-only buffer views into its params.
+            layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} trailing bytes after layer data")
+        return DenseNet(layers)
+    except ValueError as exc:  # the layer and net checks' messages too
+        raise ValueError(f"{path}: {exc}") from None

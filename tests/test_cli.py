@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import gradtamper
 import gradtamper.cli as cli
 from gradtamper import __version__
-from gradtamper.cli import main, parse_config_file, parse_value_list
+from gradtamper.cli import _float_of, _int_of, main, parse_config_file, parse_value_list
 from gradtamper.data import write_idx_images, write_idx_labels
 from gradtamper.grid import GRID_HEADER
 from gradtamper.harness import DataSpec, PropertyResult, TrainConfig, VerifyReport
@@ -173,6 +174,20 @@ def assert_one_class_rejected(err, label_paths, out):
     assert list(out.glob("*-[0-9][0-9][0-9]")) == []
 
 
+def _former_range(text):
+    """Reference: the former range reader, whose loop built values until one passed the stop."""
+    start, stop, step = (float(part) for part in text.split(":"))
+    values = []
+    i = 0
+    while True:
+        value = round(start + i * step, 10)
+        if value > stop + 1e-9:
+            break
+        values.append(value)
+        i += 1
+    return values
+
+
 class TestValueLists:
     def test_range_is_inclusive(self):
         assert parse_value_list("0:1:0.25", "x") == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -180,16 +195,73 @@ class TestValueLists:
 
     def test_comma_list(self):
         assert parse_value_list("0.3, 1.0", "x") == [0.3, 1.0]
-        assert parse_value_list("0,1,2", "x", integral=True) == [0, 1, 2]
+        assert parse_value_list("0,1,2", "x", _int_of) == [0, 1, 2]
 
     def test_rejections(self):
-        for bad, integral in [
-            ("", False), ("1:0:0.1", False), ("0:1:0", False),
-            ("1:2", False), ("a,b", False), ("0.5,1", True),
+        for bad, read in [
+            ("", _float_of), ("1:0:0.1", _float_of), ("0:1:0", _float_of),
+            ("1:2", _float_of), ("a,b", _float_of), ("0.5,1", _int_of),
         ]:
             with pytest.raises(ValueError):
-                parse_value_list(bad, "x", integral=integral)
+                parse_value_list(bad, "x", read)
 
+    def test_ranges_keep_the_former_values(self):
+        # Seeded random ranges of decimal text, many of whose stops land on or
+        # near a step, against the former loop: same values, same reprs.
+        rng = np.random.default_rng(23)
+        specs = ["0:1:0.25", "0:1:0.1", "0:1:0.5", "0:4:1", "0:1:0.2", "0.1:0.9:0.1", "1e20:1e20:1",
+                 "0:0.599999999:0.1"]  # 0.6 is round(6 * 0.1, 10), not 6 * 0.1, past the stop
+        for _ in range(4000):
+            scale = 10 ** int(rng.integers(0, 5))
+            start, step = int(rng.integers(-10**5, 10**5)), int(rng.integers(1, 10**4))
+            # Nudged inside, onto and outside the 1e-9 slack, or by one unit of the last digit.
+            nudges = [0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1 / scale]
+            nudge = float(rng.choice(nudges))
+            stop = max((start + int(rng.integers(0, 60)) * step) / scale + nudge, start / scale)
+            spec = f"{start / scale!r}:{stop!r}:{step / scale!r}"
+            specs.append(spec if rng.random() < 0.8 else re.sub(r"(?<!\d)0\.", ".", spec))
+        for spec in specs:
+            got, want = parse_value_list(spec, "x"), _former_range(spec)
+            assert got == want and list(map(repr, got)) == list(map(repr, want)), spec
+
+    @pytest.mark.parametrize("text", ["0:inf:1", "0:1:nan", "nan:1:0.5", "0:1:1e-300"])
+    def test_range_unbounded_or_too_long_rejected(self, text):
+        # The former loop never returned on these.
+        with pytest.raises(ValueError, match="^x: range"):
+            parse_value_list(text, "x")
+
+    def test_a_range_holds_at_most_a_million_values(self):
+        assert len(parse_value_list("1:1000000:1", "x", _int_of)) == 10**6
+        with pytest.raises(ValueError, match="more than 1000000 values"):
+            parse_value_list("0:1000000:1", "x", _int_of)
+        with pytest.raises(ValueError, match="more than 1000000 values"):
+            parse_value_list("1e300:1e300:1", "x")
+
+    def test_integers_read_exactly(self):
+        big = 9007199254740993  # 2^53 + 1, which a float rounds to 2^53
+        assert parse_value_list(str(big), "x", _int_of) == [big]
+        assert parse_value_list(f"{big}:{big + 2}:1", "x", _int_of) == [big, big + 1, big + 2]
+        seeds = cli._build_grid({**cli._GRID_DEFAULTS, "grid_seeds": str(big)})[2]
+        assert seeds == [big]
+
+    def test_float_text_naming_an_integer_still_reads(self):
+        assert parse_value_list("2.0", "x", _int_of) == [2]
+        assert parse_value_list("1e3", "x", _int_of) == [1000]
+        assert parse_value_list("0:4:1.0", "x", _int_of) == [0, 1, 2, 3, 4]
+        assert cli.build_train_config({**cli._TRAIN_DEFAULTS, "epochs": "30.0"}).epochs == 30
+
+    @pytest.mark.parametrize("text", ["1e400", "inf", "nan", "2.5", "0:inf:1"])
+    def test_integer_that_is_not_one_rejected(self, text):
+        with pytest.raises(ValueError, match="^x: "):
+            parse_value_list(text, "x", _int_of)
+
+    def test_tuple_keys_take_ranges(self):
+        kv = {**cli._TRAIN_DEFAULTS, "hidden": "32:64:32", "step_milestones": "10:20:10"}
+        config = cli.build_train_config(kv)
+        assert config.hidden == (32, 64)
+        assert config.schedule.step_milestones == (10, 20)
+        kv["step_milestones"] = " "
+        assert cli.build_train_config(kv).schedule.step_milestones == ()
 
     @pytest.mark.parametrize("text", [",", " , ,"])
     def test_commas_only_is_an_empty_list(self, text):
@@ -311,6 +383,19 @@ class TestTrainCommand:
         flags, label_paths = one_class_idx_flags(tmp_path)
         assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
         assert_one_class_rejected(capsys.readouterr().err, label_paths, tmp_path / "out")
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2)], ids=["no-images", "no-pixels"])
+    def test_idx_images_without_pixels_exit_3(self, tmp_path, capsys, shape):
+        empty = tmp_path / "train-images.idx"
+        write_idx_images(empty, np.zeros(shape, dtype=np.uint8))
+        write_idx_labels(tmp_path / "train-labels.idx", np.zeros(shape[0], dtype=np.uint8))
+        write_idx_images(tmp_path / "test-images.idx", np.zeros((6, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "test-labels.idx", np.arange(6) % 2)
+        flags = [arg for name in ("train-images", "train-labels", "test-images", "test-labels")
+                 for arg in (f"--{name}", str(tmp_path / f"{name}.idx"))]
+        assert run_train(tmp_path / "out", "--data", "idx", *flags) == 3
+        assert capsys.readouterr().err.startswith(f"error: {empty}: ")
+        assert list((tmp_path / "out").glob("*-[0-9][0-9][0-9]")) == []
 
     def test_oversized_batch_exits_3_before_the_run_dir(self, tmp_path, capsys):
         # 4 classes of 2 points hold 4 training points, fewer than a batch of 16.
@@ -484,6 +569,12 @@ class TestGridCommand:
         assert "error: grid_alphas: empty list" in capsys.readouterr().err
         assert list(tmp_path.glob("grid-*")) == []
 
+    @pytest.mark.parametrize("axes", [["--grid-alphas", "0:inf:1"], ["--grid-seeds", "inf"]])
+    def test_unbounded_axis_exits_3_before_the_run_dir(self, tmp_path, capsys, axes):
+        assert main(["grid", "--out", str(tmp_path), *TINY, *self.GRID_ARGS, *axes]) == 3
+        assert capsys.readouterr().err.startswith("error: grid_")
+        assert list(tmp_path.glob("grid-*")) == []
+
     @pytest.mark.parametrize("key, absent", [("train_images", "missing"), ("test_labels", "dir")])
     def test_unreadable_idx_input_exits_3(self, tmp_path, capsys, key, absent):
         flags, bad = idx_flags_with_one_unreadable(tmp_path, key, absent)
@@ -599,6 +690,10 @@ class TestVerifyCommand:
     def test_bad_classes_exit_3(self, capsys):
         assert main(["verify", "--classes", "1,5"]) == 3
         assert "class_counts" in capsys.readouterr().err
+
+    def test_class_count_beyond_any_float_exits_3(self, capsys):
+        assert main(["verify", "--classes", "1e400"]) == 3
+        assert capsys.readouterr().err == "error: --classes: expected an integer, got '1e400'\n"
 
 
 class TestProcessIndependence:

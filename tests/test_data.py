@@ -1,5 +1,6 @@
 """Blob generator determinism and bit-exact IDX parsing."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,17 @@ class TestLoadIdx:
         assert ds.split == "test"
         assert_array_equal(ds.features(slice(None)), np.arange(8).reshape(2, 4) / 255.0)
         assert_array_equal(ds.labels, [0, 1])
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (3, 2, 0)])
+    def test_images_without_pixels_named(self, tmp_path, shape):
+        # A 0-image pair once failed in numpy's reshape, and 0-pixel images
+        # loaded as a 0-feature Dataset; both name the image file.
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, np.zeros(shape, dtype=np.uint8))
+        write_idx_labels(lp, np.zeros(shape[0], dtype=np.uint8))
+        message = f"{ip}: holds no pixels, shape {shape}"
+        with pytest.raises(IdxFormatError, match=re.escape(message)):
+            load_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"

@@ -576,6 +576,26 @@ class TestCheckpoint:
                 with pytest.raises(ValueError, match=re.escape(message)):
                     load_checkpoint(cut)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda a, b: a[:8] + struct.pack("<I", 0), "network needs at least one layer"),
+         (lambda a, b: a[:21] + struct.pack("<d", np.nan) + a[29:],
+          "layer parameters contain NaN or Inf"),
+         (lambda a, b: a[:69] + b[12:], "layer input size 3 does not match previous output size 2")],
+        ids=["no-layers", "nan-weight", "layers-do-not-chain"],
+    )
+    def test_rejected_layers_named_with_path(self, tmp_path, edit, message):
+        # ``a`` is a 2-2-2 checkpoint: magic and header [0, 12), layer 0's
+        # header [12, 21), weights [21, 53) and biases [53, 69), then layer 1;
+        # ``b`` is a 3-2 one, whose layer starts at byte 12.
+        rng = np.random.default_rng(75)
+        path, other = tmp_path / "net.ckpt", tmp_path / "other.ckpt"
+        save_checkpoint(init_dense_net([2, 2, 2], rng), path)
+        save_checkpoint(init_dense_net([3, 2], rng), other)
+        path.write_bytes(edit(path.read_bytes(), other.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         net = init_dense_net([2, 2], np.random.default_rng(72))
         path = tmp_path / "net.ckpt"

@@ -112,6 +112,25 @@ def test_only_lossgrad_reads_log_softmax():
     assert readers == []
 
 
+def test_only_parse_value_list_splits_on_commas():
+    # Every list the CLI takes goes through one reader, so a second list
+    # parser cannot come back.
+    tree = ast.parse((ROOT / "src" / "gradtamper" / "cli.py").read_text())
+    reader = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_value_list"
+    )
+    splits = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"split", "rsplit", "partition", "rpartition"}
+        and any(isinstance(arg, ast.Constant) and arg.value == "," for arg in node.args)
+    ]
+    assert splits
+    assert [line for line in splits if not reader.lineno <= line <= reader.end_lineno] == []
+
+
 def test_every_import_is_used(monkeypatch):
     # A module imports only what it reads.  The exceptions are the import
     # sites bench/spans.py patches.
