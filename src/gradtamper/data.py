@@ -23,6 +23,7 @@ __all__ = [
     "Dataset",
     "IdxFormatError",
     "check_blob_settings",
+    "check_path",
     "synth_blobs",
     "read_idx_images",
     "read_idx_labels",
@@ -142,9 +143,17 @@ def synth_blobs(
     return train, test
 
 
+def check_path(name: str, path) -> None:
+    """ValueError unless ``path`` is a str or an os.PathLike: ``open`` would
+    take an int, or a bool, as a file descriptor, and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path (str or os.PathLike), got {path!r}")
+
+
 def _read_idx(path, magic: int, words: int, what: str) -> np.ndarray:
     """The uint8 payload of an IDX file, shaped by its header: ``words`` big-endian
     u32 words, ``magic`` and then the dimensions; ``what`` names the header."""
+    check_path("IDX file", path)
     try:
         fh = open(path, "rb")
     except OSError as exc:  # a missing or unreadable input is a bad value, like a malformed one

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._checks import check_count, check_real, is_count
-from .data import Dataset, check_blob_settings, load_idx, synth_blobs
+from .data import Dataset, check_blob_settings, check_path, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
     cross_entropy_rows,
@@ -49,6 +49,7 @@ from .net import (
     forward,
     init_dense_net,
     init_opt_state,
+    param_count,
     row_norms,
     sgd_step,
     stack_nets,
@@ -106,6 +107,8 @@ class DataSpec:
         missing = [name for name in self.IDX_PATHS if getattr(self, name) is None]
         if self.kind == "idx" and missing:
             raise ValueError(f"idx data source needs paths for: {', '.join(missing)}")
+        for name in (name for name in self.IDX_PATHS if name not in missing):
+            check_path(name, getattr(self, name))
 
 
 def _desk_schedule() -> ScheduleSpec:
@@ -241,7 +244,7 @@ def _logits(net: DenseNet, ds: Dataset) -> np.ndarray:
     block; float64 blocks are views of the inputs and need none.
     """
     n, cells = len(ds), net.params.shape[:-1]
-    logits = np.empty((*cells, n, net.num_classes))
+    logits = np.empty((*cells, n, net.sizes[-1]))
     blocks = -(-n // _EVAL_ROWS)
     bounds = [n * k // blocks for k in range(blocks + 1)]
     widened = np.empty((-(-n // blocks), ds.num_features)) if ds.pixels else None
@@ -278,8 +281,7 @@ def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
     """Float64 values one cell's training step holds: the net's parameters,
     plus a batch's worth of rows for every layer width, input included."""
     sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
-    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    return params + base.batch_size * sum(sizes)
+    return param_count(sizes) + base.batch_size * sum(sizes)
 
 
 def _step(

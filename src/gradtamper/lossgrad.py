@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import check_count, check_real
+from ._checks import check_cells, check_count, check_real
 
 # The benchmark's span tracer wraps this import site (bench/spans.py TARGETS).
 from .transform import power_transform_rows  # noqa: F401
@@ -111,5 +111,5 @@ def tampered_dlogits(
     :func:`cross_entropy_rows`, ``q`` may carry extra leading axes, which
     share one softmax.
     """
-    p = softmax(check_real("alpha", alpha, 0, 1, "[]") * logits)
+    p = softmax(check_cells("alpha", alpha, 0, 1, "[]") * logits)
     return np.subtract(p, q, out=_out(p, q))

@@ -1,19 +1,21 @@
 """Dense feedforward network with explicit forward/backward passes.
 
-The network is a list of (weights, biases, activation) layers; the last
-layer's outputs are the logits.  Training mutates a network from a single
-thread.
-
-Parameter layout: every parameter lives in one contiguous float64 vector,
-``DenseNet.params``, layer by layer, each layer's weights row-major and then
-its biases (the checkpoint's order).  Each ``DenseLayer.weights``/``.biases``
-is a view into that vector, so writing through either name changes both;
-rebinding a layer's attribute to a new array unties it.  Gradients
+A ``DenseNet`` is a frozen record of three things: ``params``, every
+parameter in one contiguous float64 vector; ``sizes``, the layer widths,
+input first; and ``activations``, one per layer.  The layout of ``params`` is
+the checkpoint's order: layer by layer, each layer's weights row-major, then
+its biases.  ``layers`` holds one immutable ``DenseLayer`` of (weights,
+biases, activation) per layer, whose arrays are views into ``params`` built
+once, at construction; writing through either name changes both.  Gradients
 (``backward``) and the momentum velocity (``OptState``) are vectors in the
 same layout, so the optimizer and the clip never loop over layers.  The
 update runs over the flat vectors in blocks of ``_UPDATE_BLOCK`` elements,
 through two scratch blocks that ``OptState`` allocates once, so a step
-allocates nothing and its working set stays in L2.
+allocates nothing and its working set stays in L2.  Training mutates a
+network, through its ``params``, from a single thread.
+
+``DenseNet.of_layers`` packs separate (weights, biases, activation) layers
+into a new net; it is how a checkpoint is read.
 
 Cell axis: a net may hold S independent cells of the same architecture, with
 ``params`` of shape (S, P), layer views (S, out, in) and (S, out), and
@@ -30,20 +32,21 @@ float64 biases.  Raw float64 bytes make round-trips bit-exact.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_real, is_count
+from ._checks import check_cells, check_real, is_count
 
 __all__ = [
     "DenseLayer",
     "DenseNet",
     "OptState",
     "check_opt_settings",
+    "param_count",
     "init_dense_net",
     "init_opt_state",
     "stack_nets",
@@ -69,126 +72,117 @@ _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 _UPDATE_BLOCK = 1 << 15
 
 
-@dataclass
-class DenseLayer:
+class DenseLayer(NamedTuple):
+    """One layer: in a net, views into its ``params``; to ``of_layers``, any arrays."""
+
     weights: np.ndarray  # out x in, or cells x out x in
     biases: np.ndarray  # out, or cells x out
     activation: str = "identity"
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim not in (2, 3) or self.biases.ndim != self.weights.ndim - 1:
-            raise ValueError("weights must be 2-D and biases 1-D, or both with a cell axis")
-        if self.weights.shape[:-1] != self.biases.shape:
-            raise ValueError(
-                f"bias shape {self.biases.shape} does not match "
-                f"output shape {self.weights.shape[:-1]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise ValueError("layer parameters contain NaN or Inf")
+
+def param_count(sizes) -> int:
+    """Parameters of a net of layer widths ``sizes``, input first: each layer's
+    weights and biases.  ValueError unless there are two or more sizes, all
+    integers >= 1."""
+    if len(sizes) < 2 or not all(is_count(n) and n >= 1 for n in sizes):
+        raise ValueError(f"need an input and an output size, all integers >= 1, got {list(sizes)}")
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DenseNet:
-    """The layers, packed on construction into one parameter vector, or into
-    one per cell when the layers carry a cell axis."""
+    """``params`` ((P,), or (S, P) for S cells) of a net of layer widths
+    ``sizes`` and one activation per layer; ``layers`` views them.  What does
+    not make such a net, a NaN or Inf parameter included, raises ValueError."""
 
-    layers: list[DenseLayer] = field(default_factory=list)
-    params: np.ndarray = field(init=False, repr=False)
+    params: np.ndarray
+    sizes: tuple[int, ...]
+    activations: tuple[str, ...]
+    layers: tuple[DenseLayer, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.layers:
+        sizes, acts = tuple(self.sizes), tuple(self.activations)
+        if len(acts) != len(sizes) - 1:
+            raise ValueError(f"{len(sizes) - 1} layers need as many activations, got {acts}")
+        for act in acts:
+            if act not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+        # Contiguous, so that every layer view is a view and not a copy.
+        params = np.ascontiguousarray(self.params, dtype=np.float64)
+        if params.ndim not in (1, 2) or params.shape[-1] != param_count(sizes):
+            raise ValueError(f"params of shape {params.shape} do not fit sizes {sizes}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError("layer parameters contain NaN or Inf")
+        layers = tuple(DenseLayer(w, b, a) for (w, b), a in zip(_layer_views(sizes, params), acts))
+        # Past the frozen __setattr__, once: nothing rebinds them afterwards.
+        self.__dict__.update(params=params, sizes=sizes, activations=acts, layers=layers)
+
+    @classmethod
+    def of_layers(cls, layers) -> DenseNet:
+        """A new net packed from (weights, biases, activation) layers, each
+        2-D and 1-D or, for a stack, both with one cell axis."""
+        if not layers:
             raise ValueError("network needs at least one layer")
-        cells = self.layers[0].biases.shape[:-1]
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if cur.biases.shape[:-1] != cells:
+        parts, ws = [], []
+        for weights, biases, _ in layers:
+            w, b = np.asarray(weights, dtype=np.float64), np.asarray(biases, dtype=np.float64)
+            if w.ndim not in (2, 3) or b.ndim != w.ndim - 1:
+                raise ValueError("weights must be 2-D and biases 1-D, or both with a cell axis")
+            if w.shape[:-1] != b.shape:
+                raise ValueError(f"bias shape {b.shape} does not match output shape {w.shape[:-1]}")
+            if ws and b.shape[:-1] != ws[0].shape[:-2]:
                 raise ValueError("every layer needs the same cell axis")
-            if cur.weights.shape[-1] != prev.weights.shape[-2]:
-                raise ValueError(
-                    f"layer input size {cur.weights.shape[-1]} does not match "
-                    f"previous output size {prev.weights.shape[-2]}"
-                )
-        self._bind(np.concatenate(
-            [np.concatenate([l.weights.reshape(*cells, -1), l.biases], axis=-1) for l in self.layers],
-            axis=-1,
-        ))
+            if ws and w.shape[-1] != ws[-1].shape[-2]:
+                raise ValueError(f"layer input size {w.shape[-1]} does not match "
+                                 f"previous output size {ws[-1].shape[-2]}")
+            parts.append(np.concatenate([w.reshape(*b.shape[:-1], -1), b], axis=-1))
+            ws.append(w)
+        sizes = (ws[0].shape[-1], *(w.shape[-2] for w in ws))
+        return cls(np.concatenate(parts, axis=-1), sizes, tuple(act for *_, act in layers))
 
     def __deepcopy__(self, memo) -> DenseNet:
-        # Copying field by field would copy each view on its own, untied from
-        # the copied params; repacking copies the values and ties them again.
-        return DenseNet([DenseLayer(l.weights, l.biases, l.activation) for l in self.layers])
-
-    def _bind(self, params: np.ndarray) -> None:
-        # params (same layout, any cell axis) become the net's parameters, each
-        # layer's weights and biases views into it; nothing is copied or checked.
-        self.params = params
-        for layer, (w, b) in zip(self.layers, _layer_views(self, params)):
-            layer.weights, layer.biases = w, b
+        return DenseNet(self.params.copy(), self.sizes, self.activations)
 
     def cell(self, index: int) -> DenseNet:
         """Cell ``index`` of a stacked net, as a net that shares its memory."""
         if self.params.ndim != 2:
             raise ValueError("only a stacked net has cells")
-        view = copy.copy(self)  # no __post_init__: a cell is neither repacked nor revalidated
-        view.layers = [copy.copy(layer) for layer in self.layers]
-        view._bind(self.params[index])
-        return view
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weights.shape[-1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.layers[-1].weights.shape[-2]
+        return DenseNet(self.params[index], self.sizes, self.activations)
 
 
-def _layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weights, biases) views into an array in the ``params`` layout."""
+def _layer_views(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, biases) views into an array in the ``params`` layout
+    of a net of layer widths ``sizes``."""
     views, pos, cells = [], 0, flat.shape[:-1]
-    for layer in net.layers:
-        out_size, in_size = layer.weights.shape[-2:]
-        end = pos + out_size * in_size
-        views.append((
-            flat[..., pos:end].reshape(*cells, out_size, in_size),
-            flat[..., end : end + out_size],
-        ))
-        pos = end + out_size
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        end = pos + n_out * n_in
+        views.append((flat[..., pos:end].reshape(*cells, n_out, n_in), flat[..., end : end + n_out]))
+        pos = end + n_out
     return views
 
 
 def stack_nets(nets: list[DenseNet]) -> DenseNet:
     """One net whose cell ``s`` is a copy of ``nets[s]``; all share one architecture."""
-    return DenseNet([
-        DenseLayer(
-            np.stack([net.layers[k].weights for net in nets]),
-            np.stack([net.layers[k].biases for net in nets]),
-            layer.activation,
-        )
-        for k, layer in enumerate(nets[0].layers)
-    ])
+    first = nets[0]
+    if any((net.sizes, net.activations) != (first.sizes, first.activations) for net in nets):
+        raise ValueError("stacked nets need one architecture")
+    return DenseNet(np.stack([net.params for net in nets]), first.sizes, first.activations)
 
 
 def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "relu") -> DenseNet:
     """Build a network with the given layer sizes, e.g. [20, 64, 10].
 
     Weights use fan-in scaled uniform init (Kaiming-style, bound sqrt(6/fan_in)),
-    biases start at zero.  Hidden layers get ``hidden_activation``; the final
-    layer is identity so it emits raw logits.
+    drawn layer by layer; biases start at zero.  Hidden layers get
+    ``hidden_activation``; the final layer is identity so it emits raw logits.
     """
-    sizes = list(sizes)
-    if len(sizes) < 2 or not all(is_count(n) and n >= 1 for n in sizes):
-        raise ValueError(f"need an input and an output size, all integers >= 1, got {sizes}")
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+    sizes = tuple(sizes)
+    acts = (hidden_activation,) * (len(sizes) - 2) + ("identity",)
+    net = DenseNet(np.zeros(param_count(sizes)), sizes, acts)
+    for fan_in, layer in zip(sizes, net.layers):
         bound = math.sqrt(6.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        act = hidden_activation if i < len(sizes) - 2 else "identity"
-        layers.append(DenseLayer(w, np.zeros(fan_out), act))
-    return DenseNet(layers)
+        layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
+    return net
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
@@ -199,9 +193,9 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     """
     h = np.asarray(batch, dtype=np.float64)
     cells = net.params.shape[:-1]
-    if h.ndim != len(cells) + 2 or h.shape[:-2] != cells or h.shape[-1] != net.input_dim:
+    if h.ndim != len(cells) + 2 or h.shape[:-2] != cells or h.shape[-1] != net.sizes[0]:
         raise ValueError(
-            f"batch shape {h.shape} incompatible with input size {net.input_dim}"
+            f"batch shape {h.shape} incompatible with input size {net.sizes[0]}"
             f" and cell axis {cells}"
         )
     cache = []
@@ -227,7 +221,7 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
             f"dlogits shape {dlogits.shape} does not match logits {cache[-1][1].shape}"
         )
     grads = np.empty_like(net.params)
-    views = _layer_views(net, grads)
+    views = _layer_views(net.sizes, grads)
     d = dlogits
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
@@ -338,7 +332,7 @@ def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.nd
     Returns ``grads`` itself when every vector is short enough, a new array
     otherwise, in which the short vectors keep their values.
     """
-    check_real("clip norm", clip_norm, 0, math.inf, "(]")
+    check_cells("clip norm", clip_norm, 0, math.inf, "(]")
     if np.ndim(grads) not in (1, 2):
         raise ValueError(
             f"gradient must be a vector or one per cell, got shape {np.shape(grads)}"
@@ -398,10 +392,10 @@ def load_checkpoint(path) -> DenseNet:
                 raise ValueError(f"unknown activation code {code} at byte {offset - 9}")
             w = np.frombuffer(take(out_size * in_size * 8, f"layer {k} weights"), dtype="<f8")
             b = np.frombuffer(take(out_size * 8, f"layer {k} biases"), dtype="<f8")
-            # No copy: DenseNet packs the read-only buffer views into its params.
+            # No copy: of_layers packs the read-only buffer views into its params.
             layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} trailing bytes after layer data")
-        return DenseNet(layers)
+        return DenseNet.of_layers(layers)
     except ValueError as exc:  # the layer and net checks' messages too
         raise ValueError(f"{path}: {exc}") from None

@@ -6,8 +6,8 @@ so warmup is smooth at any batch count.  The cosine kind ramps linearly from
 period down to ``base_lr`` at the start of the cooldown, then holds
 ``base_lr`` constant; its floor is ``base_lr`` rather than zero so the
 cooldown value is hit exactly.  The step kind holds ``peak_lr`` after warmup
-and multiplies by ``step_factor`` at each passed milestone; it has no
-cooldown phase.
+and multiplies by ``step_factor`` at each passed milestone, each one below
+``total_epochs``; it has no cooldown phase.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class ScheduleSpec:
         ok = isinstance(ms, (tuple, list)) and all(is_count(m) and m > 0 for m in ms)
         if not ok or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError(f"milestones must be positive, strictly increasing integers, got {ms!r}")
+        if ms and ms[-1] >= self.total_epochs:  # progress stays below total_epochs
+            raise ValueError(f"milestone {ms[-1]} is never reached in {self.total_epochs} total epochs")
         object.__setattr__(self, "step_milestones", tuple(ms))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_real
+from ._checks import check_cells, check_count, check_real
 
 __all__ = [
     "MONOTONE_TOL",
@@ -207,7 +207,7 @@ def threshold_monotonicity_check(p, alpha_grid) -> MonotonicityReport:
         raise ValueError("alpha grid must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(grid)):
         raise ValueError("alpha grid contains NaN or Inf")
-    check_real("alpha grid", np.asarray(alpha_grid), 0, 1)
+    check_cells("alpha grid", np.asarray(alpha_grid), 0, 1)
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("alpha grid must be strictly increasing")
 

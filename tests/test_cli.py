@@ -360,6 +360,13 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "momentum" in err and "epochs" in err
 
+    def test_unreachable_milestone_exits_3(self, tmp_path, capsys):
+        flags = ("--schedule", "step", "--epochs", "2", "--warmup-epochs", "0",
+                 "--cooldown-epochs", "0", "--step-milestones", "10:20:10")
+        assert run_train(tmp_path, *flags) == 3
+        assert "milestone 20 is never reached in 2 total epochs" in capsys.readouterr().err
+        assert not (tmp_path / "train-000").exists()
+
     def test_idx_without_paths_names_every_key(self, tmp_path, capsys):
         assert run_train(tmp_path, "--data", "idx") == 3
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Blob generator determinism and bit-exact IDX parsing."""
 
+import os
 import re
 import tracemalloc
 
@@ -296,6 +297,22 @@ class TestLoadIdx:
         message = f"{ip}: holds no pixels, shape {shape}"
         with pytest.raises(IdxFormatError, match=re.escape(message)):
             load_idx(ip, lp)
+
+    def test_a_descriptor_is_not_a_path(self, tmp_path):
+        # open() would read through the descriptor and then close it.
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        ip.write_bytes(GOLDEN_IMAGES)
+        lp.write_bytes(GOLDEN_LABELS)
+        fd = os.open(ip, os.O_RDONLY)
+        try:
+            for bad in (fd, str(ip).encode()):
+                with pytest.raises(ValueError, match="IDX file must be a path"):
+                    load_idx(bad, lp)
+                with pytest.raises(ValueError, match="IDX file must be a path"):
+                    read_idx_labels(bad)
+            assert os.read(fd, 4) == GOLDEN_IMAGES[:4]  # still open, never read
+        finally:
+            os.close(fd)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"

@@ -196,7 +196,7 @@ class TestTrain:
 
     def test_logit_norm_of_huge_finite_logits_is_finite(self):
         # The squares of 1e200 overflow; the norm itself does not.
-        net = DenseNet([DenseLayer(np.array([[1e200], [0.0]]), np.zeros(2))])
+        net = DenseNet.of_layers([DenseLayer(np.array([[1e200], [0.0]]), np.zeros(2))])
         ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1012,8 +1012,8 @@ class TestVerifyKernels:
 # Values of the wrong type for a numeric setting, by its field's annotation:
 # the config dataclasses' fields are read as the CLI reads them.
 SETTING_WRONG_TYPES = {
-    "float": ("0.5", True, [0.5], None),
-    "float | None": ("0.5", True, [0.5]),
+    "float": ("0.5", True, [0.5], None, np.array([0.5])),
+    "float | None": ("0.5", True, [0.5], np.array([0.5])),
     "int": (1.5, True, "1"),
 }
 
@@ -1079,6 +1079,11 @@ class TestConfigValidation:
             DataSpec(kind="csv")
         with pytest.raises(ValueError, match="needs paths"):
             DataSpec(kind="idx", train_images="x")
+        # open() would take an int, True as fd 1, for a file descriptor.
+        paths = {name: "x" for name in DataSpec.IDX_PATHS}
+        for bad in (3, True, b"x"):
+            with pytest.raises(ValueError, match="test_labels must be a path"):
+                DataSpec(kind="idx", **paths | {"test_labels": bad})
         for kw in (dict(classes=2.5), dict(per_class=True), dict(features=3.0), dict(seed=1.5)):
             with pytest.raises(ValueError, match="integer"):
                 DataSpec(**kw)

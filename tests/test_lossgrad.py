@@ -115,6 +115,11 @@ class TestLabels:
             with pytest.raises(ValueError, match="targets"):
                 smooth_label_rows(bad, 3, 0.0)
 
+    def test_epsilon_array_rejected(self):
+        # One epsilon per row once gave rows that do not sum to 1.
+        with pytest.raises(ValueError, match="smoothing epsilon"):
+            smooth_label_rows(np.array([0, 1]), 2, np.array([0.1, 0.2]))
+
     def test_numpy_integer_targets_accepted(self):
         assert smooth_label_rows(np.array([2], dtype=np.int64), 3, 0.0)[0, 2] == 1.0
         assert smooth_label_rows([np.int64(1)], 3, 0.0)[0, 1] == 1.0

@@ -22,6 +22,7 @@ from gradtamper.net import (
     init_dense_net,
     init_opt_state,
     load_checkpoint,
+    param_count,
     row_norms,
     save_checkpoint,
     sgd_step,
@@ -42,7 +43,7 @@ class TestInit:
         assert [l.weights.shape for l in net.layers] == [(64, 20), (32, 64), (10, 32)]
         assert [l.activation for l in net.layers] == ["relu", "relu", "identity"]
         assert all(np.all(l.biases == 0) for l in net.layers)
-        assert net.input_dim == 20 and net.num_classes == 10
+        assert net.sizes == (20, 64, 32, 10)
 
     def test_fan_in_bound(self):
         net = init_dense_net([50, 30, 5], np.random.default_rng(1))
@@ -81,7 +82,7 @@ class TestLayerChecks:
     )
     def test_bad_layer_rejected(self, weights, biases, activation, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            DenseLayer(weights, biases, activation)
+            DenseNet.of_layers([DenseLayer(weights, biases, activation)])
 
     @pytest.mark.parametrize(
         "layers, message",
@@ -97,7 +98,7 @@ class TestLayerChecks:
     )
     def test_bad_net_rejected(self, layers, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            DenseNet(layers)
+            DenseNet.of_layers(layers)
 
 
 class TestLayout:
@@ -136,11 +137,77 @@ class TestLayout:
             assert a.activation == b.activation
 
 
+class TestRecord:
+    """A net is its ``params``, ``sizes`` and ``activations``; its layers are
+    views made once, at construction."""
+
+    def test_nothing_can_be_rebound(self):
+        net = init_dense_net([3, 4, 2], np.random.default_rng(7))
+        for target, name in ((net, "params"), (net, "sizes"), (net, "layers"),
+                             (net.layers[0], "weights"), (net.layers[1], "biases")):
+            with pytest.raises(AttributeError):
+                setattr(target, name, np.zeros(3))
+        assert net.layers is net.layers  # built once, not per access
+
+    def test_init_draws_as_layer_by_layer_arrays(self):
+        rng = np.random.default_rng(8)
+        want = [rng.uniform(-math.sqrt(6.0 / fan_in), math.sqrt(6.0 / fan_in), size=(fan_out, fan_in))
+                for fan_in, fan_out in ((5, 4), (4, 3))]
+        net = init_dense_net([5, 4, 3], np.random.default_rng(8))
+        assert net.sizes == (5, 4, 3) and net.activations == ("relu", "identity")
+        assert net.params.size == param_count(net.sizes) == 4 * 6 + 3 * 5
+        for layer, w in zip(net.layers, want):
+            assert_array_equal(layer.weights.view(np.int64), w.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "params, sizes, activations, message",
+        [
+            (np.zeros(10), (3, 2), ("identity",), "do not fit sizes (3, 2)"),
+            (np.zeros((2, 3, 8)), (3, 2), ("identity",), "do not fit sizes"),
+            (np.zeros(8), (3.0, 2), ("identity",), "integers >= 1"),
+            (np.zeros(8), (3, True), ("identity",), "integers >= 1"),
+            (np.zeros(8), (3, 2), ("tanh",), "unknown activation 'tanh'"),
+            (np.zeros(8), (3, 2), ("relu", "identity"), "1 layers need as many activations"),
+            (np.full(8, math.nan), (3, 2), ("identity",), "NaN or Inf"),
+        ],
+        ids=["width", "rank", "float-size", "bool-size", "activation", "activation-count", "nan"],
+    )
+    def test_bad_record_rejected(self, params, sizes, activations, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DenseNet(params, sizes, activations)
+
+    def test_record_views_the_params_it_is_given(self):
+        params = np.arange(8.0)
+        net = DenseNet(params, (3, 2), ("identity",))
+        assert net.params is params
+        assert_array_equal(net.layers[0].weights, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        assert_array_equal(net.layers[0].biases, [6.0, 7.0])
+        strided = DenseNet(np.arange(16.0)[::2], (3, 2), ("identity",))  # copied, then viewed
+        assert all(np.shares_memory(part, strided.params) for part in strided.layers[0][:2])
+
+    def test_cell_of_a_stack_is_its_row(self):
+        nets = [init_dense_net([4, 3, 2], np.random.default_rng(s)) for s in (1, 2, 3)]
+        stack = stack_nets(nets)
+        assert not any(np.shares_memory(stack.params, net.params) for net in nets)
+        for s, net in enumerate(nets):
+            cell = stack.cell(s)
+            assert np.shares_memory(cell.params, stack.params)
+            assert_array_equal(cell.params.view(np.int64), net.params.view(np.int64))
+            assert (cell.sizes, cell.activations) == (net.sizes, net.activations)
+
+    def test_stack_needs_one_architecture(self):
+        # [2, 1, 2] holds as many parameters as [1, 2, 1]: np.stack alone would pass.
+        rng = np.random.default_rng(0)
+        for other in (init_dense_net([1, 2, 1], rng, "identity"), init_dense_net([2, 1, 2], rng)):
+            with pytest.raises(ValueError, match="one architecture"):
+                stack_nets([init_dense_net([1, 2, 1], rng), other])
+
+
 class TestForward:
     def test_single_identity_layer_is_affine_map(self):
         w = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 1.0]])
         b = np.array([0.1, -0.2, 0.0])
-        net = DenseNet([DenseLayer(w, b)])
+        net = DenseNet.of_layers([DenseLayer(w, b)])
         x = np.array([[2.0, 1.0], [-1.0, 3.0]])
         logits, cache = forward(net, x)
         # independent elementwise evaluation
@@ -153,7 +220,7 @@ class TestForward:
 
     def test_relu_zeroes_negative_preactivations(self):
         w = np.array([[1.0], [-1.0]])
-        net = DenseNet(
+        net = DenseNet.of_layers(
             [DenseLayer(w, np.zeros(2), "relu"), DenseLayer(np.eye(2), np.zeros(2))]
         )
         logits, cache = forward(net, np.array([[3.0]]))
@@ -210,7 +277,7 @@ class TestSgd:
     def test_two_step_nesterov_unroll_exact(self):
         # Single 1x1 weight, bias-free gradient; replicate the update rule
         # with scalar arithmetic in the same operation order.
-        net = DenseNet([DenseLayer(np.array([[2.0]]), np.array([0.5]))])
+        net = DenseNet.of_layers([DenseLayer(np.array([[2.0]]), np.array([0.5]))])
         state = init_opt_state(net, momentum=0.9, weight_decay=5e-4, nesterov=True)
         w, b = 2.0, 0.5
         vw = vb = 0.0
@@ -226,7 +293,7 @@ class TestSgd:
         assert net.layers[0].biases[0] == b
 
     def test_plain_sgd_is_w_minus_lr_g(self):
-        net = DenseNet([DenseLayer(np.array([[1.0, 2.0]]), np.array([0.0]))])
+        net = DenseNet.of_layers([DenseLayer(np.array([[1.0, 2.0]]), np.array([0.0]))])
         state = init_opt_state(net, momentum=0.0, weight_decay=0.0, nesterov=False)
         g = np.array([[0.5, -1.0]])
         sgd_step(net, np.r_[g.ravel(), 0.0], state, 0.1)
@@ -246,6 +313,14 @@ class TestSgd:
         state = init_opt_state(net)
         with pytest.raises(ValueError):
             sgd_step(net, np.zeros(6), state, 0.0)
+
+    @pytest.mark.parametrize("lr", [np.array(0.1), np.array([0.1, 0.2])])
+    def test_lr_array_rejected(self, lr):
+        net = init_dense_net([2, 2], np.random.default_rng(0))
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(net, np.ones(6), init_opt_state(net), lr)
+        assert_array_equal(net.params, before)
 
     @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
     def test_non_finite_lr_rejected(self, lr):
@@ -439,7 +514,7 @@ class TestStack:
         # it is cells 0 and 1, with a NaN and an inf, that tell apart a mask
         # that writes 0.0 instead (np.where).
         rng = np.random.default_rng(84)
-        net = DenseNet([
+        net = DenseNet.of_layers([
             DenseLayer(layer.weights, layer.biases, "relu") for layer in stack_nets(self.cells()).layers
         ])
         logits, cache = forward(net, rng.normal(size=(3, 10, 6)))
@@ -581,8 +656,10 @@ class TestCheckpoint:
         [(lambda a, b: a[:8] + struct.pack("<I", 0), "network needs at least one layer"),
          (lambda a, b: a[:21] + struct.pack("<d", np.nan) + a[29:],
           "layer parameters contain NaN or Inf"),
-         (lambda a, b: a[:69] + b[12:], "layer input size 3 does not match previous output size 2")],
-        ids=["no-layers", "nan-weight", "layers-do-not-chain"],
+         (lambda a, b: a[:69] + b[12:], "layer input size 3 does not match previous output size 2"),
+         (lambda a, b: a[:8] + struct.pack("<IBII", 1, 0, 0, 2),
+          "need an input and an output size, all integers >= 1, got [2, 0]")],
+        ids=["no-layers", "nan-weight", "layers-do-not-chain", "zero-width"],
     )
     def test_rejected_layers_named_with_path(self, tmp_path, edit, message):
         # ``a`` is a 2-2-2 checkpoint: magic and header [0, 12), layer 0's

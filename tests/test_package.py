@@ -2,6 +2,7 @@
 hooks, dead imports, where a divergence error is built and caught."""
 
 import ast
+import csv
 import importlib
 import importlib.util
 import os
@@ -10,8 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gradtamper
 from gradtamper import grid, harness
+from gradtamper.cli import main
+from gradtamper.data import write_idx_images, write_idx_labels
 from gradtamper.harness import (
     DataSpec,
     TrainConfig,
@@ -70,6 +75,33 @@ def test_benchmark_targets_resolve(monkeypatch):
     for module_name, attr, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr} does not resolve to a callable"
+
+
+def test_benchmark_checkpoint_check_passes_a_trained_net(monkeypatch, tmp_path):
+    # bench/workloads.py's mnist_idx check runs the saved net's layers over
+    # the test split; it must read a checkpoint the CLI writes, and agree.
+    workloads = load_bench_module("workloads", monkeypatch)
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, count in (("train", 48), ("test", 24)):
+        labels = np.arange(count, dtype=np.uint8) % 3
+        images = rng.integers(0, 60, size=(count, 4, 4), dtype=np.uint8)
+        images[np.arange(count), labels, labels] += 150  # a bright pixel per class: learnable
+        paths[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+        paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+        write_idx_images(paths[f"{split}_images"], images)
+        write_idx_labels(paths[f"{split}_labels"], labels)
+    flags = [f"--{key.replace('_', '-')}={path}" for key, path in paths.items()]
+    out = tmp_path / "out"
+    argv = ["train", "--data", "idx", *flags, "--hidden", "8", "--epochs", "10",
+            "--batch-size", "8", "--warmup-epochs", "0", "--cooldown-epochs", "0",
+            "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "train-000" / "metrics.csv") as fh:
+        test_acc = float(list(csv.DictReader(fh))[-1]["test_acc"])
+    res = workloads.check_mnist_idx(paths, 0, "", str(out))
+    assert res.errors == []
+    assert res.quality == test_acc > 0.5  # a trained net, not a chance score
 
 
 def test_benchmark_reads_every_verify_property(monkeypatch):

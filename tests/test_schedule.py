@@ -103,6 +103,16 @@ def test_rejects_epoch_counts_that_are_not_integers(kw):
         ScheduleSpec(**kw)
 
 
+def test_milestone_the_schedule_never_reaches_rejected():
+    # lr_at reads progress in [0, total_epochs): a later milestone never fires.
+    steps = dict(kind="step", warmup_epochs=0, total_epochs=10, cooldown_epochs=0)
+    for milestones, late in (((10,), 10), ((5, 20), 20), ((3, 10, 15), 15)):
+        with pytest.raises(ValueError, match=f"milestone {late} is never reached in 10 total"):
+            ScheduleSpec(**steps, step_milestones=milestones)
+    last = ScheduleSpec(**steps, step_milestones=(9,))
+    assert lr_at(last, 9.5) == last.peak_lr * last.step_factor
+
+
 def test_numpy_integer_epoch_counts_accepted():
     spec = ScheduleSpec(kind="step", total_epochs=np.int64(10), step_milestones=(np.int32(5),))
     assert lr_at(spec, 6.0) == spec.peak_lr * spec.step_factor
