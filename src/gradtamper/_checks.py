@@ -1,6 +1,9 @@
-"""The package's one rule for numeric settings: counts (epochs, sizes, seeds,
-trials) and reals (rates, strengths, bounds).  A setting that breaks it raises
-ValueError naming the setting and what it must be."""
+"""The package's input rules: for numeric settings, counts (epochs, sizes,
+seeds, trials) and reals (rates, strengths, bounds); and for the paths of the
+files it opens.  A value that breaks one raises ValueError naming the setting
+and what it must be."""
+
+import os
 
 import numpy as np
 
@@ -42,3 +45,10 @@ def check_cells(name: str, value, low, high, ends: str = "[)"):
     if not (value.size and value.dtype.kind in "iuf" and _inside(value.min(), value.max(), low, high, ends)):
         raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
+
+
+def check_path(name: str, path) -> None:
+    """ValueError unless ``path`` is a str or an os.PathLike: ``open`` would
+    take an int, or a bool, as a file descriptor, and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path (str or os.PathLike), got {path!r}")

@@ -8,10 +8,11 @@ the default of ``TrainConfig()``.  The exceptions: the keys ``data``,
 and ``schedule.kind``, and ``total_epochs = none`` (its default) follows
 ``epochs``; ``grid_alphas`` and ``grid_seeds`` are the sweep's own keys.  A
 ``--config FILE`` overrides defaults, and an explicit command-line flag
-overrides both, key by key.  ``train`` and
-``grid`` create a fresh run directory ``<out>/<subcommand>-NNN`` and write a
-``manifest.cfg`` holding the fully resolved configuration; feeding that file
-back via ``--config`` reproduces the run exactly.  ``grid --resume CSV``
+overrides both, key by key.  A flag's value is stripped like a file's, and
+may not hold a line break.  ``train`` and ``grid`` create a fresh run
+directory ``<out>/<subcommand>-NNN`` and write a ``manifest.cfg`` holding the
+fully resolved configuration; feeding that file back via ``--config``
+reproduces the run exactly.  ``grid --resume CSV``
 instead reads the manifest next to the CSV as the sweep's configuration and
 rejects any explicit key that would change it.  The output root is taken
 from ``--out``, else the ``GRADTAMPER_OUT`` environment variable, else
@@ -165,12 +166,17 @@ def _read_config(path: str, keys: dict[str, str]) -> dict[str, str]:
 
 
 def _explicit_config(args: argparse.Namespace, keys: dict[str, str]) -> dict[str, str]:
-    """The keys set on the command line: config-file entries, then flags."""
+    """The keys set on the command line: config-file entries, then flags.
+
+    A flag value is stripped as a file value is; one that still holds a line
+    break raises ValueError, since a manifest line could not hold it."""
     kv = _read_config(args.config, keys) if getattr(args, "config", None) else {}
     for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            kv[key] = str(flag_value)
+            kv[key] = str(flag_value).strip()
+            if len(kv[key].splitlines()) > 1:
+                raise ValueError(f"{key}: a value cannot hold a line break, got {kv[key]!r}")
     return kv
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_real, is_count
+from ._checks import check_count, check_path, check_real, is_count
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -23,7 +23,6 @@ __all__ = [
     "Dataset",
     "IdxFormatError",
     "check_blob_settings",
-    "check_path",
     "synth_blobs",
     "read_idx_images",
     "read_idx_labels",
@@ -143,13 +142,6 @@ def synth_blobs(
     return train, test
 
 
-def check_path(name: str, path) -> None:
-    """ValueError unless ``path`` is a str or an os.PathLike: ``open`` would
-    take an int, or a bool, as a file descriptor, and close it."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"{name} must be a path (str or os.PathLike), got {path!r}")
-
-
 def _read_idx(path, magic: int, words: int, what: str) -> np.ndarray:
     """The uint8 payload of an IDX file, shaped by its header: ``words`` big-endian
     u32 words, ``magic`` and then the dimensions; ``what`` names the header."""
@@ -195,6 +187,7 @@ def read_idx_labels(path) -> np.ndarray:
 
 def _write_idx(path, magic: int, values, what: str, ndim: int) -> None:
     """Write ``values``, ``ndim``-D integers in [0, 255], as an IDX file."""
+    check_path("IDX file", path)
     values = np.asarray(values)
     if values.ndim != ndim:
         raise ValueError(f"expected {what}, got shape {values.shape}")

@@ -21,7 +21,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import get_type_hints
 
-from ._checks import is_count
+from ._checks import check_path, is_count
 from .data import Dataset
 from .harness import (
     DivergenceError,
@@ -133,6 +133,7 @@ def grid_search(
     step's logits or loss, or that evaluation, go non-finite; it does not
     stop the sweep.  Rows come back in sweep order.
     """
+    check_path("grid CSV", csv_path)
     check_grid(alphas, seeds)
     done: dict[tuple[str, int], GridRow] = {}
     fresh = True

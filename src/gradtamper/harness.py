@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._checks import check_count, check_real, is_count
-from .data import Dataset, check_blob_settings, check_path, load_idx, synth_blobs
+from ._checks import check_count, check_path, check_real, is_count
+from .data import Dataset, check_blob_settings, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
     cross_entropy_rows,
@@ -41,6 +41,7 @@ from .lossgrad import (
     tampered_dlogits,
 )
 from .net import (
+    ACTIVATIONS,
     DenseNet,
     OptState,
     backward,
@@ -73,6 +74,16 @@ _EVAL_ROWS = 4096
 # ``batch_cross_entropy`` keeps the mean of finite rows finite.  So no cell's
 # loss can be non-finite while every logit lies within the bound.
 _SAFE_LOGIT = np.finfo(np.float64).max / 4
+
+# The finite-difference oracle's step and relative-error floor.  Central
+# differences with step h on a function of size F carry about
+# ``F * 1e-16 / (2h)`` of cancellation noise against ~h^2 of truncation, which
+# a step of 1e-4 balances.  ``max_relative_error`` is absolute below the
+# floor, so with a tolerance of 1e-6 the floor must sit comfortably above
+# ``noise / tolerance``: 3e-4 covers the wild logits ``verify_claims`` draws,
+# whose cross-entropy values reach ~30.
+_FD_STEP = 1e-4
+_FD_FLOOR = 3e-4
 
 
 class DivergenceError(RuntimeError):
@@ -150,7 +161,7 @@ class TrainConfig:
         widths = self.hidden
         if not (isinstance(widths, tuple) and all(is_count(h) and h >= 1 for h in widths)):
             raise ValueError("hidden layer widths must be positive integers")
-        if self.activation not in ("relu", "identity"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         check_count("epochs", self.epochs, 1)
         if self.epochs > self.schedule.total_epochs:
@@ -452,6 +463,7 @@ def train(
 
 def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
     """Write per-epoch metrics; floats use repr so reruns are byte-identical."""
+    check_path("metrics CSV", path)
     lines = [METRICS_HEADER, *map(_csv_line, records)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -516,24 +528,22 @@ class VerifyReport:
         return all(p.passed for p in self.properties)
 
 
-def _fd_logit_grad(
-    z: np.ndarray, q: np.ndarray, scale: float = 1.0, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of the engine's row loss at scaled logits,
-    z -> ``cross_entropy_rows(scale * z, q)``.
+def _fd_logit_grad(z: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Central-difference gradient, step ``_FD_STEP``, of the engine's row loss
+    at scaled logits, z -> ``cross_entropy_rows(scale * z, q)``.
 
     ``z`` is one vector or (n, C) rows, and ``q`` its target rows, of ``z``'s
     shape or with extra leading axes, say a (2, n, C) stack of two label
     smoothings; the result has ``q``'s shape.  A row's C perturbations
-    ``z +- h e_k`` are a (C, C) block, whose scaled log-softmax is taken once
-    for every set of targets; rows go in (rows, C, C) blocks of at most 2^16
-    elements (at least one row), which stay in cache: 50 rows at C=100 took
-    20 ms as one block, 8 ms so split.
+    ``z +- _FD_STEP e_k`` are a (C, C) block, whose scaled log-softmax is
+    taken once for every set of targets; rows go in (rows, C, C) blocks of at
+    most 2^16 elements (at least one row), which stay in cache: 50 rows at
+    C=100 took 20 ms as one block, 8 ms so split.
     """
     z2 = np.atleast_2d(z)
     n, c = z2.shape
     q2 = np.reshape(q, (-1, n, c))
-    eye = np.eye(c) * h
+    eye = np.eye(c) * _FD_STEP
     grad = np.empty(q2.shape)
     step = max(1, (1 << 16) // (c * c))
     for lo in range(0, n, step):
@@ -541,23 +551,18 @@ def _fd_logit_grad(
         # One (rows, C, C) block at a time: zb - eye is zb + (-eye), bit for bit.
         plus, minus = (cross_entropy_rows(scale * (zb + d), qb) for d in (eye, -eye))
         grad[:, lo : lo + step] = plus - minus
-    return np.divide(grad, 2.0 * h, out=grad).reshape(np.shape(q))
+    return np.divide(grad, 2.0 * _FD_STEP, out=grad).reshape(np.shape(q))
 
 
-def max_relative_error(a, b, floor: float = 1e-4) -> float | np.ndarray:
-    """Worst |a-b| / max(floor, |a|, |b|) along the last axis: a scalar for
-    two vectors, one value per row for (n, C) rows.
-
-    The floor turns the comparison into an absolute one for entries smaller
-    than ``floor``; with a tolerance of 1e-6 that means tiny entries must
-    agree to ``floor * 1e-6`` absolutely.  Central differences with step h on
-    a function of size F carry about ``F * 1e-16 / (2h)`` of cancellation
-    noise, so the floor has to sit comfortably above ``noise / tolerance``
-    — 1e-4 covers cross-entropy values up to ~30 at h = 1e-4.
+def max_relative_error(a, b) -> float | np.ndarray:
+    """Worst |a-b| / max(``_FD_FLOOR``, |a|, |b|) along the last axis: a
+    scalar for two vectors, one value per row for (n, C) rows.  Entries below
+    the floor are compared absolutely: with a tolerance of 1e-6 they must
+    agree to ``_FD_FLOOR * 1e-6``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
+    denom = np.maximum(_FD_FLOOR, np.maximum(np.abs(a), np.abs(b)))
     return (np.abs(a - b) / denom).max(axis=-1)
 
 
@@ -584,9 +589,8 @@ def verify_claims(
     vectors (normal, sigma 3, plus up to 50 wide ones at sigma 300) per class
     count, sweeps the tampering strength over a coarse grid, and accumulates
     one :class:`PropertyResult` per claim.
-    Finite-difference oracles use central differences with step 1e-4 and a
-    relative-error floor of 3e-4; see :func:`max_relative_error` for how the
-    floor is set by the cancellation-noise budget.
+    Finite-difference oracles use central differences with step ``_FD_STEP``
+    and a relative-error floor of ``_FD_FLOOR``.
     """
     check_count("seed", seed, 0)
     check_count("trials", trials, 1)
@@ -682,18 +686,15 @@ def verify_claims(
 
         # The finite-difference oracles take the first 50 rows' targets at
         # both smoothings as one (2, rows, C) stack, one oracle call per
-        # strength.  Step 1e-4 balances truncation (~h^2) against
-        # cancellation noise (~|CE| * 1e-16 / 2h); the floor is widened to
-        # 3e-4 because the logits here are deliberately wild (CE values up
-        # to ~30).  At alpha = 1 the scaled surrogate is the plain
+        # strength.  At alpha = 1 the scaled surrogate is the plain
         # cross-entropy.
         rows = min(trials, 50)
         q = np.stack([smooth_label_rows(targets[:rows], c, eps) for eps in (0.0, 0.1)])
         z = logits[:rows]
         for alpha in (1.0, 0.3, 0.5):
-            fd = _fd_logit_grad(z, q, scale=alpha, h=1e-4) / alpha
+            fd = _fd_logit_grad(z, q, scale=alpha) / alpha
             name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
-            props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd, floor=3e-4))
+            props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd))
 
         # Clipping facts on random gradient vectors, through the engine's
         # global clip on a stack of them, one bound per row.  The reference
@@ -718,8 +719,8 @@ def verify_claims(
         wide = rng.normal(0.0, 300.0, size=(rows, c))
         for alpha in (0.01, 0.02):
             g = tampered_dlogits(wide, q, alpha)
-            fd = _fd_logit_grad(alpha * wide, q, h=1e-4)
-            props["wide-logit-gradient"].add(max_relative_error(g, fd, floor=3e-4))
+            fd = _fd_logit_grad(alpha * wide, q)
+            props["wide-logit-gradient"].add(max_relative_error(g, fd))
 
     return VerifyReport(
         seed=seed,

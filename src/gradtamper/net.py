@@ -14,8 +14,8 @@ through two scratch blocks that ``OptState`` allocates once, so a step
 allocates nothing and its working set stays in L2.  Training mutates a
 network, through its ``params``, from a single thread.
 
-``DenseNet.of_layers`` packs separate (weights, biases, activation) layers
-into a new net; it is how a checkpoint is read.
+``DenseNet(params, sizes, activations)`` is the one way to build a net.  A
+checkpoint's payload is in ``params`` order, so it is read straight into one.
 
 Cell axis: a net may hold S independent cells of the same architecture, with
 ``params`` of shape (S, P), layer views (S, out, in) and (S, out), and
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_cells, check_real, is_count
+from ._checks import check_cells, check_path, check_real, is_count
 
 __all__ = [
     "DenseLayer",
@@ -59,12 +59,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# An activation's checkpoint code is its index here, so the order is fixed.
 ACTIVATIONS = ("identity", "relu")
 
 _CHECKPOINT_MAGIC = b"DNET"
 _CHECKPOINT_VERSION = 1
-_ACT_CODES = {"identity": 0, "relu": 1}
-_ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 # Elements per ``sgd_step`` block: five 256 KiB slices fit a 2 MiB L2.  On a
 # 2-vCPU Xeon a 784-256-10 step took 0.8 ms (1.2 ms unblocked); blocks of 2^14
@@ -73,11 +72,11 @@ _UPDATE_BLOCK = 1 << 15
 
 
 class DenseLayer(NamedTuple):
-    """One layer: in a net, views into its ``params``; to ``of_layers``, any arrays."""
+    """One layer of a net: views into its ``params``, and its activation."""
 
     weights: np.ndarray  # out x in, or cells x out x in
     biases: np.ndarray  # out, or cells x out
-    activation: str = "identity"
+    activation: str
 
 
 def param_count(sizes) -> int:
@@ -116,29 +115,6 @@ class DenseNet:
         layers = tuple(DenseLayer(w, b, a) for (w, b), a in zip(_layer_views(sizes, params), acts))
         # Past the frozen __setattr__, once: nothing rebinds them afterwards.
         self.__dict__.update(params=params, sizes=sizes, activations=acts, layers=layers)
-
-    @classmethod
-    def of_layers(cls, layers) -> DenseNet:
-        """A new net packed from (weights, biases, activation) layers, each
-        2-D and 1-D or, for a stack, both with one cell axis."""
-        if not layers:
-            raise ValueError("network needs at least one layer")
-        parts, ws = [], []
-        for weights, biases, _ in layers:
-            w, b = np.asarray(weights, dtype=np.float64), np.asarray(biases, dtype=np.float64)
-            if w.ndim not in (2, 3) or b.ndim != w.ndim - 1:
-                raise ValueError("weights must be 2-D and biases 1-D, or both with a cell axis")
-            if w.shape[:-1] != b.shape:
-                raise ValueError(f"bias shape {b.shape} does not match output shape {w.shape[:-1]}")
-            if ws and b.shape[:-1] != ws[0].shape[:-2]:
-                raise ValueError("every layer needs the same cell axis")
-            if ws and w.shape[-1] != ws[-1].shape[-2]:
-                raise ValueError(f"layer input size {w.shape[-1]} does not match "
-                                 f"previous output size {ws[-1].shape[-2]}")
-            parts.append(np.concatenate([w.reshape(*b.shape[:-1], -1), b], axis=-1))
-            ws.append(w)
-        sizes = (ws[0].shape[-1], *(w.shape[-2] for w in ws))
-        return cls(np.concatenate(parts, axis=-1), sizes, tuple(act for *_, act in layers))
 
     def __deepcopy__(self, memo) -> DenseNet:
         return DenseNet(self.params.copy(), self.sizes, self.activations)
@@ -350,6 +326,7 @@ def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.nd
 
 def save_checkpoint(net: DenseNet, path) -> None:
     """Write the network to ``path`` in the documented binary layout."""
+    check_path("checkpoint", path)
     if net.params.ndim != 1:
         raise ValueError("a stacked net has no checkpoint; save one cell at a time")
     with open(path, "wb") as fh:
@@ -357,7 +334,7 @@ def save_checkpoint(net: DenseNet, path) -> None:
         fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(net.layers)))
         for layer in net.layers:
             out_size, in_size = layer.weights.shape
-            fh.write(struct.pack("<BII", _ACT_CODES[layer.activation], out_size, in_size))
+            fh.write(struct.pack("<BII", ACTIVATIONS.index(layer.activation), out_size, in_size))
             fh.write(layer.weights.astype("<f8", copy=False).tobytes(order="C"))
             fh.write(layer.biases.astype("<f8", copy=False).tobytes())
 
@@ -365,8 +342,11 @@ def save_checkpoint(net: DenseNet, path) -> None:
 def load_checkpoint(path) -> DenseNet:
     """Read a network written by ``save_checkpoint``; bit-exact round-trip.
 
-    Every rejection raises ValueError led by the path; a file cut short names
-    the byte offset at which the part it cuts begins."""
+    The layers' weight and bias bytes, in file order, are the net's ``params``,
+    copied once into a fresh array.  Every rejection raises ValueError led by
+    the path; a file cut short names the byte offset at which the part it cuts
+    begins."""
+    check_path("checkpoint", path)
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     offset = 0
@@ -385,17 +365,24 @@ def load_checkpoint(path) -> DenseNet:
         version, n_layers = struct.unpack("<II", take(8, "header"))
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        layers = []
+        layers, chunks = [], []
         for k in range(n_layers):
             code, out_size, in_size = struct.unpack("<BII", take(9, f"layer {k} header"))
-            if code not in _ACT_NAMES:
+            if code >= len(ACTIVATIONS):
                 raise ValueError(f"unknown activation code {code} at byte {offset - 9}")
-            w = np.frombuffer(take(out_size * in_size * 8, f"layer {k} weights"), dtype="<f8")
-            b = np.frombuffer(take(out_size * 8, f"layer {k} biases"), dtype="<f8")
-            # No copy: of_layers packs the read-only buffer views into its params.
-            layers.append(DenseLayer(w.reshape(out_size, in_size), b, _ACT_NAMES[code]))
+            chunks.append(take(out_size * in_size * 8, f"layer {k} weights"))
+            chunks.append(take(out_size * 8, f"layer {k} biases"))
+            layers.append((out_size, in_size, ACTIVATIONS[code]))
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} trailing bytes after layer data")
-        return DenseNet.of_layers(layers)
-    except ValueError as exc:  # the layer and net checks' messages too
+        if not layers:
+            raise ValueError("network needs at least one layer")
+        for (prev_out, *_), (_, in_size, _) in zip(layers, layers[1:]):
+            if in_size != prev_out:
+                raise ValueError(f"layer input size {in_size} does not match "
+                                 f"previous output size {prev_out}")
+        params = np.concatenate([np.frombuffer(chunk, "<f8") for chunk in chunks])
+        sizes = (layers[0][1], *(out for out, *_ in layers))
+        return DenseNet(params, sizes, tuple(act for *_, act in layers))
+    except ValueError as exc:  # the net's own checks' messages too
         raise ValueError(f"{path}: {exc}") from None

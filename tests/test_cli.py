@@ -348,6 +348,24 @@ class TestTrainCommand:
         assert kv["weight_decay"] == "0.0005"  # untouched default
         capsys.readouterr()
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "line-separator"])
+    def test_flag_value_holding_a_line_break_exits_3(self, tmp_path, capsys, brk):
+        # Blob data never opens the path, but its manifest line would read back
+        # as two keys, and seed 9 would reproduce a run of seed 0.
+        argv = ["train", "--train-images", f"x{brk}seed = 9", "--epochs", "6", "--hidden", "8"]
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert "train_images: a value cannot hold a line break" in capsys.readouterr().err
+        assert not (tmp_path / "train-000").exists()
+
+    def test_flag_values_are_stripped(self, tmp_path, capsys):
+        assert run_train(tmp_path, "--alpha", " 0.3 ") == 0
+        assert run_train(tmp_path, "--alpha", "0.3") == 0
+        padded, plain = tmp_path / "train-000", tmp_path / "train-001"
+        assert "\nalpha = 0.3\n" in (padded / "manifest.cfg").read_text()
+        for name in ("manifest.cfg", "metrics.csv", "net.ckpt"):
+            assert (padded / name).read_bytes() == (plain / name).read_bytes()
+        capsys.readouterr()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("learning_rate = 0.1\n")

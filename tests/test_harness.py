@@ -40,7 +40,6 @@ from gradtamper.harness import (
 )
 from gradtamper.lossgrad import cross_entropy_rows, smooth_label_rows, softmax
 from gradtamper.net import (
-    DenseLayer,
     DenseNet,
     check_opt_settings,
     forward,
@@ -196,7 +195,7 @@ class TestTrain:
 
     def test_logit_norm_of_huge_finite_logits_is_finite(self):
         # The squares of 1e200 overflow; the norm itself does not.
-        net = DenseNet.of_layers([DenseLayer(np.array([[1e200], [0.0]]), np.zeros(2))])
+        net = DenseNet(np.array([1e200, 0.0, 0.0, 0.0]), (1, 2), ("identity",))
         ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -884,9 +883,10 @@ class TestVerify:
 
     def test_max_relative_error_floor(self):
         assert max_relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-        # below the floor the check is absolute at floor * tol
-        assert max_relative_error([1e-9], [2e-9], floor=1e-4) == pytest.approx(1e-5)
-        assert max_relative_error([2.0], [1.0], floor=1e-4) == 0.5
+        # below the floor the check is absolute, relative to the floor
+        tiny = harness._FD_FLOOR / 4
+        assert max_relative_error([tiny], [2 * tiny]) == 0.25
+        assert max_relative_error([2.0], [1.0]) == 0.5
 
     def test_max_relative_error_rows(self):
         rng = np.random.default_rng(3)
@@ -922,12 +922,13 @@ class TestVerifyKernels:
             q = smooth_label_rows(rng.integers(0, c, size=n), c, 0.1)
             z_before, q_before = z.copy(), q.copy()
             for scale in (1.0, 0.3):
-                rows = _fd_logit_grad(z, q, scale=scale, h=1e-4)
+                rows = _fd_logit_grad(z, q, scale=scale)
                 assert rows.shape == (n, c)
                 for i in range(n):
-                    single = _fd_logit_grad(z[i], q[i], scale=scale, h=1e-4)
+                    single = _fd_logit_grad(z[i], q[i], scale=scale)
                     assert_array_equal(rows[i], single)
-                    assert_array_equal(single, _former_fd_logit_grad(z[i], q[i], scale, 1e-4))
+                    former = _former_fd_logit_grad(z[i], q[i], scale, harness._FD_STEP)
+                    assert_array_equal(single, former)
             assert_array_equal(z, z_before)
             assert_array_equal(q, q_before)
 
@@ -942,10 +943,10 @@ class TestVerifyKernels:
             z = rng.normal(0.0, sigma, size=(n, c))
             for scale in (1.0, 0.3, 0.01):
                 for zs, qs in ((z, q), (z[0], q[:, 0])):
-                    stacked = _fd_logit_grad(zs, qs, scale=scale, h=1e-4)
+                    stacked = _fd_logit_grad(zs, qs, scale=scale)
                     assert stacked.shape == qs.shape
                     for s in range(2):
-                        alone = _fd_logit_grad(zs, qs[s], scale=scale, h=1e-4)
+                        alone = _fd_logit_grad(zs, qs[s], scale=scale)
                         assert_array_equal(stacked[s].view(np.int64), alone.view(np.int64))
 
     def test_verify_calls_the_fd_oracle_five_times_per_class_count(self, monkeypatch):
@@ -971,8 +972,8 @@ class TestVerifyKernels:
 
         monkeypatch.setattr(harness, "cross_entropy_rows", spy)
         z, q = np.array([0.5, -1.0, 2.0]), smooth_label_rows(np.array([2]), 3, 0.1)[0]
-        _fd_logit_grad(z, q, scale=0.3, h=1e-4)
-        eye = np.eye(3) * 1e-4
+        _fd_logit_grad(z, q, scale=0.3)
+        eye = np.eye(3) * harness._FD_STEP
         assert_array_equal(np.concatenate(calls), [0.3 * (z + eye), 0.3 * (z - eye)])
 
     def test_order_mismatches_equal_stable_argsort(self):

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_
 from gradtamper.lossgrad import smooth_label_rows, tampered_dlogits
 from gradtamper.net import (
     _UPDATE_BLOCK,
-    DenseLayer,
     DenseNet,
     backward,
     clip_grads_global,
@@ -65,40 +64,6 @@ class TestInit:
     def test_sizes_must_be_positive_integers(self, sizes):
         with pytest.raises(ValueError, match="integers"):
             init_dense_net(sizes, np.random.default_rng(0))
-
-
-class TestLayerChecks:
-    @pytest.mark.parametrize(
-        "weights, biases, activation, message",
-        [
-            (np.zeros(3), np.zeros(3), "identity", "weights must be 2-D"),
-            (np.zeros((2, 3)), np.zeros((1, 2)), "identity", "weights must be 2-D"),
-            (np.zeros((2, 3)), np.zeros(3), "identity", "bias shape (3,)"),
-            (np.zeros((2, 3)), np.zeros(2), "tanh", "unknown activation 'tanh'"),
-            (np.full((2, 3), math.nan), np.zeros(2), "identity", "NaN or Inf"),
-            (np.zeros((2, 3)), np.array([0.0, math.inf]), "relu", "NaN or Inf"),
-        ],
-        ids=["1-d-weights", "biases-rank", "bias-shape", "activation", "nan-weight", "inf-bias"],
-    )
-    def test_bad_layer_rejected(self, weights, biases, activation, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            DenseNet.of_layers([DenseLayer(weights, biases, activation)])
-
-    @pytest.mark.parametrize(
-        "layers, message",
-        [
-            ([], "at least one layer"),
-            ([DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3))),
-              DenseLayer(np.zeros((5, 3)), np.zeros(5))], "same cell axis"),
-            ([DenseLayer(np.zeros((3, 4)), np.zeros(3)),
-              DenseLayer(np.zeros((2, 5)), np.zeros(2))],
-             "layer input size 5 does not match previous output size 3"),
-        ],
-        ids=["empty", "mixed-cell-axis", "size-mismatch"],
-    )
-    def test_bad_net_rejected(self, layers, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            DenseNet.of_layers(layers)
 
 
 class TestLayout:
@@ -169,8 +134,10 @@ class TestRecord:
             (np.zeros(8), (3, 2), ("tanh",), "unknown activation 'tanh'"),
             (np.zeros(8), (3, 2), ("relu", "identity"), "1 layers need as many activations"),
             (np.full(8, math.nan), (3, 2), ("identity",), "NaN or Inf"),
+            (np.r_[np.zeros(7), math.inf], (3, 2), ("relu",), "NaN or Inf"),
         ],
-        ids=["width", "rank", "float-size", "bool-size", "activation", "activation-count", "nan"],
+        ids=["width", "rank", "float-size", "bool-size", "activation", "activation-count", "nan",
+             "inf-bias"],
     )
     def test_bad_record_rejected(self, params, sizes, activations, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -207,7 +174,7 @@ class TestForward:
     def test_single_identity_layer_is_affine_map(self):
         w = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 1.0]])
         b = np.array([0.1, -0.2, 0.0])
-        net = DenseNet.of_layers([DenseLayer(w, b)])
+        net = DenseNet(np.r_[w.ravel(), b], (2, 3), ("identity",))
         x = np.array([[2.0, 1.0], [-1.0, 3.0]])
         logits, cache = forward(net, x)
         # independent elementwise evaluation
@@ -220,9 +187,8 @@ class TestForward:
 
     def test_relu_zeroes_negative_preactivations(self):
         w = np.array([[1.0], [-1.0]])
-        net = DenseNet.of_layers(
-            [DenseLayer(w, np.zeros(2), "relu"), DenseLayer(np.eye(2), np.zeros(2))]
-        )
+        params = np.r_[w.ravel(), np.zeros(2), np.eye(2).ravel(), np.zeros(2)]
+        net = DenseNet(params, (1, 2, 2), ("relu", "identity"))
         logits, cache = forward(net, np.array([[3.0]]))
         assert_array_equal(cache[0][1], [[3.0, -3.0]])  # preactivations
         assert_array_equal(logits, [[3.0, 0.0]])
@@ -277,7 +243,7 @@ class TestSgd:
     def test_two_step_nesterov_unroll_exact(self):
         # Single 1x1 weight, bias-free gradient; replicate the update rule
         # with scalar arithmetic in the same operation order.
-        net = DenseNet.of_layers([DenseLayer(np.array([[2.0]]), np.array([0.5]))])
+        net = DenseNet(np.array([2.0, 0.5]), (1, 1), ("identity",))
         state = init_opt_state(net, momentum=0.9, weight_decay=5e-4, nesterov=True)
         w, b = 2.0, 0.5
         vw = vb = 0.0
@@ -293,7 +259,7 @@ class TestSgd:
         assert net.layers[0].biases[0] == b
 
     def test_plain_sgd_is_w_minus_lr_g(self):
-        net = DenseNet.of_layers([DenseLayer(np.array([[1.0, 2.0]]), np.array([0.0]))])
+        net = DenseNet(np.array([1.0, 2.0, 0.0]), (2, 1), ("identity",))
         state = init_opt_state(net, momentum=0.0, weight_decay=0.0, nesterov=False)
         g = np.array([[0.5, -1.0]])
         sgd_step(net, np.r_[g.ravel(), 0.0], state, 0.1)
@@ -514,9 +480,8 @@ class TestStack:
         # it is cells 0 and 1, with a NaN and an inf, that tell apart a mask
         # that writes 0.0 instead (np.where).
         rng = np.random.default_rng(84)
-        net = DenseNet.of_layers([
-            DenseLayer(layer.weights, layer.biases, "relu") for layer in stack_nets(self.cells()).layers
-        ])
+        stack = stack_nets(self.cells())
+        net = DenseNet(stack.params, stack.sizes, ("relu",) * len(stack.activations))
         logits, cache = forward(net, rng.normal(size=(3, 10, 6)))
         for _, s in cache:
             s[..., 0] = rng.choice([-1.0, 0.0, -0.0, math.nan], size=s.shape[:-1])

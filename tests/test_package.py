@@ -1,5 +1,6 @@
 """Package surface: the README's library import and stack bound, the benchmark's
-hooks, dead imports, where a divergence error is built and caught."""
+hooks, dead imports, where a divergence error is built and caught and a layer
+made, and the paths that the library opens."""
 
 import ast
 import csv
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gradtamper
 from gradtamper import grid, harness
@@ -23,7 +25,9 @@ from gradtamper.harness import (
     format_verify_report,
     load_datasets,
     verify_claims,
+    write_metrics_csv,
 )
+from gradtamper.net import DenseNet, load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -227,3 +231,52 @@ def test_divergence_errors_are_built_in_the_training_loop_and_caught_in_main():
                     caught.add(where)
     assert built == {"harness._train_cells"}
     assert caught == {"cli.main"}
+
+
+def test_only_the_net_record_builds_its_layers():
+    # A net is its params: DenseNet.__post_init__ makes the layer views, once,
+    # and nothing else in the package builds a DenseLayer.
+    builders = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            if "DenseLayer" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "gradtamper").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert builders == ["net.DenseNet.__post_init__"]
+
+
+# Every library function that opens a path, called with a descriptor; a
+# reader gets a pipe's read end, a writer its write end.
+PATH_OPENERS = {
+    "save_checkpoint": lambda fd: save_checkpoint(DenseNet(np.zeros(6), (2, 2), ("identity",)), fd),
+    "load_checkpoint": load_checkpoint,
+    "write_idx_images": lambda fd: write_idx_images(fd, np.zeros((1, 2, 2), np.uint8)),
+    "write_idx_labels": lambda fd: write_idx_labels(fd, np.zeros(1, np.uint8)),
+    "write_metrics_csv": lambda fd: write_metrics_csv([], fd),
+    "grid_search": lambda fd: grid.grid_search(TrainConfig(epochs=1), [1.0], [0], fd),
+}
+
+
+@pytest.mark.parametrize("name", PATH_OPENERS)
+def test_a_descriptor_is_not_a_path(name):
+    # open() takes an int as a file descriptor and closes it when done.  Only
+    # a pipe's descriptors are probed here, never this process's stdio.
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)  # a read of the empty pipe cannot hang
+    fd = read_end if name.startswith("load") else write_end
+    try:
+        with pytest.raises(ValueError, match=r"must be a path \(str or os.PathLike\), got \d+"):
+            PATH_OPENERS[name](fd)
+        os.fstat(fd)  # still open
+        with pytest.raises(BlockingIOError):  # empty, its write end open: nothing written
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
