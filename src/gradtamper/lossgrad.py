@@ -6,8 +6,11 @@ with the log-softmax taken through logsumexp, so it stays exact when
 ``tampered_dlogits``: the power transform of ``softmax(z)`` with strength
 ``alpha`` is ``softmax(alpha * z)``, so the tampered gradient
 ``p' - q`` is computed straight from the scaled logits, which keeps real mass
-on entries whose ``softmax(z)`` is an exact zero.  The forward pass (loss
-values, probabilities, accuracy) is untouched.
+on entries whose ``softmax(z)`` is an exact zero.  ``softmax`` runs
+``transform._softmax_rows``, the one kernel that the power transform runs
+too, so ``verify``'s transform lines certify this ``p'``; at ``alpha = 1``
+they certify ``softmax(log p)``, the untampered path.  The forward pass
+(loss values, probabilities, accuracy) is untouched.
 
 All functions are pure and thread-safe.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._checks import check_cells, check_count, check_real
+from .transform import _softmax_rows
 
 # The benchmark's span tracer wraps this import site (bench/spans.py TARGETS).
 from .transform import power_transform_rows  # noqa: F401
@@ -31,18 +35,17 @@ __all__ = [
 ]
 
 
-def softmax(z, axis: int = -1) -> np.ndarray:
-    """Map logits to probabilities along ``axis``; stable and shift-invariant.
+def softmax(z) -> np.ndarray:
+    """Map logits to probabilities along the last axis; stable and shift-invariant.
 
-    Accepts a single logit vector or a batch of them.  Computed as
-    exp(z - max(z)) normalized, the standard overflow guard.
+    Accepts a single logit vector or a batch of them.  Checks that the logits
+    are finite, then runs ``transform._softmax_rows``, exp(z - max(z))
+    normalized, the kernel the power transform runs too.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain NaN or Inf")
-    e = z - z.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+    return _softmax_rows(z)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

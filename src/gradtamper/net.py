@@ -347,8 +347,11 @@ def load_checkpoint(path) -> DenseNet:
     the path; a file cut short names the byte offset at which the part it cuts
     begins."""
     check_path("checkpoint", path)
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            blob = memoryview(fh.read())
+    except OSError as exc:  # a missing or unreadable file is a bad value, like a malformed one
+        raise ValueError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     offset = 0
 
     def take(size: int, what: str) -> memoryview:

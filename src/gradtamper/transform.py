@@ -9,6 +9,12 @@ transform, entries above it shrink, and an entry exactly at the threshold is
 a fixed point.  The threshold is a non-decreasing function of alpha, which is
 what makes the transform a controlled "flattening" knob.
 
+The transform of ``p = softmax(z)`` is ``softmax(alpha * z)``, which training
+computes.  Both run one softmax kernel, ``_softmax_rows``: the transform takes
+it at ``alpha * log p``, and ``lossgrad.softmax`` at the logits.  So at
+``alpha = 1`` the kernel gives ``softmax(log p)``, equal to ``p`` within
+rounding; ``transform_probabilities`` alone returns ``p`` itself there.
+
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 """
@@ -29,7 +35,6 @@ __all__ = [
     "prob_vec",
     "transform_probabilities",
     "stationary_threshold",
-    "threshold_partition",
     "threshold_monotonicity_check",
 ]
 
@@ -96,34 +101,44 @@ def _check_alpha(alpha: float, *, exclude_one: bool = False) -> float:
     return alpha
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis: exp(z - max z) over its sum, without checks.
+
+    The one kernel behind training's ``p' = softmax(alpha * z)`` (through
+    ``lossgrad.softmax``) and the power transform, so that ``verify``
+    certifies the function training runs.  A -inf entry gives exactly 0.
+    """
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+
+
 def power_transform_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     """Apply the power transform along the last axis, without validation.
 
-    Kernel shared by the public vector operation and ``verify``.  Powers are
-    evaluated as exp(alpha * log p) in one fresh array, avoiding pow() edge
-    behavior near 0; a zero entry gives log 0 = -inf and so exactly 0.
+    Evaluated as ``softmax(alpha * log p)`` by the kernel training runs, so
+    ``alpha = 1`` gives ``softmax(log p)``, equal to ``p`` within rounding; a
+    zero entry gives log 0 = -inf and so exactly 0.  Only ``alpha = 0``
+    branches, to the exact uniform, since ``0 * -inf`` is NaN.
     """
     if alpha == 0.0:
         return np.full_like(p, 1.0 / p.shape[-1])
-    if alpha == 1.0:
-        return p.copy()
     with np.errstate(divide="ignore"):
         t = np.log(p)
-    np.exp(np.multiply(alpha, t, out=t), out=t)
-    return np.divide(t, t.sum(axis=-1, keepdims=True), out=t)
+    return _softmax_rows(np.multiply(alpha, t, out=t))
 
 
 def transform_probabilities(p, alpha: float) -> np.ndarray:
     """Rescale a probability vector to ``p_i**alpha / sum_j p_j**alpha``.
 
     At ``alpha = 0`` the result is defined as exactly uniform (the limit of
-    the transform), regardless of zero entries; at ``alpha = 1`` the input is
-    returned unchanged.  Rank order of entries is preserved for alpha > 0,
-    ties included.
+    the transform), regardless of zero entries; at ``alpha = 1`` it is the
+    identity, a copy of ``p``, not the kernel's ``softmax(log p)``.  Rank
+    order of entries is preserved for alpha > 0, ties included.
     """
     p = prob_vec(p)
     alpha = _check_alpha(alpha)
-    return power_transform_rows(p, alpha)
+    return p if alpha == 1.0 else power_transform_rows(p, alpha)
 
 
 def _threshold_rows(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -161,20 +176,6 @@ def stationary_threshold(p, alpha: float) -> float:
     p = prob_vec(p)
     alpha = _check_alpha(alpha, exclude_one=True)
     return float(_threshold_rows(p[None, :], np.array([alpha]))[0, 0])
-
-
-def threshold_partition(p, alpha: float) -> tuple[set[int], set[int]]:
-    """Split indices of ``p`` into (rising, falling) around the threshold.
-
-    ``rising`` holds indices with ``p_i <= threshold`` (these do not decrease
-    under the transform), ``falling`` the rest (these strictly decrease).
-    Zero entries always land in ``rising``.
-    """
-    p = prob_vec(p)
-    tau = stationary_threshold(p, alpha)
-    rising = set(np.flatnonzero(p <= tau).tolist())
-    falling = set(range(p.size)) - rising
-    return rising, falling
 
 
 @dataclass(frozen=True)

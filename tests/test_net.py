@@ -576,6 +576,16 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.ckpt", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_file_named_with_path(self, tmp_path, name, reason):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=re.escape(f"{path}: cannot read checkpoint: {reason}")):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"JUNK" + bytes(20))

@@ -148,6 +148,28 @@ def test_only_lossgrad_reads_log_softmax():
     assert readers == []
 
 
+def test_only_the_softmax_kernels_call_exp():
+    # p' has one kernel, transform._softmax_rows, which training's softmax and
+    # the power transform both call; besides it only the threshold kernel and
+    # the log-softmax exponentiate, so a second p' kernel cannot come back.
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "exp" and getattr(node.func.value, "id", None) == "np":
+                callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "gradtamper").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert set(callers) == {
+        "transform._softmax_rows", "transform._threshold_rows", "lossgrad.log_softmax"
+    }
+
+
 def test_only_parse_value_list_splits_on_commas():
     # Every list the CLI takes goes through one reader, so a second list
     # parser cannot come back.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradtamper.lossgrad import softmax
 from gradtamper.transform import (
     MONOTONE_TOL,
     MonotonicityReport,
@@ -19,7 +20,6 @@ from gradtamper.transform import (
     prob_vec,
     stationary_threshold,
     threshold_monotonicity_check,
-    threshold_partition,
     transform_probabilities,
 )
 from helpers import threshold_mp, transform_mp
@@ -95,16 +95,24 @@ class TestKernelExpressions:
         p[::3, ::4] = 0.0
         return p / p.sum(axis=1, keepdims=True)
 
+    def test_power_transform_rows_is_softmax_of_scaled_log(self):
+        # One softmax kernel: the transform is training's softmax(alpha * z)
+        # at z = log p, alpha = 1 included.
+        p = np.random.default_rng(29).dirichlet(np.ones(12), size=40)
+        assert p.min() > 0.0
+        for alpha in (0.3, 1.0):
+            assert_array_equal(power_transform_rows(p, alpha), softmax(alpha * np.log(p)))
+
     def test_power_transform_rows_with_zeros(self):
+        # softmax's reference expression at alpha * log p, where log 0 = -inf.
         p = self.batch_with_zeros()
         before = p.copy()
-        for alpha in (0.01, 0.5):
-            former = np.zeros_like(p)
-            pos = p > 0.0
-            former[pos] = np.exp(alpha * np.log(p[pos]))
-            former = former / former.sum(axis=-1, keepdims=True)
+        for alpha in (0.01, 0.5, 1.0):
+            with np.errstate(divide="ignore"):
+                z = alpha * np.log(p)
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
             got = power_transform_rows(p, alpha)
-            assert_array_equal(got, former)
+            assert_array_equal(got, e / e.sum(axis=-1, keepdims=True))
             assert np.all(got[::3, ::4] == 0.0)
         assert_array_equal(p, before)
 
@@ -201,19 +209,6 @@ class TestThreshold:
     def test_bounds(self, p, alpha):
         tau = stationary_threshold(p, alpha)
         assert 1.0 / p.size <= tau <= 1.0
-
-    def test_partition_on_known_vector(self):
-        rising, falling = threshold_partition(P3, 0.5)
-        assert rising == {1, 2}
-        assert falling == {0}
-
-    def test_partition_includes_threshold_in_rising(self):
-        # An entry exactly at tau is stationary; the partition files it with
-        # the non-falling side.
-        u = np.full(4, 0.25)
-        rising, falling = threshold_partition(u, 0.5)
-        assert rising == {0, 1, 2, 3}
-        assert falling == set()
 
 
 class TestMonotonicity:
