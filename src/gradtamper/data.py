@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_path, check_real, is_count
+from ._checks import check_count, check_path, check_real
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -43,6 +43,10 @@ class IdxFormatError(ValueError):
 class Dataset:
     """Immutable N x D inputs with integer labels in [0, C).
 
+    The package's one check of class labels: every label that reaches
+    training or evaluation came through here, and is then a safe index into
+    ``lossgrad.smooth_label_rows``' table.
+
     ``uint8`` inputs are 8-bit pixels and are kept as they are; their
     features are ``inputs / 255``.  Inputs of any other dtype are converted to
     float64 and are the features themselves, unscaled (torchvision's
@@ -53,13 +57,12 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self) -> None:
         check_count("num_classes", self.num_classes, 1)
         inputs, labels = np.asarray(self.inputs), np.asarray(self.labels)
         self.inputs = inputs if inputs.dtype == np.uint8 else np.asarray(inputs, dtype=np.float64)
-        # Checked as smooth_label_rows checks targets: a cast would truncate 1.7 to 1.
+        # Checked, not cast: a cast would truncate 1.7 to 1.
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         self.labels = np.asarray(labels, dtype=np.int64)
@@ -104,12 +107,10 @@ def check_blob_settings(
     classes: int, per_class: int, features: int, spread: float, seed: int
 ) -> None:
     """The one check of the blob settings; a bad one raises ValueError."""
-    counts = (classes, per_class, features, seed)
-    if not all(map(is_count, counts)) or min(classes, per_class) < 2 or features < 1 or seed < 0:
-        raise ValueError(
-            "blobs need integers classes >= 2, per_class >= 2, features >= 1, seed >= 0; got "
-            f"classes={classes!r}, per_class={per_class!r}, features={features!r}, seed={seed!r}"
-        )
+    check_count("blob classes", classes, 2)
+    check_count("blob per_class", per_class, 2)
+    check_count("blob features", features, 1)
+    check_count("blob seed", seed, 0)
     check_real("blob spread", spread, 0, math.inf, "()")
 
 
@@ -137,8 +138,8 @@ def synth_blobs(
         te_x.append(pts[n_train:])
         tr_y.append(np.full(n_train, c))
         te_y.append(np.full(per_class - n_train, c))
-    train = Dataset(np.concatenate(tr_x), np.concatenate(tr_y), num_classes, "train")
-    test = Dataset(np.concatenate(te_x), np.concatenate(te_y), num_classes, "test")
+    train = Dataset(np.concatenate(tr_x), np.concatenate(tr_y), num_classes)
+    test = Dataset(np.concatenate(te_x), np.concatenate(te_y), num_classes)
     return train, test
 
 
@@ -209,12 +210,13 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     _write_idx(path, LABEL_MAGIC, labels, "a 1-D label vector", 1)
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label pair into a Dataset.
 
     Each image is flattened to rows * cols uint8 pixels, kept as uint8: the
     Dataset's features are those pixels / 255, in [0, 1], widened only for the
-    rows read.  The class count is taken from the largest label present.
+    rows read.  The class count is taken from the largest label present, and
+    the Dataset checks the labels.
     """
     images = read_idx_images(images_path)
     if not images.size:  # no images, or images of no pixels
@@ -226,4 +228,4 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"{labels_path} has {labels.shape[0]} labels"
         )
     flat = images.reshape(images.shape[0], -1)
-    return Dataset(flat, labels, int(labels.max()) + 1, split)
+    return Dataset(flat, labels, int(labels.max()) + 1)

@@ -91,9 +91,9 @@ def _parse_grid_row(line: str) -> GridRow:
 
 def check_grid(alphas: list[float], seeds: list[int]) -> None:
     """Reject an empty, out-of-range or repeated alpha or seed with ValueError."""
-    if not alphas:
+    if len(alphas) == 0:
         raise ValueError("grid needs at least one alpha")
-    if not seeds or not all(is_count(seed) and seed >= 0 for seed in seeds):
+    if len(seeds) == 0 or not all(is_count(seed) and seed >= 0 for seed in seeds):
         raise ValueError(f"grid needs at least one seed, all integers >= 0, got {seeds!r}")
     for alpha in alphas:
         TamperSpec(alpha)  # rejects a bad alpha before any training

@@ -214,8 +214,8 @@ def load_datasets(spec: DataSpec) -> tuple[Dataset, Dataset]:
     """Materialise the (train, test) pair described by ``spec``."""
     if spec.kind == "blobs":
         return synth_blobs(spec.classes, spec.per_class, spec.features, spec.spread, spec.seed)
-    train = load_idx(spec.train_images, spec.train_labels, split="train")
-    test = load_idx(spec.test_images, spec.test_labels, split="test")
+    train = load_idx(spec.train_images, spec.train_labels)
+    test = load_idx(spec.test_images, spec.test_labels)
     # Checked on the merged count: a split may lack a class the other holds.
     classes = max(train.num_classes, test.num_classes)
     if classes < 2:
@@ -390,9 +390,8 @@ def _train_cells(
     np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
 
     n_batches = math.ceil(n / base.batch_size)
-    # Row y is the smoothed one-hot row of label y, as smooth_label_rows writes it.
-    classes = train_ds.num_classes
-    q_table = smooth_label_rows(np.arange(classes), classes, base.label_smoothing)
+    # Row y is label y's smoothed one-hot target row; Dataset checked the labels.
+    q_table = smooth_label_rows(train_ds.num_classes, base.label_smoothing)
     for epoch in range(base.epochs):
         # Tampering is backward-only and gated on the start epoch; alpha=1 is
         # the untouched baseline.
@@ -599,7 +598,7 @@ def verify_claims(
     """
     check_count("seed", seed, 0)
     check_count("trials", trials, 1)
-    if not class_counts or not all(is_count(c) and c >= 2 for c in class_counts):
+    if len(class_counts) == 0 or not all(is_count(c) and c >= 2 for c in class_counts):
         raise ValueError(f"class_counts must all be integers >= 2, got {class_counts!r}")
 
     rng = np.random.default_rng(seed)
@@ -678,7 +677,7 @@ def verify_claims(
         # without label smoothing.
         p_of_z = softmax(logits)
         for eps in (0.0, 0.1):
-            q_rows = smooth_label_rows(targets, c, eps)
+            q_rows = smooth_label_rows(c, eps)[targets]
             for alpha in coarse:
                 alpha = float(alpha)
                 g = tampered_dlogits(logits, q_rows, alpha)
@@ -694,7 +693,7 @@ def verify_claims(
         # strength.  At alpha = 1 the scaled surrogate is the plain
         # cross-entropy.
         rows = min(trials, 50)
-        q = np.stack([smooth_label_rows(targets[:rows], c, eps) for eps in (0.0, 0.1)])
+        q = np.stack([smooth_label_rows(c, eps)[targets[:rows]] for eps in (0.0, 0.1)])
         z = logits[:rows]
         for alpha in (1.0, 0.3, 0.5):
             fd = _fd_logit_grad(z, q, scale=alpha) / alpha

@@ -54,18 +54,16 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), out=shifted)
 
 
-def smooth_label_rows(targets: np.ndarray, num_classes: int, epsilon: float) -> np.ndarray:
-    """Rowwise smoothed one-hot matrix: 1-eps on the target, eps/(C-1) elsewhere."""
-    targets = np.asarray(targets)
+def smooth_label_rows(num_classes: int, epsilon: float) -> np.ndarray:
+    """The (C, C) smoothed one-hot table: row y holds 1-eps at y, eps/(C-1) elsewhere.
+
+    Indexed by labels, ``smooth_label_rows(C, eps)[labels]`` gives their target
+    rows; ``data.Dataset`` is where labels are checked.
+    """
     check_count("num_classes", num_classes, 2)
     check_real("smoothing epsilon", epsilon, 0, 1)
-    # Checked here because numpy indexing would wrap a negative target.
-    if targets.dtype.kind not in "iu":
-        raise ValueError(f"targets must be integers, got dtype {targets.dtype}")
-    if targets.size and not (targets.min() >= 0 and targets.max() < num_classes):
-        raise ValueError(f"targets must lie in [0, {num_classes})")
-    q = np.full((targets.size, num_classes), epsilon / (num_classes - 1))
-    q[np.arange(targets.size), targets] = 1.0 - epsilon
+    q = np.full((num_classes, num_classes), epsilon / (num_classes - 1))
+    np.fill_diagonal(q, 1.0 - epsilon)
     return q
 
 

@@ -116,8 +116,8 @@ class DenseNet:
         # Past the frozen __setattr__, once: nothing rebinds them afterwards.
         self.__dict__.update(params=params, sizes=sizes, activations=acts, layers=layers)
 
-    def __deepcopy__(self, memo) -> DenseNet:
-        return DenseNet(self.params.copy(), self.sizes, self.activations)
+    def __reduce__(self):  # deepcopy and pickle rebuild the layer views
+        return DenseNet, (self.params, self.sizes, self.activations)
 
     def cell(self, index: int) -> DenseNet:
         """Cell ``index`` of a stacked net, as a net that shares its memory."""
@@ -139,6 +139,8 @@ def _layer_views(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
 
 def stack_nets(nets: list[DenseNet]) -> DenseNet:
     """One net whose cell ``s`` is a copy of ``nets[s]``; all share one architecture."""
+    if len(nets) == 0:
+        raise ValueError("a stack needs at least one net")
     first = nets[0]
     if any((net.sizes, net.activations) != (first.sizes, first.activations) for net in nets):
         raise ValueError("stacked nets need one architecture")
@@ -305,17 +307,17 @@ def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.nd
     exceeds it; ``clip_norm`` is one bound in (0, inf], or a numpy array of
     one per cell shaped (S, 1).
 
-    Returns ``grads`` itself when every vector is short enough, a new array
-    otherwise, in which the short vectors keep their values.
+    Returns ``grads`` itself when it is a float64 array whose every vector
+    is short enough, a new array otherwise, in which the short vectors keep
+    their values.
     """
     check_cells("clip norm", clip_norm, 0, math.inf, "(]")
-    if np.ndim(grads) not in (1, 2):
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.ndim not in (1, 2):
+        raise ValueError(f"gradient must be a vector or one per cell, got shape {grads.shape}")
+    if np.ndim(clip_norm) and np.shape(clip_norm) != (*grads.shape[:-1], 1):
         raise ValueError(
-            f"gradient must be a vector or one per cell, got shape {np.shape(grads)}"
-        )
-    if np.ndim(clip_norm) and np.shape(clip_norm) != (*np.shape(grads)[:-1], 1):
-        raise ValueError(
-            f"clip norms of shape {np.shape(clip_norm)} do not match gradients {np.shape(grads)}"
+            f"clip norms of shape {np.shape(clip_norm)} do not match gradients {grads.shape}"
         )
     norms = row_norms(grads)
     fire = ~(norms <= clip_norm)  # a NaN norm fires, as a scalar compare would

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import check_real, is_count
+from ._checks import check_count, check_real, is_count
 
 __all__ = ["ScheduleSpec", "lr_at"]
 
@@ -38,9 +38,9 @@ class ScheduleSpec:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {_KINDS}")
         check_real("base_lr", self.base_lr, 0, math.inf, "()")
         check_real("peak_lr (>= base_lr)", self.peak_lr, self.base_lr, math.inf)
-        epochs = (self.warmup_epochs, self.total_epochs, self.cooldown_epochs)
-        if not all(map(is_count, epochs)) or min(epochs) < 0 or self.total_epochs < 1:
-            raise ValueError(f"epoch counts must be integers >= 0 with total >= 1, got {epochs}")
+        check_count("warmup_epochs", self.warmup_epochs, 0)
+        check_count("total_epochs", self.total_epochs, 1)
+        check_count("cooldown_epochs", self.cooldown_epochs, 0)
         if self.warmup_epochs + self.cooldown_epochs > self.total_epochs:
             raise ValueError(
                 f"warmup ({self.warmup_epochs}) + cooldown ({self.cooldown_epochs}) "

@@ -60,7 +60,7 @@ class TamperSpec:
     start_epoch: int = 0
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        check_real("alpha", self.alpha, 0, 1, "[]")
         check_count("start_epoch", self.start_epoch, 0)
 
 
@@ -92,13 +92,6 @@ def _check_simplex(p: np.ndarray) -> np.ndarray:
             f"probability vector sums to {float(totals[worst])!r}, expected 1 within {SIMPLEX_TOL}"
         )
     return p
-
-
-def _check_alpha(alpha: float, *, exclude_one: bool = False) -> float:
-    alpha = float(check_real("alpha", alpha, 0, 1, "[]"))
-    if exclude_one and alpha == 1.0:
-        raise ValueError("alpha = 1 has no stationary threshold: every point is stationary")
-    return alpha
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -137,7 +130,7 @@ def transform_probabilities(p, alpha: float) -> np.ndarray:
     order of entries is preserved for alpha > 0, ties included.
     """
     p = prob_vec(p)
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0, 1, "[]"))
     return p if alpha == 1.0 else power_transform_rows(p, alpha)
 
 
@@ -174,7 +167,9 @@ def stationary_threshold(p, alpha: float) -> float:
     [1/C, 1].
     """
     p = prob_vec(p)
-    alpha = _check_alpha(alpha, exclude_one=True)
+    alpha = float(check_real("alpha", alpha, 0, 1, "[]"))
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 has no stationary threshold: every point is stationary")
     return float(_threshold_rows(p[None, :], np.array([alpha]))[0, 0])
 
 
@@ -206,8 +201,6 @@ def threshold_monotonicity_check(p, alpha_grid) -> MonotonicityReport:
     grid = np.asarray(alpha_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("alpha grid must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("alpha grid contains NaN or Inf")
     check_cells("alpha grid", np.asarray(alpha_grid), 0, 1)
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("alpha grid must be strictly increasing")

@@ -79,7 +79,7 @@ def net_loss(net, x, y, eps=0.0, alpha=None):
     from gradtamper.net import forward
 
     logits, _ = forward(net, x)
-    q = smooth_label_rows(y, logits.shape[1], eps)
+    q = smooth_label_rows(logits.shape[1], eps)[y]
     if alpha is None:
         return batch_cross_entropy(logits, q)
     return batch_cross_entropy(alpha * logits, q) / alpha
@@ -106,7 +106,7 @@ def analytic_param_grad(net, x, y, eps=0.0, alpha=None):
     from gradtamper.net import backward, forward
 
     logits, cache = forward(net, x)
-    q = smooth_label_rows(y, logits.shape[1], eps)
+    q = smooth_label_rows(logits.shape[1], eps)[y]
     d = tampered_dlogits(logits, q, 1.0 if alpha is None else alpha) / x.shape[0]
     return backward(net, cache, d)
 

@@ -35,7 +35,6 @@ class TestBlobs:
         assert_array_equal(np.bincount(train.labels), np.full(10, 80))
         assert_array_equal(np.bincount(test.labels), np.full(10, 20))
         assert train.inputs.shape == (800, 20)
-        assert train.split == "train" and test.split == "test"
 
     def test_tiny_per_class_keeps_a_test_point(self):
         train, test = synth_blobs(3, 2, 4, 0.5, seed=0)
@@ -66,10 +65,16 @@ class TestBlobs:
             synth_blobs(3, 10, 4, 0.0, seed=0)
 
     @pytest.mark.parametrize(
-        "counts", [(3, 4.5, 2), (3.0, 10, 2), (3, 10, True)], ids=["per_class", "classes", "bool"]
+        "counts, message",
+        [
+            ((3, 4.5, 2), "blob per_class must be an integer >= 2, got 4.5"),
+            ((3.0, 10, 2), "blob classes must be an integer >= 2, got 3.0"),
+            ((3, 10, True), "blob features must be an integer >= 1, got True"),
+        ],
+        ids=["per_class", "classes", "bool"],
     )
-    def test_rejects_counts_that_are_not_integers(self, counts):
-        with pytest.raises(ValueError, match="integers"):
+    def test_rejects_counts_that_are_not_integers(self, counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             synth_blobs(*counts, 1.0, 0)
 
 
@@ -92,8 +97,8 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="NaN"):
             Dataset(x, np.array([0, 1]), num_classes=2)
 
-    # Labels follow the rule smooth_label_rows applies to targets: integers
-    # only, never cast (0.5 and 1.7 would become 0 and 1).
+    # Dataset is the package's one check of labels: integers only, never
+    # cast (0.5 and 1.7 would become 0 and 1).
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
             Dataset(np.zeros((2, 2)), np.array([0.5, 1.7]), num_classes=2)
@@ -279,11 +284,10 @@ class TestLoadIdx:
         ip, lp = tmp_path / "img", tmp_path / "lab"
         ip.write_bytes(GOLDEN_IMAGES)
         lp.write_bytes(GOLDEN_LABELS)
-        ds = load_idx(ip, lp, split="test")
+        ds = load_idx(ip, lp)
         assert ds.inputs.shape == (2, 4)
         assert ds.inputs.dtype == np.uint8
         assert ds.num_classes == 2
-        assert ds.split == "test"
         assert_array_equal(ds.features(slice(None)), np.arange(8).reshape(2, 4) / 255.0)
         assert_array_equal(ds.labels, [0, 1])
 

@@ -6,11 +6,12 @@ import multiprocessing
 import re
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import gradtamper.grid as grid
-from gradtamper.grid import GRID_HEADER, GridRow, grid_search
+from gradtamper.grid import GRID_HEADER, GridRow, check_grid, grid_search
 from gradtamper.harness import DivergenceError, TrainConfig, _train_cells, train
 from gradtamper.transform import TamperSpec
 from test_harness import (
@@ -207,23 +208,35 @@ class TestGrid:
         assert p.read_text() == text  # left as it was
 
     def test_empty_axes_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="alpha"):
-            grid_search(tiny_config(), [], [0], tmp_path / "g.csv")
-        with pytest.raises(ValueError, match="seed"):
-            grid_search(tiny_config(), [1.0], [], tmp_path / "g.csv")
+        for alphas in ([], np.array([])):
+            with pytest.raises(ValueError, match="grid needs at least one alpha"):
+                grid_search(tiny_config(), alphas, [0], tmp_path / "g.csv")
+        for seeds in ([], np.array([], dtype=int)):
+            with pytest.raises(ValueError, match="grid needs at least one seed"):
+                grid_search(tiny_config(), [1.0], seeds, tmp_path / "g.csv")
         for seeds in ([1.5], [0, True], [-1]):  # int() would have run 1.5 and True as seed 1
             with pytest.raises(ValueError, match="seed"):
                 grid_search(tiny_config(), [1.0], seeds, tmp_path / "g.csv")
 
     @pytest.mark.parametrize(
         "alphas, seeds",
-        [([1.0, 1.0], [0]), ([0.5, 1, 1.0], [0]), ([1.0], [0, 0]), ([1.0], [2, 1, 2])],
+        [([1.0, 1.0], [0]), ([0.5, 1, 1.0], [0]), ([1.0], [0, 0]), ([1.0], [2, 1, 2]),
+         (np.array([0.5, 0.5]), np.array([0])), ([1.0], np.array([2, 1, 2]))],
     )
     def test_repeated_cells_rejected_before_any_file(self, tmp_path, alphas, seeds):
         # A repeated alpha or seed would train one cell twice and write it twice.
         with pytest.raises(ValueError, match="must not repeat"):
             grid_search(tiny_config(), alphas, seeds, tmp_path / "g.csv")
         assert not (tmp_path / "g.csv").exists()
+
+    # An axis is tested for emptiness by its length, not its truth value.
+    @pytest.mark.parametrize(
+        "alphas, seeds",
+        [(np.array([0.0]), [0]), ([0.5], np.array([0])), (np.array([0.3, 0.6]), np.array([1, 2]))],
+        ids=["zero-alpha", "zero-seed", "pairs"],
+    )
+    def test_numpy_axes_accepted(self, alphas, seeds):
+        check_grid(alphas, seeds)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_oversized_batch_rejected_before_any_file(self, tmp_path, monkeypatch, workers):

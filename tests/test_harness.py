@@ -188,10 +188,10 @@ class TestTrain:
     def test_logit_norm_of_huge_finite_logits_is_finite(self):
         # The squares of 1e200 overflow; the norm itself does not.
         net = DenseNet(np.array([1e200, 0.0, 0.0, 0.0]), (1, 2), ("identity",))
-        ds = Dataset(np.array([[1.0]]), np.array([0]), 2, "test")
+        ds = Dataset(np.array([[1.0]]), np.array([0]), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, norm, split = _evaluate(net, ds, ds, smooth_label_rows(np.arange(2), 2, 0.0))
+            *_, norm, split = _evaluate(net, ds, ds, smooth_label_rows(2, 0.0))
         assert norm == 1e200 and split == ""
 
     def test_loss_mean_of_finite_huge_rows_is_finite(self):
@@ -218,14 +218,16 @@ class TestTrain:
     def test_nan_evaluation_loss_ends_the_run_after_its_epoch(self, monkeypatch):
         # Finite training-split logits that span more than the float64 range
         # give an unsmoothed NaN loss at the end of epoch 0, after 4 steps.
+        datasets = load_datasets(TINY_DATA)
+
         def spy(net, ds):
             logits = _logits(net, ds)
-            return spread_rows(logits) if ds.split == "train" else logits
+            return spread_rows(logits) if ds is datasets[0] else logits
 
         monkeypatch.setattr(harness, "_logits", spy)
         message = "training loss became NaN after step 3 (end of epoch 0)"
         with pytest.raises(DivergenceError, match=re.escape(message)):
-            train(tiny_config(label_smoothing=0.0))
+            train(tiny_config(label_smoothing=0.0), datasets)
 
     def test_a_step_computes_no_loss_and_no_label_rows(self, monkeypatch):
         # Only the evaluations compute a loss; the steps screen the logits.
@@ -268,7 +270,7 @@ class TestStep:
         middle cell's inputs are 10x larger, so that the clip fires in it alone."""
         rng = np.random.default_rng(41)
         xs = rng.normal(size=(steps, 3, 8, 6)) * np.array([1.0, 10.0, 1.0])[:, None, None]
-        qs = smooth_label_rows(np.arange(4), 4, 0.1)[rng.integers(0, 4, size=(steps, 3, 8))]
+        qs = smooth_label_rows(4, 0.1)[rng.integers(0, 4, size=(steps, 3, 8))]
         return xs, qs
 
     @staticmethod
@@ -319,9 +321,9 @@ class TestEvaluationBlocks:
     """Evaluation runs ``forward`` over row blocks, with the bits of one call."""
 
     @staticmethod
-    def blobs(rows, features, split="train", seed=95):
+    def blobs(rows, features, seed=95):
         rng = np.random.default_rng(seed)
-        return Dataset(rng.normal(size=(rows, features)), rng.integers(0, 10, rows), 10, split)
+        return Dataset(rng.normal(size=(rows, features)), rng.integers(0, 10, rows), 10)
 
     # Cut at multiples of _EVAL_ROWS, the first two splits would leave 1- and
     # 100-row tails, which take BLAS's small-matrix kernel; the last is one block.
@@ -346,7 +348,7 @@ class TestEvaluationBlocks:
     def test_non_finite_logit_in_the_last_block_names_the_split(self):
         net = init_dense_net([40, 32, 10], np.random.default_rng(97))
         net.params[...] = np.abs(net.params)  # every sum of huge inputs overflows
-        ds = self.blobs(2 * _EVAL_ROWS + 5, 40, split="test")
+        ds = self.blobs(2 * _EVAL_ROWS + 5, 40)
         ds.inputs[-1] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(_logits(net, ds)).all(axis=-1)
@@ -363,10 +365,10 @@ class TestEvaluationBlocks:
         # 2 x N x hidden x 8 bytes; row blocks hold one block of each.
         rows, hidden = 20_000, 256
         net = init_dense_net([784, hidden, 10], np.random.default_rng(98))
-        train_ds, test_ds = self.blobs(rows, 784), self.blobs(100, 784, "test")
+        train_ds, test_ds = self.blobs(rows, 784), self.blobs(100, 784)
         tracemalloc.start()
         try:
-            _evaluate(net, train_ds, test_ds, smooth_label_rows(np.arange(10), 10, 0.1))
+            _evaluate(net, train_ds, test_ds, smooth_label_rows(10, 0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,20 +393,20 @@ class TestStackEvaluation:
         train_ds, test_ds = load_datasets(DataSpec())
         net = stack_nets([init_dense_net([20, 64, 10], np.random.default_rng(s)) for s in range(8)])
         net.params[5] *= 1e300  # a diverged cell rides along
-        q_table = smooth_label_rows(np.arange(10), 10, 0.1)
+        q_table = smooth_label_rows(10, 0.1)
         splits = self.assert_cells_match(net, train_ds, test_ds, q_table)
         assert splits.tolist() == [""] * 5 + ["train"] + [""] * 2
 
     def test_uint8_stack_of_2_matches_its_cells_over_row_blocks(self):
         rng = np.random.default_rng(100)
 
-        def pixels(rows, split):
+        def pixels(rows):
             images = rng.integers(0, 256, size=(rows, 40), dtype=np.uint8)
-            return Dataset(images, rng.integers(0, 10, rows), 10, split)
+            return Dataset(images, rng.integers(0, 10, rows), 10)
 
-        train_ds, test_ds = pixels(2 * _EVAL_ROWS + 1, "train"), pixels(_EVAL_ROWS + 3000, "test")
+        train_ds, test_ds = pixels(2 * _EVAL_ROWS + 1), pixels(_EVAL_ROWS + 3000)
         net = stack_nets([init_dense_net([40, 32, 10], np.random.default_rng(s)) for s in (1, 2)])
-        q_table = smooth_label_rows(np.arange(10), 10, 0.0)
+        q_table = smooth_label_rows(10, 0.0)
         assert self.assert_cells_match(net, train_ds, test_ds, q_table).tolist() == ["", ""]
 
 
@@ -440,9 +442,9 @@ class TestPixelInputs:
         # IDX-shaped: 6 x 6 uint8 images, flattened, in a train and a test split.
         rng = np.random.default_rng(21)
         pixels = [Dataset(rng.integers(0, 256, size=(n, 36), dtype=np.uint8),
-                          rng.integers(0, 4, n), 4, split)
-                  for n, split in ((96, "train"), (32, "test"))]
-        widened = [Dataset(ds.features(slice(None)), ds.labels, 4, ds.split) for ds in pixels]
+                          rng.integers(0, 4, n), 4)
+                  for n in (96, 32)]
+        widened = [Dataset(ds.features(slice(None)), ds.labels, 4) for ds in pixels]
         assert all(ds.inputs.dtype == np.float64 for ds in widened)
         return tuple(pixels), tuple(widened)
 
@@ -464,7 +466,7 @@ class TestPixelInputs:
             write_idx_labels(paths[f"{split}_labels"], np.array(labels, dtype=np.uint8))
         train_ds, test_ds = load_datasets(DataSpec(kind="idx", **paths))
         assert (train_ds.num_classes, test_ds.num_classes) == (3, 3)
-        assert (train_ds.split, test_ds.split) == ("train", "test")
+        assert (len(train_ds), len(test_ds)) == (3, 2)
         assert train_ds.inputs.dtype == test_ds.inputs.dtype == np.uint8
 
     @pytest.mark.parametrize("test_labels, classes", [([0, 0], 1), ([0, 1], 2)])
@@ -579,12 +581,14 @@ class TestVerify:
             dict(class_counts=(2.5,)),
             dict(class_counts=(3, 4.0)),
             dict(class_counts=()),
+            dict(class_counts=np.array([], dtype=int)),
             dict(seed=1.5),
             dict(seed=-1),
         ):
             with pytest.raises(ValueError):
                 verify_claims(**kw)
         assert verify_claims(trials=np.int64(2), class_counts=(np.int64(3),)).passed
+        assert verify_claims(trials=2, class_counts=np.array([2, 3])).class_counts == (2, 3)
 
     def test_report_pinned_to_fixture(self):
         # Batching the oracles and reusing temporaries must not move a digit.
@@ -630,7 +634,7 @@ class TestVerifyKernels:
         rng = np.random.default_rng(c)
         for sigma in (3.0, 300.0):
             z = rng.normal(0.0, sigma, size=(n, c))
-            q = smooth_label_rows(rng.integers(0, c, size=n), c, 0.1)
+            q = smooth_label_rows(c, 0.1)[rng.integers(0, c, size=n)]
             z_before, q_before = z.copy(), q.copy()
             for scale in (1.0, 0.3):
                 rows = _fd_logit_grad(z, q, scale=scale)
@@ -649,7 +653,7 @@ class TestVerifyKernels:
         # set bit for bit its own call; a 1-D z takes a (2, C) stack.
         rng = np.random.default_rng(c)
         targets = rng.integers(0, c, size=n)
-        q = np.stack([smooth_label_rows(targets, c, eps) for eps in (0.0, 0.1)])
+        q = np.stack([smooth_label_rows(c, eps)[targets] for eps in (0.0, 0.1)])
         for sigma in (3.0, 300.0):
             z = rng.normal(0.0, sigma, size=(n, c))
             for scale in (1.0, 0.3, 0.01):
@@ -682,7 +686,7 @@ class TestVerifyKernels:
             return cross_entropy_rows(logits, q)
 
         monkeypatch.setattr(harness, "cross_entropy_rows", spy)
-        z, q = np.array([0.5, -1.0, 2.0]), smooth_label_rows(np.array([2]), 3, 0.1)[0]
+        z, q = np.array([0.5, -1.0, 2.0]), smooth_label_rows(3, 0.1)[2]
         _fd_logit_grad(z, q, scale=0.3)
         eye = np.eye(3) * harness._FD_STEP
         assert_array_equal(np.concatenate(calls), [0.3 * (z + eye), 0.3 * (z - eye)])

@@ -3,6 +3,7 @@ differences, optimizer arithmetic, checkpoint round-trips."""
 
 import copy
 import math
+import pickle
 import re
 import struct
 import tracemalloc
@@ -101,6 +102,21 @@ class TestLayout:
             assert not np.shares_memory(b.weights, net.params)
             assert a.activation == b.activation
 
+    # Both rebuild through the constructor, from the params alone; a cell of a
+    # stack is a view of the stack's params, and its clone is not.
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_clone_views_its_own_params(self, clone):
+        rng = np.random.default_rng(7)
+        stack = stack_nets([init_dense_net([3, 4, 2], rng) for _ in range(2)])
+        net = clone(stack.cell(1))
+        assert_array_equal(net.params, stack.params[1])
+        net.params[...] = 2.0
+        assert all(np.all(w == 2.0) and np.all(b == 2.0) for w, b, _ in net.layers)
+        assert not np.any(stack.params == 2.0)  # the stack is untouched
+
 
 class TestRecord:
     """A net is its ``params``, ``sizes`` and ``activations``; its layers are
@@ -168,6 +184,10 @@ class TestRecord:
         for other in (init_dense_net([1, 2, 1], rng, "identity"), init_dense_net([2, 1, 2], rng)):
             with pytest.raises(ValueError, match="one architecture"):
                 stack_nets([init_dense_net([1, 2, 1], rng), other])
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="a stack needs at least one net"):
+            stack_nets([])
 
 
 class TestForward:
@@ -331,7 +351,7 @@ class TestSgd:
         first = net_loss(net, x, y)
         for _ in range(60):
             logits, cache = forward(net, x)
-            d = tampered_dlogits(logits, smooth_label_rows(y, 2, 0.0), 1.0) / 64
+            d = tampered_dlogits(logits, smooth_label_rows(2, 0.0)[y], 1.0) / 64
             sgd_step(net, backward(net, cache, d), state, 0.1)
         assert net_loss(net, x, y) < first * 0.5
 
@@ -390,6 +410,10 @@ class TestGradUtils:
     def test_clip_leaves_short_gradients_alone(self):
         grads = np.r_[np.full(4, 0.1), np.zeros(2)]
         assert clip_grads_global(grads, 10.0) is grads
+
+    def test_clip_reads_a_list(self):
+        assert_array_equal(clip_grads_global([3.0, 4.0], 10.0), [3.0, 4.0])
+        assert_array_max_ulp(clip_grads_global([3.0, 4.0], 1.0), np.array([0.6, 0.8]), maxulp=1)
 
     def test_clip_of_a_vector_whose_squares_overflow(self):
         # (4e154)**2 overflows float64; the norm, 5e154, does not.

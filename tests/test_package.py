@@ -134,6 +134,22 @@ def test_only_data_reads_dataset_inputs():
     assert readers == []
 
 
+def test_only_checks_and_data_read_dtype_kind():
+    # A label array is checked once, by data.Dataset; _checks reads the kind
+    # of a per-cell setting and data that of the values an IDX file is given.
+    # A third reader would be a second label rule.
+    package = ROOT / "src" / "gradtamper"
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("_checks.py", "data.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "kind"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+    ]
+    assert readers == []
+
+
 def test_only_lossgrad_reads_log_softmax():
     # The loss has one implementation, lossgrad's row cross-entropy, which the
     # training loss and verify's finite-difference oracle both call.

@@ -1,5 +1,7 @@
 """Learning-rate schedule shapes and boundary values."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,6 +102,21 @@ def test_spec_validation():
 )
 def test_rejects_epoch_counts_that_are_not_integers(kw):
     with pytest.raises(ValueError):
+        ScheduleSpec(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(warmup_epochs=-1), "warmup_epochs must be an integer >= 0, got -1"),
+        (dict(total_epochs=0, warmup_epochs=0, cooldown_epochs=0),
+         "total_epochs must be an integer >= 1, got 0"),
+        (dict(cooldown_epochs=1.0), "cooldown_epochs must be an integer >= 0, got 1.0"),
+    ],
+    ids=["warmup", "total", "cooldown"],
+)
+def test_each_epoch_count_is_checked_by_name(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ScheduleSpec(**kw)
 
 

@@ -270,7 +270,7 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan, 0.5]], ids=["last", "first"])
     def test_grid_holding_a_nan_rejected(self, grid):
-        with pytest.raises(ValueError, match="alpha grid contains NaN"):
+        with pytest.raises(ValueError, match=r"alpha grid must lie in \[0, 1\), got array\(\[.*nan"):
             threshold_monotonicity_check(P3, np.array(grid))
 
 
