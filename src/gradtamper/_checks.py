@@ -1,7 +1,7 @@
 """The package's input rules: for numeric settings, counts (epochs, sizes,
-seeds, trials) and reals (rates, strengths, bounds); and for the paths of the
-files it opens.  A value that breaks one raises ValueError naming the setting
-and what it must be."""
+seeds, trials), reals (rates, strengths, bounds) and the sequences that hold
+them; and for the paths of the files it opens.  A value that breaks one
+raises ValueError naming the setting and what it must be."""
 
 import os
 
@@ -19,6 +19,14 @@ def check_count(name: str, value, least: int) -> None:
     """Raise ValueError unless ``value`` is a count of at least ``least``."""
     if not (is_count(value) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_sequence(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a flat sequence of settings (a
+    list, tuple or 1-D array): a scalar is refused, and so is a str, rather
+    than walked character by character."""
+    if np.ndim(value) != 1:  # 0 for a scalar or a str
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
 
 
 def _inside(least, most, low, high, ends: str) -> bool:

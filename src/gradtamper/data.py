@@ -45,7 +45,9 @@ class Dataset:
 
     The package's one check of class labels: every label that reaches
     training or evaluation came through here, and is then a safe index into
-    ``lossgrad.smooth_label_rows``' table.
+    ``lossgrad.smooth_label_rows``' table.  ``labels`` is kept as a read-only
+    int64 copy, so the labels checked are the labels read; the caller's
+    array is left as it was.
 
     ``uint8`` inputs are 8-bit pixels and are kept as they are; their
     features are ``inputs / 255``.  Inputs of any other dtype are converted to
@@ -65,7 +67,10 @@ class Dataset:
         # Checked, not cast: a cast would truncate 1.7 to 1.
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        self.labels = np.asarray(labels, dtype=np.int64)
+        # A read-only copy: a label written after this check would skip it, and
+        # a negative one would index the smoothing table from its end.
+        self.labels = np.array(labels, dtype=np.int64)
+        self.labels.flags.writeable = False
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ValueError(f"inputs must be a non-empty N x D matrix, got {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):

@@ -21,7 +21,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import get_type_hints
 
-from ._checks import check_path, is_count
+from ._checks import check_path, check_sequence, is_count
 from .data import Dataset
 from .harness import (
     DivergenceError,
@@ -30,6 +30,7 @@ from .harness import (
     _csv_line,
     _step_elements,
     _train_cells,
+    _usable_cpus,
     datasets_for,
 )
 from .transform import TamperSpec
@@ -90,7 +91,10 @@ def _parse_grid_row(line: str) -> GridRow:
 
 
 def check_grid(alphas: list[float], seeds: list[int]) -> None:
-    """Reject an empty, out-of-range or repeated alpha or seed with ValueError."""
+    """Reject an axis that is not a sequence, and an empty, out-of-range or
+    repeated alpha or seed, with ValueError."""
+    check_sequence("grid alphas", alphas)
+    check_sequence("grid seeds", seeds)
     if len(alphas) == 0:
         raise ValueError("grid needs at least one alpha")
     if len(seeds) == 0 or not all(is_count(seed) and seed >= 0 for seed in seeds):
@@ -180,11 +184,7 @@ def grid_search(
 def _grid_workers() -> int:
     """Most processes a grid trains in: one per CPU this process may run on,
     or one (this process) where the OS cannot ``fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _usable_cpus() if hasattr(os, "fork") else 1
 
 
 def _grid_stacks(

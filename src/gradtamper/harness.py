@@ -14,7 +14,10 @@ cells, differing only in tampering strength and seed, in lockstep;
 ``verify_claims`` samples random distributions and logit vectors and checks
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
-calls; its report has one line per property and an overall verdict.
+calls; its report has one line per property and an overall verdict.  It
+checks its rows in blocks, on a pool of one thread per CPU this process may
+use, and folds one value per row and claim, so the report is the same bytes
+on any number of CPUs.
 Comparisons between trained runs, such as the logit-norm trend, are grid
 sweeps.
 
@@ -27,11 +30,12 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._checks import check_count, check_path, check_real, is_count
+from ._checks import check_count, check_path, check_real, check_sequence, is_count
 from .data import Dataset, check_blob_settings, load_idx, synth_blobs
 from .lossgrad import (
     batch_cross_entropy,
@@ -85,9 +89,29 @@ _SAFE_LOGIT = np.finfo(np.float64).max / 4
 _FD_STEP = 1e-4
 _FD_FLOOR = 3e-4
 
+# ``verify_claims`` checks its rows in blocks of at most this many elements,
+# two jobs a block.  Four default ``verify`` runs in a fresh process, 2 vCPUs,
+# one BLAS thread: 0.44 s and 48.9-49.6 MiB peak RSS at 2^15; 0.44-0.47 s and
+# 52.3 MiB at 2^16, as two jobs' larger working sets overlap in time;
+# 0.47-0.51 s and 56.3 MiB at one block per class count; 0.51-0.53 s at 2^14.
+_VERIFY_BLOCK = 1 << 15
+
+# The strengths every claim is checked at, 0.0, 0.1, ..., 1.0; and the
+# threshold grid 0.0, 0.01, ..., 0.99, which holds every one of them below 1
+# at a stride of 10.
+_COARSE = tuple(np.round(np.arange(11) * 0.1, 10).tolist())
+_MONO_GRID = np.arange(100) / 100.0
+
 
 class DivergenceError(RuntimeError):
     """Raised when logits go non-finite or the loss turns NaN; says where."""
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +606,104 @@ def _stable_order_mismatches(t: np.ndarray, order_ref: np.ndarray) -> np.ndarray
     return mism
 
 
+def _transform_claims(probs: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The transform and threshold claims on a block of probability rows, as
+    ``(property, values)`` pairs of one value per row."""
+    c = probs.shape[1]
+    order_ref = np.argsort(probs, axis=1, kind="stable")
+    # Threshold of every row at every grid alpha, in one call; monotone in
+    # alpha, one sample per row.
+    mono = threshold_monotonicity_check(probs, _MONO_GRID)
+    out = [("threshold-monotonicity", np.diff(mono.thresholds, axis=1).min(axis=1))]
+    tau_at = dict(zip(_MONO_GRID[::10], mono.thresholds[:, ::10].T))
+
+    for alpha in _COARSE:
+        t = power_transform_rows(probs, alpha)
+        out.append(("normalization", np.abs(t.sum(axis=1) - 1.0)))
+        if alpha == 1.0:
+            out.append(("identity-at-alpha-1", np.abs(t - probs).max(axis=1)))
+        if alpha == 0.0:
+            out.append(("uniform-at-alpha-0", np.abs(t - 1.0 / c).max(axis=1)))
+        if alpha > 0.0:
+            out.append(("order-preservation", _stable_order_mismatches(t, order_ref)))
+        if alpha < 1.0:
+            tau = tau_at[alpha]
+            out.append(("threshold-bounds", np.minimum(tau - 1.0 / c, 1.0 - tau)))
+            move = t - probs
+            side = probs - tau[:, None]
+            # Dead-bands absorb float wobble exactly at the threshold: an
+            # entry must sit clearly on one side AND clearly move the wrong
+            # way to count as a violation.
+            wrong = ((side > 1e-13) & (move > 1e-15)) | ((side < -1e-13) & (move < -1e-15))
+            out.append(("threshold-sign-agreement", wrong.sum(axis=1).astype(np.float64)))
+    return out
+
+
+def _gradient_claims(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    tables: np.ndarray,
+    wide: np.ndarray,
+    g_rows: np.ndarray,
+    lams: np.ndarray,
+) -> list[tuple[str, np.ndarray]]:
+    """The gradient, oracle and clip claims on a block of logit rows, as
+    ``(property, values)`` pairs of one value per row.
+
+    ``tables`` stacks the smoothed one-hot tables at smoothings 0 and 0.1.
+    The oracles take the block's first ``len(wide)`` rows, its share of the
+    oracle rows, and the clip claims take ``g_rows`` and ``lams``, its share
+    of the clip rows; either share may be empty.
+    """
+    # Gradient properties of the engine's own logit gradient, with and
+    # without label smoothing.
+    out = []
+    q = tables[:, targets]
+    p_of_z = softmax(logits)
+    for eps, q_rows in zip((0.0, 0.1), q):
+        for alpha in _COARSE:
+            g = tampered_dlogits(logits, q_rows, alpha)
+            out.append(("gradient-zero-sum", np.abs(g.sum(axis=1))))
+            if alpha > 0.0 and eps == 0.0:
+                # Temperature equivalence: the transform of softmax(z) is the
+                # engine's softmax(alpha z).
+                lhs = power_transform_rows(p_of_z, alpha)
+                out.append(("temperature-equivalence", np.abs(lhs - (g + q_rows)).max(axis=1)))
+
+    # The finite-difference oracles take the oracle rows' targets at both
+    # smoothings as one stack, one oracle call per strength.  At alpha = 1 the
+    # scaled surrogate is the plain cross-entropy.
+    rows = len(wide)
+    if rows:
+        z, q = logits[:rows], q[:, :rows]
+        for alpha in (1.0, 0.3, 0.5):
+            fd = _fd_logit_grad(z, q, scale=alpha) / alpha
+            name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
+            out.append((name, max_relative_error(tampered_dlogits(z, q, alpha), fd)))
+        # Wide logits, the regime strong tampering drives training into:
+        # softmax(z) underflows to exact zeros while softmax(alpha z) does
+        # not.  The reference is the finite-difference gradient of the
+        # cross-entropy taken at the scaled logits alpha*z, where it is well
+        # conditioned.  The targets are the same rows' stack.
+        for alpha in (0.01, 0.02):
+            g = tampered_dlogits(wide, q, alpha)
+            fd = _fd_logit_grad(alpha * wide, q)
+            out.append(("wide-logit-gradient", max_relative_error(g, fd)))
+
+    # Clipping facts on random gradient vectors, through the engine's global
+    # clip on a stack of them, one bound per row.  The reference norms and
+    # dot products are taken row by row.
+    if len(g_rows):
+        clipped = clip_grads_global(g_rows, lams[:, None])
+        gn = np.array([np.linalg.norm(g) for g in g_rows])
+        cn = np.array([np.linalg.norm(g) for g in clipped])
+        dots = np.array([np.dot(g, h) for g, h in zip(g_rows, clipped)])
+        # Norm never grows, and never ends above min(original, cap).
+        out.append(("clip-norm-cap", np.maximum((cn - gn) / gn, (cn - np.minimum(gn, lams)) / lams)))
+        out.append(("clip-direction", np.divide(dots, gn * cn, out=np.ones_like(dots), where=cn > 0)))
+    return out
+
+
 def verify_claims(
     seed: int = 0,
     trials: int = 1000,
@@ -595,16 +717,23 @@ def verify_claims(
     one :class:`PropertyResult` per claim.
     Finite-difference oracles use central differences with step ``_FD_STEP``
     and a relative-error floor of ``_FD_FLOOR``.
+
+    Every random draw of a class count is made first, in one order.  Its rows
+    are then cut into blocks of at most ``_VERIFY_BLOCK`` elements, and each
+    block is checked as two jobs, the transform claims on its probability
+    rows and the gradient, oracle and clip claims on its logit rows, in a
+    pool of one thread per CPU this process may use.  Each job returns one
+    value per row and claim, and they are folded by max or min, and counted,
+    in submission order, so the report is the same bytes on any number of
+    CPUs.
     """
     check_count("seed", seed, 0)
     check_count("trials", trials, 1)
+    check_sequence("class_counts", class_counts)
     if len(class_counts) == 0 or not all(is_count(c) and c >= 2 for c in class_counts):
         raise ValueError(f"class_counts must all be integers >= 2, got {class_counts!r}")
-
-    rng = np.random.default_rng(seed)
-    coarse = np.round(np.arange(11) * 0.1, 10)  # 0.0, 0.1, ..., 1.0
-    # 0.0, 0.01, ..., 0.99: holds every coarse alpha below 1 at a stride of 10.
-    mono_grid = np.arange(100) / 100.0
+    # Imported here, as grid imports its pool: only verify needs it.
+    from concurrent.futures import ThreadPoolExecutor
 
     # One entry per property, in report order.
     props = {p.name: p for p in [
@@ -632,99 +761,38 @@ def verify_claims(
         PropertyResult("clip-direction", "min cosine between g and clipped g", "min", 1.0 - 1e-12),
     ]}
 
-    for c in class_counts:
-        probs = rng.dirichlet(np.ones(c), size=trials)
-        logits = rng.normal(0.0, 3.0, size=(trials, c))
-        targets = rng.integers(0, c, size=trials)
-        order_ref = np.argsort(probs, axis=1, kind="stable")
+    rng = np.random.default_rng(seed)
+    steps = [max(1, _VERIFY_BLOCK // c) for c in class_counts]
+    jobs = 2 * sum(-(-trials // step) for step in steps)
+    futures = []
+    with ThreadPoolExecutor(min(_usable_cpus(), jobs)) as pool:
+        for c, step in zip(class_counts, steps):
+            probs = rng.dirichlet(np.ones(c), size=trials)
+            logits = rng.normal(0.0, 3.0, size=(trials, c))
+            targets = rng.integers(0, c, size=trials)
+            g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
+            lams = rng.uniform(0.5, 2.0, size=trials)
+            # The oracles check the first 50 rows, the clip claims the first 200.
+            wide = rng.normal(0.0, 300.0, size=(min(trials, 50), c))
+            g_rows, lams = g_rows[:200], lams[:200]
+            tables = np.stack([smooth_label_rows(c, eps) for eps in (0.0, 0.1)])
+            for lo in range(0, trials, step):
+                block = slice(lo, lo + step)
+                futures.append(pool.submit(_transform_claims, probs[block]))
+                futures.append(pool.submit(
+                    _gradient_claims, logits[block], targets[block], tables,
+                    wide[block], g_rows[block], lams[block],
+                ))
 
-        # Threshold of every row at every grid alpha, in one call; monotone
-        # in alpha, one sample per row.
-        mono = threshold_monotonicity_check(probs, mono_grid)
-        props["threshold-monotonicity"].add(np.diff(mono.thresholds, axis=1).min(axis=1))
-        tau_at = dict(zip(mono_grid[::10], mono.thresholds[:, ::10].T))
+            # Uniform distribution is a fixed point at every strength.
+            u = np.full(c, 1.0 / c)
+            for alpha in _COARSE:
+                t = transform_probabilities(u, alpha)
+                props["uniform-fixed-point"].add(np.abs(t - u).max())
 
-        for alpha in coarse:
-            alpha = float(alpha)
-            t = power_transform_rows(probs, alpha)
-            props["normalization"].add(np.abs(t.sum(axis=1) - 1.0))
-            if alpha == 1.0:
-                props["identity-at-alpha-1"].add(np.abs(t - probs).max(axis=1))
-            if alpha == 0.0:
-                props["uniform-at-alpha-0"].add(np.abs(t - 1.0 / c).max(axis=1))
-            if alpha > 0.0:
-                props["order-preservation"].add(_stable_order_mismatches(t, order_ref))
-            if alpha < 1.0:
-                tau = tau_at[alpha]
-                props["threshold-bounds"].add(np.minimum(tau - 1.0 / c, 1.0 - tau))
-                move = t - probs
-                side = probs - tau[:, None]
-                # Dead-bands absorb float wobble exactly at the threshold: an
-                # entry must sit clearly on one side AND clearly move the
-                # wrong way to count as a violation.
-                wrong = ((side > 1e-13) & (move > 1e-15)) | (
-                    (side < -1e-13) & (move < -1e-15)
-                )
-                props["threshold-sign-agreement"].add(wrong.sum(axis=1).astype(np.float64))
-
-        # Uniform distribution is a fixed point at every strength.
-        u = np.full(c, 1.0 / c)
-        for alpha in coarse:
-            t = transform_probabilities(u, float(alpha))
-            props["uniform-fixed-point"].add(np.abs(t - u).max())
-
-        # Gradient properties of the engine's own logit gradient, with and
-        # without label smoothing.
-        p_of_z = softmax(logits)
-        for eps in (0.0, 0.1):
-            q_rows = smooth_label_rows(c, eps)[targets]
-            for alpha in coarse:
-                alpha = float(alpha)
-                g = tampered_dlogits(logits, q_rows, alpha)
-                props["gradient-zero-sum"].add(np.abs(g.sum(axis=1)))
-                if alpha > 0.0 and eps == 0.0:
-                    # Temperature equivalence: the transform of softmax(z) is
-                    # the engine's softmax(alpha z).
-                    lhs = power_transform_rows(p_of_z, alpha)
-                    props["temperature-equivalence"].add(np.abs(lhs - (g + q_rows)).max(axis=1))
-
-        # The finite-difference oracles take the first 50 rows' targets at
-        # both smoothings as one (2, rows, C) stack, one oracle call per
-        # strength.  At alpha = 1 the scaled surrogate is the plain
-        # cross-entropy.
-        rows = min(trials, 50)
-        q = np.stack([smooth_label_rows(c, eps)[targets[:rows]] for eps in (0.0, 0.1)])
-        z = logits[:rows]
-        for alpha in (1.0, 0.3, 0.5):
-            fd = _fd_logit_grad(z, q, scale=alpha) / alpha
-            name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
-            props[name].add(max_relative_error(tampered_dlogits(z, q, alpha), fd))
-
-        # Clipping facts on random gradient vectors, through the engine's
-        # global clip on a stack of them, one bound per row.  The reference
-        # norms and dot products are taken row by row.
-        g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
-        lams = rng.uniform(0.5, 2.0, size=trials)
-        g_rows, lams = g_rows[:200], lams[:200]
-        clipped = clip_grads_global(g_rows, lams[:, None])
-        gn = np.array([np.linalg.norm(g) for g in g_rows])
-        cn = np.array([np.linalg.norm(g) for g in clipped])
-        dots = np.array([np.dot(g, h) for g, h in zip(g_rows, clipped)])
-        # Norm never grows, and never ends above min(original, cap).
-        props["clip-norm-cap"].add(np.maximum((cn - gn) / gn, (cn - np.minimum(gn, lams)) / lams))
-        cos = np.divide(dots, gn * cn, out=np.ones_like(dots), where=cn > 0)
-        props["clip-direction"].add(cos)
-
-        # Wide logits, the regime strong tampering drives training into:
-        # softmax(z) underflows to exact zeros while softmax(alpha z) does
-        # not.  The reference is the finite-difference gradient of the
-        # cross-entropy taken at the scaled logits alpha*z, where it is well
-        # conditioned.  The targets are the same rows' stack.
-        wide = rng.normal(0.0, 300.0, size=(rows, c))
-        for alpha in (0.01, 0.02):
-            g = tampered_dlogits(wide, q, alpha)
-            fd = _fd_logit_grad(alpha * wide, q)
-            props["wide-logit-gradient"].add(max_relative_error(g, fd))
+        for future in futures:
+            for name, values in future.result():
+                props[name].add(values)
 
     return VerifyReport(
         seed=seed,

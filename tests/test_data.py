@@ -125,6 +125,17 @@ class TestDatasetValidation:
             ds = Dataset(np.zeros((2, 2)), np.array([1, 0], dtype=dtype), np.int64(2))
             assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
 
+    # A label written after the check would skip it: -1 would read class C-1
+    # through the smoothing table's negative indexing.
+    def test_labels_are_a_read_only_copy(self):
+        mine = np.array([0, 1, 2])
+        ds = Dataset(np.zeros((3, 2)), mine, num_classes=3)
+        for labels in (ds.labels, synth_blobs(3, 4, 2, 1.0, 0)[0].labels):
+            with pytest.raises(ValueError, match="read-only"):
+                labels[0] = -1
+        mine[0] = 2  # the caller's array stays writable, and is not the dataset's
+        assert ds.labels.tolist() == [0, 1, 2]
+
 
 class TestDatasetDtypes:
     """uint8 inputs are 8-bit pixels, read as / 255; every other dtype is float64."""

@@ -229,6 +229,18 @@ class TestGrid:
             grid_search(tiny_config(), alphas, seeds, tmp_path / "g.csv")
         assert not (tmp_path / "g.csv").exists()
 
+    # An axis must be a sequence: a str would be walked character by
+    # character, and a scalar has no length.
+    @pytest.mark.parametrize(
+        "alphas, seeds, setting",
+        [(0.5, [0], "alphas"), (np.float64(0.5), [0], "alphas"), ("0.5", [0], "alphas"),
+         ([0.5], 3, "seeds"), ([0.5], np.int64(3), "seeds"), ([0.5], "3", "seeds")],
+        ids=["float", "numpy-float", "str-alpha", "int", "numpy-int", "str-seed"],
+    )
+    def test_scalar_or_str_axis_rejected(self, alphas, seeds, setting):
+        with pytest.raises(ValueError, match=f"grid {setting} must be a sequence"):
+            check_grid(alphas, seeds)
+
     # An axis is tested for emptiness by its length, not its truth value.
     @pytest.mark.parametrize(
         "alphas, seeds",

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -541,7 +542,9 @@ class TestVerify:
         failing = [p.name for p in report.properties if not p.passed]
         assert failing == ["wide-logit-gradient"]
 
-    def test_single_trial_runs(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_single_trial_runs(self, monkeypatch, cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         assert verify_claims(seed=3, trials=1, class_counts=(3,)).passed
 
     def test_report_format(self):
@@ -587,14 +590,28 @@ class TestVerify:
         ):
             with pytest.raises(ValueError):
                 verify_claims(**kw)
+        # A scalar or a str is refused by name, not iterated.
+        for counts in (5, np.int64(5), "23", 2.5):
+            with pytest.raises(ValueError, match="class_counts must be a sequence"):
+                verify_claims(class_counts=counts)
         assert verify_claims(trials=np.int64(2), class_counts=(np.int64(3),)).passed
         assert verify_claims(trials=2, class_counts=np.array([2, 3])).class_counts == (2, 3)
 
-    def test_report_pinned_to_fixture(self):
-        # Batching the oracles and reusing temporaries must not move a digit.
-        fixture = Path(__file__).parent / "fixtures" / "verify_seed0_trials200.txt"
-        text = format_verify_report(verify_claims(seed=0, trials=200))
-        assert text + "\n" == fixture.read_text()
+    # Batching the oracles, reusing temporaries, and checking row blocks on
+    # any number of threads must not move a digit.  At C=700 a block holds 46
+    # rows, so the 50 oracle rows and the 200 clip rows both cross block edges.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "fixture, kw",
+        [("verify_seed0_trials200.txt", dict(seed=0, trials=200)),
+         ("verify_seed2_trials333_classes3_7_700.txt",
+          dict(seed=2, trials=333, class_counts=(3, 7, 700)))],
+        ids=["defaults", "c700"],
+    )
+    def test_report_pinned_to_fixture(self, monkeypatch, cpus, fixture, kw):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        text = format_verify_report(verify_claims(**kw))
+        assert text + "\n" == (Path(__file__).parent / "fixtures" / fixture).read_text()
 
     def test_max_relative_error_floor(self):
         assert max_relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -666,7 +683,8 @@ class TestVerifyKernels:
 
     def test_verify_calls_the_fd_oracle_five_times_per_class_count(self, monkeypatch):
         # Three strengths on sigma-3 rows and two on sigma-300 rows, each call
-        # taking both smoothings of the first 50 rows as one stack.
+        # taking both smoothings of the first 50 rows as one stack.  The calls
+        # run on the pool's threads, in no set order.
         shapes = []
 
         def spy(z, q, *args, **kw):
@@ -675,7 +693,7 @@ class TestVerifyKernels:
 
         monkeypatch.setattr(harness, "_fd_logit_grad", spy)
         assert verify_claims(seed=0, trials=60, class_counts=(2, 10, 100)).passed
-        assert shapes == [((50, c), (2, 50, c)) for c in (2, 10, 100) for _ in range(5)]
+        assert Counter(shapes) == Counter({((50, c), (2, 50, c)): 5 for c in (2, 10, 100)})
 
     def test_fd_oracle_differentiates_the_engine_row_loss(self, monkeypatch):
         # The oracle's loss is lossgrad's own, taken at scale * (z +- h e_k).

@@ -49,17 +49,29 @@ def test_readme_library_block_imports():
     assert gradtamper.__all__ == ["__version__"]
 
 
+def fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports from ``src``."""
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def test_top_level_import_loads_no_submodule_and_not_numpy():
     code = (
         "import sys, gradtamper\n"
         "print(sorted(m for m in sys.modules if m.startswith('gradtamper') or m == 'numpy'))"
     )
-    src = str(ROOT / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "['gradtamper']"
+    assert fresh_python(code) == "['gradtamper']"
+
+
+def test_cli_import_loads_no_pool_machinery():
+    # verify and grid import their pools when they run; train loads neither.
+    code = (
+        "import sys, gradtamper.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    assert fresh_python(code) == "[]"
 
 
 def load_bench_module(name, monkeypatch):
