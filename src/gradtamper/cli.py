@@ -410,7 +410,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     classes = tuple(parse_value_list(args.classes, "--classes", _int_of))
-    report = verify_claims(seed=args.seed, trials=args.trials, class_counts=classes)
+    seed, trials = _int_of("--seed", args.seed), _int_of("--trials", args.trials)
+    report = verify_claims(seed=seed, trials=trials, class_counts=classes)
     print(format_verify_report(report))
     return 0 if report.passed else 6
 
@@ -458,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--csv", metavar="FILE", help="also write rows to this CSV")
 
     p_ver = subs.add_parser("verify", help="check the analytic claims on random inputs")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--trials", type=int, default=1000, help="random vectors per class count")
+    p_ver.add_argument("--seed", default="0")
+    p_ver.add_argument("--trials", default="1000", help="random vectors per class count")
     p_ver.add_argument("--classes", default="2,10,100", metavar="LIST",
                        help="class counts to sample")
 

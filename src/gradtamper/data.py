@@ -49,11 +49,13 @@ class Dataset:
     int64 copy, so the labels checked are the labels read; the caller's
     array is left as it was.
 
-    ``uint8`` inputs are 8-bit pixels and are kept as they are; their
-    features are ``inputs / 255``.  Inputs of any other dtype are converted to
-    float64 and are the features themselves, unscaled (torchvision's
-    ``ToTensor`` takes the same view of uint8 images).  :meth:`features` is
-    the one reader of the values.
+    ``uint8`` inputs are 8-bit pixels, kept as a read-only view of the
+    caller's array, with no copy; their features are ``inputs / 255``.
+    Inputs of any other dtype are kept as a read-only float64 copy, checked
+    finite, and are the features themselves, unscaled (torchvision's
+    ``ToTensor`` takes the same view of uint8 images).  So no float written
+    after the check reaches training, and the caller's arrays stay writable.
+    :meth:`features` is the one reader of the values.
     """
 
     inputs: np.ndarray
@@ -63,7 +65,10 @@ class Dataset:
     def __post_init__(self) -> None:
         check_count("num_classes", self.num_classes, 1)
         inputs, labels = np.asarray(self.inputs), np.asarray(self.labels)
-        self.inputs = inputs if inputs.dtype == np.uint8 else np.asarray(inputs, dtype=np.float64)
+        # uint8 holds no value the finiteness check could miss, so pixels need
+        # no copy; a float written after the check would skip it.
+        self.inputs = inputs.view() if inputs.dtype == np.uint8 else np.array(inputs, np.float64)
+        self.inputs.flags.writeable = False
         # Checked, not cast: a cast would truncate 1.7 to 1.
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")

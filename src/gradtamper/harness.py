@@ -15,9 +15,10 @@ cells, differing only in tampering strength and seed, in lockstep;
 every analytic property the transform is supposed to satisfy, plus the
 finite-difference gradient oracles, on the same functions the training loop
 calls; its report has one line per property and an overall verdict.  It
-checks its rows in blocks, on a pool of one thread per CPU this process may
-use, and folds one value per row and claim, so the report is the same bytes
-on any number of CPUs.
+runs each claim family as its own job, the oracle and clip claims once per
+class count and the transform and gradient claims once per row block, on a
+pool of one thread per CPU this process may use, and folds one value per row
+and claim, so the report is the same bytes on any number of CPUs.
 Comparisons between trained runs, such as the logit-norm trend, are grid
 sweeps.
 
@@ -65,7 +66,6 @@ from .transform import (
     TamperSpec,
     power_transform_rows,
     threshold_monotonicity_check,
-    transform_probabilities,
 )
 
 # Rows per ``forward`` call in evaluation: its temporaries stay a few MB.
@@ -91,9 +91,10 @@ _FD_FLOOR = 3e-4
 
 # ``verify_claims`` checks its rows in blocks of at most this many elements,
 # two jobs a block.  Four default ``verify`` runs in a fresh process, 2 vCPUs,
-# one BLAS thread: 0.44 s and 48.9-49.6 MiB peak RSS at 2^15; 0.44-0.47 s and
-# 52.3 MiB at 2^16, as two jobs' larger working sets overlap in time;
-# 0.47-0.51 s and 56.3 MiB at one block per class count; 0.51-0.53 s at 2^14.
+# one BLAS thread, while the oracle and clip claims still rode in the blocks:
+# 0.44 s and 48.9-49.6 MiB peak RSS at 2^15; 0.44-0.47 s and 52.3 MiB at 2^16,
+# as two jobs' larger working sets overlap in time; 0.47-0.51 s and 56.3 MiB
+# at one block per class count; 0.51-0.53 s at 2^14.
 _VERIFY_BLOCK = 1 << 15
 
 # The strengths every claim is checked at, 0.0, 0.1, ..., 1.0; and the
@@ -640,68 +641,67 @@ def _transform_claims(probs: np.ndarray) -> list[tuple[str, np.ndarray]]:
 
 
 def _gradient_claims(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    tables: np.ndarray,
-    wide: np.ndarray,
-    g_rows: np.ndarray,
-    lams: np.ndarray,
+    logits: np.ndarray, targets: np.ndarray, tables: np.ndarray
 ) -> list[tuple[str, np.ndarray]]:
-    """The gradient, oracle and clip claims on a block of logit rows, as
-    ``(property, values)`` pairs of one value per row.
+    """The gradient claims on a block of logit rows, as ``(property, values)``
+    pairs of one value per row, or per row and smoothing.
 
-    ``tables`` stacks the smoothed one-hot tables at smoothings 0 and 0.1.
-    The oracles take the block's first ``len(wide)`` rows, its share of the
-    oracle rows, and the clip claims take ``g_rows`` and ``lams``, its share
-    of the clip rows; either share may be empty.
+    ``tables`` stacks the smoothed one-hot tables at smoothings 0 and 0.1;
+    each strength takes one engine gradient against both sets of target rows.
     """
-    # Gradient properties of the engine's own logit gradient, with and
-    # without label smoothing.
     out = []
     q = tables[:, targets]
     p_of_z = softmax(logits)
-    for eps, q_rows in zip((0.0, 0.1), q):
-        for alpha in _COARSE:
-            g = tampered_dlogits(logits, q_rows, alpha)
-            out.append(("gradient-zero-sum", np.abs(g.sum(axis=1))))
-            if alpha > 0.0 and eps == 0.0:
-                # Temperature equivalence: the transform of softmax(z) is the
-                # engine's softmax(alpha z).
-                lhs = power_transform_rows(p_of_z, alpha)
-                out.append(("temperature-equivalence", np.abs(lhs - (g + q_rows)).max(axis=1)))
-
-    # The finite-difference oracles take the oracle rows' targets at both
-    # smoothings as one stack, one oracle call per strength.  At alpha = 1 the
-    # scaled surrogate is the plain cross-entropy.
-    rows = len(wide)
-    if rows:
-        z, q = logits[:rows], q[:, :rows]
-        for alpha in (1.0, 0.3, 0.5):
-            fd = _fd_logit_grad(z, q, scale=alpha) / alpha
-            name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
-            out.append((name, max_relative_error(tampered_dlogits(z, q, alpha), fd)))
-        # Wide logits, the regime strong tampering drives training into:
-        # softmax(z) underflows to exact zeros while softmax(alpha z) does
-        # not.  The reference is the finite-difference gradient of the
-        # cross-entropy taken at the scaled logits alpha*z, where it is well
-        # conditioned.  The targets are the same rows' stack.
-        for alpha in (0.01, 0.02):
-            g = tampered_dlogits(wide, q, alpha)
-            fd = _fd_logit_grad(alpha * wide, q)
-            out.append(("wide-logit-gradient", max_relative_error(g, fd)))
-
-    # Clipping facts on random gradient vectors, through the engine's global
-    # clip on a stack of them, one bound per row.  The reference norms and
-    # dot products are taken row by row.
-    if len(g_rows):
-        clipped = clip_grads_global(g_rows, lams[:, None])
-        gn = np.array([np.linalg.norm(g) for g in g_rows])
-        cn = np.array([np.linalg.norm(g) for g in clipped])
-        dots = np.array([np.dot(g, h) for g, h in zip(g_rows, clipped)])
-        # Norm never grows, and never ends above min(original, cap).
-        out.append(("clip-norm-cap", np.maximum((cn - gn) / gn, (cn - np.minimum(gn, lams)) / lams)))
-        out.append(("clip-direction", np.divide(dots, gn * cn, out=np.ones_like(dots), where=cn > 0)))
+    for alpha in _COARSE:
+        g = tampered_dlogits(logits, q, alpha)
+        out.append(("gradient-zero-sum", np.abs(g.sum(axis=-1))))
+        if alpha > 0.0:
+            # Temperature equivalence, on the unsmoothed set: the transform
+            # of softmax(z) is the engine's softmax(alpha z).
+            lhs = power_transform_rows(p_of_z, alpha)
+            out.append(("temperature-equivalence", np.abs(lhs - (g[0] + q[0])).max(axis=1)))
     return out
+
+
+def _oracle_claims(
+    z: np.ndarray, targets: np.ndarray, tables: np.ndarray, wide: np.ndarray
+) -> list[tuple[str, np.ndarray]]:
+    """The finite-difference oracle claims on logit rows ``z`` and wide logit
+    rows ``wide``, both against ``targets``' rows at both smoothings, as
+    ``(property, values)`` pairs of one value per row and smoothing."""
+    # One oracle call per strength takes both smoothings as one stack.  At
+    # alpha = 1 the scaled surrogate is the plain cross-entropy.
+    out = []
+    q = tables[:, targets]
+    for alpha in (1.0, 0.3, 0.5):
+        fd = _fd_logit_grad(z, q, scale=alpha) / alpha
+        name = "gradient-matches-fd" if alpha == 1.0 else "tampered-gradient-surrogate"
+        out.append((name, max_relative_error(tampered_dlogits(z, q, alpha), fd)))
+    # Wide logits, the regime strong tampering drives training into:
+    # softmax(z) underflows to exact zeros while softmax(alpha z) does not.
+    # The reference is the finite-difference gradient of the cross-entropy
+    # taken at the scaled logits alpha*z, where it is well conditioned.
+    for alpha in (0.01, 0.02):
+        g = tampered_dlogits(wide, q, alpha)
+        fd = _fd_logit_grad(alpha * wide, q)
+        out.append(("wide-logit-gradient", max_relative_error(g, fd)))
+    return out
+
+
+def _clip_claims(g_rows: np.ndarray, lams: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The clipping claims on random gradient rows, through the engine's
+    global clip on a stack of them with one bound per row, as ``(property,
+    values)`` pairs of one value per row.  The reference norms and dot
+    products are taken row by row."""
+    clipped = clip_grads_global(g_rows, lams[:, None])
+    gn = np.array([np.linalg.norm(g) for g in g_rows])
+    cn = np.array([np.linalg.norm(g) for g in clipped])
+    dots = np.array([np.dot(g, h) for g, h in zip(g_rows, clipped)])
+    # Norm never grows, and never ends above min(original, cap).
+    return [
+        ("clip-norm-cap", np.maximum((cn - gn) / gn, (cn - np.minimum(gn, lams)) / lams)),
+        ("clip-direction", np.divide(dots, gn * cn, out=np.ones_like(dots), where=cn > 0)),
+    ]
 
 
 def verify_claims(
@@ -718,14 +718,15 @@ def verify_claims(
     Finite-difference oracles use central differences with step ``_FD_STEP``
     and a relative-error floor of ``_FD_FLOOR``.
 
-    Every random draw of a class count is made first, in one order.  Its rows
-    are then cut into blocks of at most ``_VERIFY_BLOCK`` elements, and each
-    block is checked as two jobs, the transform claims on its probability
-    rows and the gradient, oracle and clip claims on its logit rows, in a
-    pool of one thread per CPU this process may use.  Each job returns one
-    value per row and claim, and they are folded by max or min, and counted,
-    in submission order, so the report is the same bytes on any number of
-    CPUs.
+    Every random draw of a class count is made first, in one order.  Each
+    claim family is then its own job, in a pool of one thread per CPU this
+    process may use: the oracle claims on the first 50 logit rows and the
+    clip claims on the first 200 clip rows, once per class count, and then,
+    on every block of at most ``_VERIFY_BLOCK`` elements, the transform
+    claims on its probability rows and the gradient claims on its logit
+    rows.  Each job returns one value per row and claim, and they are folded
+    by max or min, and counted, in submission order, so the report is the
+    same bytes on any number of CPUs.
     """
     check_count("seed", seed, 0)
     check_count("trials", trials, 1)
@@ -762,33 +763,31 @@ def verify_claims(
     ]}
 
     rng = np.random.default_rng(seed)
-    steps = [max(1, _VERIFY_BLOCK // c) for c in class_counts]
-    jobs = 2 * sum(-(-trials // step) for step in steps)
     futures = []
-    with ThreadPoolExecutor(min(_usable_cpus(), jobs)) as pool:
-        for c, step in zip(class_counts, steps):
+    # A pool starts a thread only for a job that finds none idle.
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        for c in class_counts:
             probs = rng.dirichlet(np.ones(c), size=trials)
             logits = rng.normal(0.0, 3.0, size=(trials, c))
             targets = rng.integers(0, c, size=trials)
             g_rows = rng.normal(0.0, 1.0, size=(trials, c)) * rng.uniform(0.1, 10.0, size=(trials, 1))
             lams = rng.uniform(0.5, 2.0, size=trials)
-            # The oracles check the first 50 rows, the clip claims the first 200.
             wide = rng.normal(0.0, 300.0, size=(min(trials, 50), c))
-            g_rows, lams = g_rows[:200], lams[:200]
             tables = np.stack([smooth_label_rows(c, eps) for eps in (0.0, 0.1)])
+            # The oracles check the first 50 rows, the clip claims the first 200.
+            rows = len(wide)
+            futures.append(pool.submit(_oracle_claims, logits[:rows], targets[:rows], tables, wide))
+            futures.append(pool.submit(_clip_claims, g_rows[:200], lams[:200]))
+            step = max(1, _VERIFY_BLOCK // c)
             for lo in range(0, trials, step):
                 block = slice(lo, lo + step)
                 futures.append(pool.submit(_transform_claims, probs[block]))
-                futures.append(pool.submit(
-                    _gradient_claims, logits[block], targets[block], tables,
-                    wide[block], g_rows[block], lams[block],
-                ))
+                futures.append(pool.submit(_gradient_claims, logits[block], targets[block], tables))
 
             # Uniform distribution is a fixed point at every strength.
             u = np.full(c, 1.0 / c)
             for alpha in _COARSE:
-                t = transform_probabilities(u, alpha)
-                props["uniform-fixed-point"].add(np.abs(t - u).max())
+                props["uniform-fixed-point"].add(np.abs(power_transform_rows(u, alpha) - u).max())
 
         for future in futures:
             for name, values in future.result():

@@ -17,7 +17,13 @@ from gradtamper import __version__
 from gradtamper.cli import _float_of, _int_of, main, parse_config_file, parse_value_list
 from gradtamper.data import write_idx_images, write_idx_labels
 from gradtamper.grid import GRID_HEADER
-from gradtamper.harness import DataSpec, PropertyResult, TrainConfig, VerifyReport
+from gradtamper.harness import (
+    DataSpec,
+    PropertyResult,
+    TrainConfig,
+    VerifyReport,
+    verify_claims,
+)
 from gradtamper.transform import stationary_threshold, transform_probabilities
 
 TINY = [
@@ -719,6 +725,23 @@ class TestVerifyCommand:
     def test_class_count_beyond_any_float_exits_3(self, capsys):
         assert main(["verify", "--classes", "1e400"]) == 3
         assert capsys.readouterr().err == "error: --classes: expected an integer, got '1e400'\n"
+
+    # --seed and --trials read integers as every other value does.
+    def test_seed_and_trials_take_integer_float_text(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "verify_claims", lambda **kw: seen.append(kw) or
+                            verify_claims(trials=1, class_counts=(2,)))
+        assert main(["verify", "--seed", "2.0", "--trials", "1e1", "--classes", "3"]) == 0
+        assert seen == [dict(seed=2, trials=10, class_counts=(3,))]
+        assert type(seen[0]["seed"]) is type(seen[0]["trials"]) is int
+        assert main(["verify"]) == 0
+        assert seen[1] == dict(seed=0, trials=1000, class_counts=(2, 10, 100))
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    @pytest.mark.parametrize("raw", ["x", "2.5"])
+    def test_non_integer_seed_or_trials_exits_3(self, capsys, flag, raw):
+        assert main(["verify", flag, raw]) == 3
+        assert capsys.readouterr().err == f"error: {flag}: expected an integer, got {raw!r}\n"
 
 
 class TestProcessIndependence:

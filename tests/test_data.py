@@ -136,6 +136,27 @@ class TestDatasetValidation:
         mine[0] = 2  # the caller's array stays writable, and is not the dataset's
         assert ds.labels.tolist() == [0, 1, 2]
 
+    # A float written after the finiteness check would skip it: a NaN would
+    # reach training and be blamed on it as divergence.
+    def test_float_inputs_are_a_read_only_copy(self):
+        mine = np.array([[0.5, 1.0], [2.0, 3.0]])
+        ds = Dataset(mine, np.array([0, 1]), num_classes=2)
+        for inputs in (ds.inputs, synth_blobs(3, 4, 2, 1.0, 0)[0].inputs):
+            with pytest.raises(ValueError, match="read-only"):
+                inputs[0, 0] = np.nan
+        mine[0, 0] = np.nan  # the caller's array stays writable, and is not the dataset's
+        assert np.isfinite(ds.inputs).all() and not np.shares_memory(ds.inputs, mine)
+
+    # uint8 holds no value the check could miss, so pixels are not copied.
+    def test_uint8_inputs_are_a_read_only_view(self):
+        mine = np.arange(6, dtype=np.uint8).reshape(3, 2)
+        ds = Dataset(mine, np.array([0, 1, 0]), num_classes=2)
+        assert np.shares_memory(ds.inputs, mine)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.inputs[0, 0] = 7
+        mine[0, 0] = 7  # the caller's array stays writable
+        assert mine.flags.writeable and ds.inputs[0, 0] == 7
+
 
 class TestDatasetDtypes:
     """uint8 inputs are 8-bit pixels, read as / 255; every other dtype is float64."""

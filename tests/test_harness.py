@@ -37,7 +37,7 @@ from gradtamper.harness import (
     _step,
     write_metrics_csv,
 )
-from gradtamper.lossgrad import cross_entropy_rows, smooth_label_rows, softmax
+from gradtamper.lossgrad import cross_entropy_rows, smooth_label_rows, softmax, tampered_dlogits
 from gradtamper.net import (
     DenseNet,
     check_opt_settings,
@@ -349,8 +349,10 @@ class TestEvaluationBlocks:
     def test_non_finite_logit_in_the_last_block_names_the_split(self):
         net = init_dense_net([40, 32, 10], np.random.default_rng(97))
         net.params[...] = np.abs(net.params)  # every sum of huge inputs overflows
-        ds = self.blobs(2 * _EVAL_ROWS + 5, 40)
-        ds.inputs[-1] = 1e308
+        sound = self.blobs(2 * _EVAL_ROWS + 5, 40)
+        inputs = sound.inputs.copy()
+        inputs[-1] = 1e308  # finite, so the split is built with it in place
+        ds = Dataset(inputs, sound.labels, 10)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(_logits(net, ds)).all(axis=-1)
         assert finite[:-1].all() and not finite[-1]
@@ -599,14 +601,17 @@ class TestVerify:
 
     # Batching the oracles, reusing temporaries, and checking row blocks on
     # any number of threads must not move a digit.  At C=700 a block holds 46
-    # rows, so the 50 oracle rows and the 200 clip rows both cross block edges.
+    # rows, fewer than the 50 oracle rows and the 200 clip rows; 7 trials hold
+    # fewer rows than either.
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "fixture, kw",
         [("verify_seed0_trials200.txt", dict(seed=0, trials=200)),
          ("verify_seed2_trials333_classes3_7_700.txt",
-          dict(seed=2, trials=333, class_counts=(3, 7, 700)))],
-        ids=["defaults", "c700"],
+          dict(seed=2, trials=333, class_counts=(3, 7, 700))),
+         ("verify_seed7_trials7_classes2_700.txt",
+          dict(seed=7, trials=7, class_counts=(2, 700)))],
+        ids=["defaults", "c700", "trials7"],
     )
     def test_report_pinned_to_fixture(self, monkeypatch, cpus, fixture, kw):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
@@ -683,8 +688,9 @@ class TestVerifyKernels:
 
     def test_verify_calls_the_fd_oracle_five_times_per_class_count(self, monkeypatch):
         # Three strengths on sigma-3 rows and two on sigma-300 rows, each call
-        # taking both smoothings of the first 50 rows as one stack.  The calls
-        # run on the pool's threads, in no set order.
+        # taking both smoothings of the first 50 rows as one stack, however
+        # many blocks those rows span: at 2^10 elements a block holds 10 rows
+        # at C=100.  The calls run on the pool's threads, in no set order.
         shapes = []
 
         def spy(z, q, *args, **kw):
@@ -692,8 +698,24 @@ class TestVerifyKernels:
             return _fd_logit_grad(z, q, *args, **kw)
 
         monkeypatch.setattr(harness, "_fd_logit_grad", spy)
+        monkeypatch.setattr(harness, "_VERIFY_BLOCK", 1 << 10)
         assert verify_claims(seed=0, trials=60, class_counts=(2, 10, 100)).passed
         assert Counter(shapes) == Counter({((50, c), (2, 50, c)): 5 for c in (2, 10, 100)})
+
+    def test_verify_takes_one_engine_gradient_per_strength_for_both_smoothings(self, monkeypatch):
+        # A gradient job takes the 11 strengths on its block's targets at both
+        # smoothings as one stack; the oracle job takes its 5 on the first 50
+        # rows.  At 2^10 elements, 60 rows at C=100 are six blocks of 10.
+        shapes = []
+
+        def spy(z, q, alpha):
+            shapes.append(np.shape(q))
+            return tampered_dlogits(z, q, alpha)
+
+        monkeypatch.setattr(harness, "tampered_dlogits", spy)
+        monkeypatch.setattr(harness, "_VERIFY_BLOCK", 1 << 10)
+        assert verify_claims(seed=0, trials=60, class_counts=(100,)).passed
+        assert Counter(shapes) == Counter({(2, 10, 100): 6 * 11, (2, 50, 100): 5})
 
     def test_fd_oracle_differentiates_the_engine_row_loss(self, monkeypatch):
         # The oracle's loss is lossgrad's own, taken at scale * (z +- h e_k).

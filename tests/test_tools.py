@@ -7,10 +7,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def code_lines(directory):
+def code_lines(directory, *flags):
     """The counter's output lines on ``directory``."""
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(directory)],
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(directory), *flags],
         capture_output=True, text=True, check=True,
     ).stdout
     return out.splitlines()
@@ -39,3 +39,26 @@ def test_lists_every_module_of_the_package():
     assert sorted(counts) == sorted(path.name for path in package.glob("*.py"))
     assert all(count > 0 for count in counts.values())
     assert total == f"total {sum(counts.values())}"
+
+
+def test_against_a_revision_counts_both_trees(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], capture_output=True, check=True)
+
+    git("init", "-q")
+    (tmp_path / "kept.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "gone.py").write_text('"""Only a docstring."""\nz = 3\n')
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (tmp_path / "kept.py").write_text("x = 1\ny = 2\n# a comment\nw = 4\n")
+    (tmp_path / "gone.py").unlink()
+    (tmp_path / "new.py").write_text("v = 5\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "second")
+    (tmp_path / "new.py").write_text("v = 5\nu = 6\n")  # today's tree, not yet committed
+    assert code_lines(tmp_path, "--against", "HEAD~1") == [
+        "gone.py 1 0", "kept.py 2 3", "new.py 0 2", "total 3 5",
+    ]
+    assert code_lines(tmp_path, "--against", "HEAD")[-1] == "total 4 5"
+    assert code_lines(tmp_path) == ["kept.py 3", "new.py 2", "total 5"]

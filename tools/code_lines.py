@@ -6,14 +6,19 @@ it, so a call spread over three lines is three lines.  A docstring is the
 string statement that opens a module, class or function body (the ``ast``
 walk finds them); its lines do not count.
 
-Usage: ``python3 tools/code_lines.py [DIR]`` prints one line per ``*.py``
-file under DIR (default ``src/gradtamper``), path and count, then the total.
+Usage: ``python3 tools/code_lines.py [DIR] [--against REV]`` prints one
+line per ``*.py`` file under DIR (default ``src/gradtamper``), path and
+count, then the total.  With ``--against REV`` each line holds the file's
+count at the git revision REV (0 for a file absent there) before today's,
+and a file that REV holds and today's tree does not is listed at 0 today.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -39,14 +44,36 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], stdout=subprocess.PIPE, text=True,
+                          check=True).stdout
+
+
+def counts_at(root: Path, rev: str) -> dict[str, int]:
+    """Code lines of each ``*.py`` file under ``root`` at git revision ``rev``,
+    by path relative to ``root``; read with ``git show``."""
+    names = _git(root, "ls-tree", "-r", "--name-only", rev).splitlines()
+    return {name: code_lines(_git(root, "show", f"{rev}:./{name}"))
+            for name in names if name.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/gradtamper")
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.relative_to(root)} {count}")
-    print(f"total {total}")
+    parser = argparse.ArgumentParser(description="Count the code lines of Python files.")
+    parser.add_argument("dir", nargs="?", default="src/gradtamper")
+    parser.add_argument("--against", metavar="REV", help="also count each file at git revision REV")
+    args = parser.parse_args(argv)
+    root = Path(args.dir)
+    today = {str(path.relative_to(root)): code_lines(path.read_text())
+             for path in root.rglob("*.py")}
+    columns = [today]
+    if args.against is not None:
+        try:
+            columns.insert(0, counts_at(root, args.against))
+        except subprocess.CalledProcessError:  # git has said why
+            return 1
+    for name in sorted(set().union(*columns)):
+        print(name, *(column.get(name, 0) for column in columns))
+    print("total", *(sum(column.values()) for column in columns))
     return 0
 
 
