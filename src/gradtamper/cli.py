@@ -481,8 +481,9 @@ def _pin_blas_threads() -> bool:
 
     A GEMM with 784 inputs rounds differently on two threads than on one, so
     the thread count is part of a run's bytes; grid workers forked later keep
-    the one thread.  Returns False, leaving BLAS as it is, where numpy bundles
-    no scipy-openblas library with a thread setter.
+    the one thread.  Where numpy bundles no scipy-openblas library with a
+    thread setter, it leaves BLAS as it is, says so in one line on stderr
+    unless ``OPENBLAS_NUM_THREADS=1`` is set, and returns False.
     """
     bundled = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(bundled, "libscipy_openblas64_*"))):
@@ -494,6 +495,8 @@ def _pin_blas_threads() -> bool:
         setter.restype = None
         setter(1)
         return True
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":  # else OpenBLAS pinned itself at load
+        print("warning: unpinned BLAS, bytes may vary; set OPENBLAS_NUM_THREADS=1", file=sys.stderr)
     return False
 
 

@@ -28,17 +28,18 @@ from .harness import (
     TrainConfig,
     _csv_header,
     _csv_line,
-    _step_elements,
     _train_cells,
     _usable_cpus,
     datasets_for,
 )
+from .net import param_count
 from .transform import TamperSpec
 
-# ``grid_search`` trains its cells in stacks whose ``_step_elements`` add up
-# to at most this many.  Stacking pays while per-call overhead dominates a
-# step, and a step's work and memory grow with the batch as well as with the
-# parameters, so a bound on parameters alone made full-batch grids slower.
+# ``grid_search`` trains its cells in stacks whose ``_step_elements`` (below,
+# the one measure of what a cell's step holds) add up to at most this many.
+# Stacking pays while per-call overhead dominates a step, and a step's work and
+# memory grow with the batch as well as with the parameters, so a bound on
+# parameters alone made full-batch grids slower.
 # Grid time per cell in ms, by cells per stack: the first grid of a fresh
 # process, median of 4 to 8 interleaved runs of 16 to 128 cells on 800 blob
 # rows (784 features for the 784-input nets, 8 and 4 epochs), one BLAS
@@ -58,6 +59,13 @@ from .transform import TamperSpec
 # No size measured slower at this bound than at the former one.  It also caps
 # what a kill loses and what a stack holds in memory.
 _STACK_ELEMENTS = 1 << 19
+
+
+def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
+    """Float64 values one cell's training step holds: the net's parameters,
+    plus a batch's worth of rows for every layer width, input included."""
+    sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
+    return param_count(sizes) + base.batch_size * sum(sizes)
 
 
 @dataclass(frozen=True)

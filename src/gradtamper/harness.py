@@ -6,7 +6,11 @@ record per epoch.  Tampering enters in exactly one place, :func:`_step`: the
 logit gradient handed to the backward pass is ``(softmax(alpha * z) - q) /
 batch``, with ``alpha = 1`` (the plain ``softmax(z) - q``) until the
 configured start epoch is reached.  The forward pass, the reported loss, and
-the accuracies never see the transform.
+the accuracies never see the transform.  Each stack owns one set of step
+arrays, the forward cache, the gradient and the clip's vector, which
+:func:`_train_cells` makes once and every step writes into, so a step
+allocates only a few KiB and its speed does not rest on how the C allocator
+adapts to freed blocks.
 
 ``train`` is the one-cell case of one training loop that trains a stack of
 cells, differing only in tampering strength and seed, in lockstep;
@@ -55,7 +59,6 @@ from .net import (
     forward,
     init_dense_net,
     init_opt_state,
-    param_count,
     row_norms,
     sgd_step,
     stack_nets,
@@ -313,13 +316,6 @@ def _evaluate(
     return np.asarray(loss), train_acc, test_acc, norm, split
 
 
-def _step_elements(base: TrainConfig, train_ds: Dataset) -> int:
-    """Float64 values one cell's training step holds: the net's parameters,
-    plus a batch's worth of rows for every layer width, input included."""
-    sizes = [train_ds.num_features, *base.hidden, train_ds.num_classes]
-    return param_count(sizes) + base.batch_size * sum(sizes)
-
-
 def _step(
     net: DenseNet,
     opt: OptState,
@@ -328,9 +324,14 @@ def _step(
     alpha: float | np.ndarray,
     lr: float,
     clip_lambda: float | None,
+    arrays: tuple,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """One optimizer step of every stacked cell, on its (S, B, in) batch ``xb``
     with target rows ``q``, tampered at ``alpha`` (a scalar, or one per cell).
+    ``arrays``, the stack's step arrays that ``_train_cells`` makes once (the
+    forward cache, a list, then the gradient and the clip's vector, both in
+    the ``params`` shape), are where the step writes, so that a warmed step
+    allocates only a few KiB.  ``([], None, None)`` makes new ones.
 
     Returns ``None`` when every logit lies within ``_SAFE_LOGIT``, else each
     cell's finite-logit mask and its loss, for the caller to tell which cells
@@ -340,7 +341,7 @@ def _step(
     # Overflow in a diverging run is expected and reported by the caller as a
     # DivergenceError, so numpy's warnings add nothing here.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = forward(net, xb)
+        logits, cache = forward(net, xb, arrays[0])
         # Divergence is detected on the logits: the logsumexp loss stays
         # finite right up until they overflow, and a NaN or infinite logit
         # always makes its cell's loss NaN or +inf (NaN after the inf - inf in
@@ -355,9 +356,9 @@ def _step(
                 logits = np.where(finite[:, None, None], logits, 0.0)
         dlogits = tampered_dlogits(logits, q, alpha)
         dlogits /= xb.shape[1]
-        grads = backward(net, cache, dlogits)
+        grads = backward(net, cache, dlogits, arrays[1])
         if clip_lambda is not None:
-            grads = clip_grads_global(grads, clip_lambda)
+            grads = clip_grads_global(grads, clip_lambda, arrays[2])
         sgd_step(net, grads, opt, lr)
     return verdict
 
@@ -403,16 +404,7 @@ def _train_cells(
     errors: list[DivergenceError | None] = [None] * len(cells)
     dead = np.zeros(len(cells), dtype=bool)  # a dead cell is trained and evaluated along
     first_evaluated = base.epochs - 1 if final_only else 0
-    # A step allocates and frees some MB of temporaries, all of them by the time
-    # ``_step`` returns.  glibc's malloc hands the top of its heap back to the
-    # system once more than twice its mmap threshold lies free there, and the
-    # next step faults those pages in again: 98k page faults in a fresh
-    # process's 16-cell desk stack, a fifth of its time, and 1.27M in a fresh
-    # process's first one-epoch 784-256-10 ``train``, 2 s of 6.  Freeing an
-    # mmapped block raises that threshold to the block's size; four float64
-    # values per step element of every cell bound what a step allocates.  Under
-    # another malloc it is an idle block.
-    np.empty(32 * len(cells) * _step_elements(base, train_ds), np.uint8)
+    arrays = ([], np.empty_like(net.params), np.empty_like(net.params))  # see _step
 
     n_batches = math.ceil(n / base.batch_size)
     # Row y is label y's smoothed one-hot target row; Dataset checked the labels.
@@ -428,7 +420,7 @@ def _train_cells(
             lr = lr_at(base.schedule, epoch + b / n_batches)
             verdict = _step(
                 net, opt, train_ds.features(perms[:, batch]), q_table[labels[:, batch]],
-                alpha, lr, base.clip_lambda,
+                alpha, lr, base.clip_lambda, arrays,
             )
             if verdict is None:
                 continue

@@ -10,9 +10,14 @@ once, at construction; writing through either name changes both.  Gradients
 (``backward``) and the momentum velocity (``OptState``) are vectors in the
 same layout, so the optimizer and the clip never loop over layers.  The
 update runs over the flat vectors in blocks of ``_UPDATE_BLOCK`` elements,
-through two scratch blocks that ``OptState`` allocates once, so a step
-allocates nothing and its working set stays in L2.  Training mutates a
-network, through its ``params``, from a single thread.
+through two scratch blocks that ``OptState`` allocates once, so the update
+allocates nothing and its working set stays in L2.  ``forward``,
+``backward``, ``row_norms`` and ``clip_grads_global`` take ``out=``, arrays
+that a caller keeps from one step to the next (the previous step's cache, a
+gradient vector, the clip's vector), so that a training step allocates only
+a few KiB; ``out`` changes where a result is written, never its bits.
+``backward`` consumes its cache.  Training mutates a network, through its
+``params``, from a single thread.
 
 ``DenseNet(params, sizes, activations)`` is the one way to build a net.  A
 checkpoint's payload is in ``params`` order, so it is read straight into one.
@@ -163,11 +168,21 @@ def init_dense_net(sizes, rng: np.random.Generator, hidden_activation: str = "re
     return net
 
 
-def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
+def _kept(cache: list, k: int, j: int, like: np.ndarray) -> np.ndarray | None:
+    """``cache[k][j]`` when the cache holds it with the leading axes (the
+    batch's) of ``like``, else None, for the ufunc to make a new array."""
+    return cache[k][j] if k < len(cache) and cache[k][j].shape[:-1] == like.shape[:-1] else None
+
+
+def forward(net: DenseNet, batch: np.ndarray, out=None) -> tuple[np.ndarray, list]:
     """Run a batch (rows are examples) through the net; returns (logits, cache).
 
     A stacked net takes one batch per cell, (S, B, in).  The cache holds each
-    layer's input and pre-activation, exactly what ``backward`` needs.
+    layer's input and pre-activation, exactly what ``backward`` needs.  Given
+    ``out``, the previous step's cache, forward writes each layer's
+    pre-activation and activation into that cache's arrays, in place, and
+    returns it; an array whose batch axes differ, as for a short last batch,
+    is replaced by a new one.  The values are the same bits either way.
     """
     h = np.asarray(batch, dtype=np.float64)
     cells = net.params.shape[:-1]
@@ -176,29 +191,32 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
             f"batch shape {h.shape} incompatible with input size {net.sizes[0]}"
             f" and cell axis {cells}"
         )
-    cache = []
-    for layer in net.layers:
-        s = h @ np.swapaxes(layer.weights, -1, -2)
-        s += layer.biases[..., None, :]  # into the fresh product: same bits, no second array
-        cache.append((h, s))
-        h = np.maximum(s, 0.0) if layer.activation == "relu" else s
+    cache = [] if out is None else out
+    for k, layer in enumerate(net.layers):
+        s = np.matmul(h, np.swapaxes(layer.weights, -1, -2), out=_kept(cache, k, 1, h))
+        s += layer.biases[..., None, :]  # in place: same bits, no second array
+        cache[k : k + 1] = [(h, s)]  # replaces entry k, or appends it to a new cache
+        h = np.maximum(s, 0.0, out=_kept(cache, k + 1, 0, s)) if layer.activation == "relu" else s
     return h, cache
 
 
-def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
+def backward(net: DenseNet, cache: list, dlogits: np.ndarray, out=None) -> np.ndarray:
     """Chain-rule the logit gradient back into the parameter gradient.
 
     ``dlogits`` is the gradient of the scalar loss at the logits (any batch
     scaling included by the caller); this is the only seam through which a
     tampered gradient enters, the rest is plain backprop.  Returns one array
-    in the ``params`` layout, (P,) or (S, P).
+    in the ``params`` layout, (P,) or (S, P): ``out`` when it is given, else a
+    new one.  It consumes ``cache``: a ReLU layer's mask overwrites its
+    pre-activation, and the gradient at a layer's input overwrites that input
+    activation, never the batch.  The logits themselves are left as they are.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache[-1][1].shape:
         raise ValueError(
             f"dlogits shape {dlogits.shape} does not match logits {cache[-1][1].shape}"
         )
-    grads = np.empty_like(net.params)
+    grads = np.empty_like(net.params) if out is None else out
     views = _layer_views(net.sizes, grads)
     d = dlogits
     for k in range(len(net.layers) - 1, -1, -1):
@@ -208,12 +226,13 @@ def backward(net: DenseNet, cache: list, dlogits: np.ndarray) -> np.ndarray:
         if layer.activation == "relu":
             # d * (s > 0.0) without casting a bool array inside the product:
             # times a float 0/1 mask, d keeps its bits, -0.0 and NaN included.
-            ds = np.greater(s, 0.0, out=np.empty_like(s))
+            # The mask overwrites the pre-activation.
+            ds = np.greater(s, 0.0, out=s)
             ds *= d
         np.matmul(np.swapaxes(ds, -1, -2), inp, out=views[k][0])
         ds.sum(axis=-2, out=views[k][1])
         if k:  # nothing consumes the gradient at the network's input
-            d = ds @ layer.weights
+            d = np.matmul(ds, layer.weights, out=inp)
     return grads
 
 
@@ -283,8 +302,9 @@ def sgd_step(
     return net, state
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """The L2 norm of each row of ``x`` (along its last axis), keeping that axis.
+def row_norms(x: np.ndarray, out=None) -> np.ndarray:
+    """The L2 norm of each row of ``x`` (along its last axis), keeping that axis;
+    the squares go into ``out``, a float64 array of ``x``'s shape, when given.
 
     A row of finite entries whose squares overflow is rescaled by its largest
     magnitude, so its norm is finite wherever it fits in float64, and inf
@@ -293,7 +313,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     # numpy's own reduction, not a BLAS dot, so the sum does not depend on
     # the BLAS thread count.
     with np.errstate(over="ignore"):
-        norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        norms = np.sqrt(np.multiply(x, x, out=out).sum(axis=-1, keepdims=True))
         inf = np.isinf(norms[..., 0])
         if inf.any():  # rows are tested for finiteness only once a norm is infinite
             big = inf & np.isfinite(x).all(axis=-1)
@@ -302,14 +322,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.ndarray:
+def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray, out=None) -> np.ndarray:
     """Scale each gradient vector (one per cell) to norm ``clip_norm`` if it
     exceeds it; ``clip_norm`` is one bound in (0, inf], or a numpy array of
     one per cell shaped (S, 1).
 
     Returns ``grads`` itself when it is a float64 array whose every vector
-    is short enough, a new array otherwise, in which the short vectors keep
-    their values.
+    is short enough; otherwise the scaled vectors, in which the short ones
+    keep their values, in ``out`` when it is given (a float64 array of
+    ``grads``' shape, not ``grads`` itself, which also takes the squares of
+    the norms) and in a new array when not.
     """
     check_cells("clip norm", clip_norm, 0, math.inf, "(]")
     grads = np.asarray(grads, dtype=np.float64)
@@ -319,11 +341,12 @@ def clip_grads_global(grads: np.ndarray, clip_norm: float | np.ndarray) -> np.nd
         raise ValueError(
             f"clip norms of shape {np.shape(clip_norm)} do not match gradients {grads.shape}"
         )
-    norms = row_norms(grads)
+    norms = row_norms(grads, out)
     fire = ~(norms <= clip_norm)  # a NaN norm fires, as a scalar compare would
     if not fire.any():
         return grads
-    return grads * np.divide(clip_norm, norms, out=np.ones_like(norms), where=fire)
+    scale = np.divide(clip_norm, norms, out=np.ones_like(norms), where=fire)
+    return np.multiply(grads, scale, out=out)
 
 
 def save_checkpoint(net: DenseNet, path) -> None:

@@ -797,3 +797,31 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("gradtamper ")
+
+
+def test_unpinned_blas_is_reported_on_stderr(monkeypatch, capsys):
+    # Where numpy bundles no OpenBLAS thread setter, a run says on stderr how
+    # to pin BLAS, unless it is pinned already; stdout and the exit code stay.
+    argv = ["analyze", "--p", "0.7,0.2,0.1", "--alphas", "0.5,1.0"]
+    assert main(argv) == 0
+    pinned = capsys.readouterr()
+
+    def unpinned_err():
+        cli._pin_blas_threads.cache_clear()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == pinned.out
+        return err
+
+    try:
+        monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])  # no bundled library
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert unpinned_err() == (
+            "warning: unpinned BLAS, bytes may vary; set OPENBLAS_NUM_THREADS=1\n"
+        )
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert unpinned_err() == ""
+    finally:
+        monkeypatch.undo()
+        cli._pin_blas_threads.cache_clear()
+        assert cli._pin_blas_threads()  # later tests keep one BLAS thread

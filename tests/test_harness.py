@@ -98,8 +98,8 @@ def plant_logits(monkeypatch, cell, plant):
     ``plant(logits[cell])``."""
     calls = []
 
-    def spy(net, batch):
-        logits, cache = forward(net, batch)
+    def spy(net, batch, out=None):
+        logits, cache = forward(net, batch, out)
         if not calls:
             logits[cell] = plant(logits[cell])
         calls.append(None)
@@ -282,7 +282,9 @@ class TestStep:
 
     def run(self, seeds, alphas, xs, qs, clip):
         net, opt = self.fresh(seeds)
-        verdicts = [_step(net, opt, xb, q, alphas, self.LR, clip) for xb, q in zip(xs, qs)]
+        # Fresh step arrays for every step: a new cache list, no kept vectors.
+        verdicts = [_step(net, opt, xb, q, alphas, self.LR, clip, ([], None, None))
+                    for xb, q in zip(xs, qs)]
         return net, opt, verdicts
 
     def assert_cell_matches(self, net, opt, cell, solo_net, solo_opt):
@@ -306,7 +308,8 @@ class TestStep:
         xs, qs = self.batches(steps=1)
         net, opt = self.fresh(range(3))
         plant_logits(monkeypatch, 1, nan_entry)
-        finite, losses = _step(net, opt, xs[0], qs[0], self.ALPHAS, self.LR, self.CLIP)
+        finite, losses = _step(net, opt, xs[0], qs[0], self.ALPHAS, self.LR, self.CLIP,
+                               ([], None, None))
         monkeypatch.undo()
         assert finite.tolist() == [True, False, True]
         assert np.isfinite(losses[[0, 2]]).all() and not np.isfinite(losses[1])
@@ -314,7 +317,7 @@ class TestStep:
             one = slice(s, s + 1)
             solo_net, solo_opt = self.fresh([s])
             assert _step(solo_net, solo_opt, xs[0, one], qs[0, one], self.ALPHAS[one],
-                         self.LR, self.CLIP) is None
+                         self.LR, self.CLIP, ([], None, None)) is None
             self.assert_cell_matches(net, opt, s, solo_net, solo_opt)
 
 

@@ -514,10 +514,11 @@ class TestStack:
         d[0, 0, 1] = math.nan
         d[1, 0, 0] = math.inf
         ref = copy.deepcopy(net)  # filled layer by layer as backward would, with the bool product
+        ref_cache = copy.deepcopy(cache)  # backward consumes its cache
         with np.errstate(invalid="ignore"):  # inf * 0.0, as in the training loop
             grads = backward(net, cache, d)
             for k in range(len(net.layers) - 1, -1, -1):
-                inp, s = cache[k]
+                inp, s = ref_cache[k]
                 ds = d * (s > 0.0)
                 np.matmul(np.swapaxes(ds, -1, -2), inp, out=ref.layers[k].weights)
                 ds.sum(axis=-2, out=ref.layers[k].biases)

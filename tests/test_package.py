@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gradtamper
-from gradtamper import grid, harness
+from gradtamper import grid
 from gradtamper.cli import main
 from gradtamper.data import write_idx_images, write_idx_labels
 from gradtamper.harness import (
@@ -251,7 +251,7 @@ def test_readme_states_the_stack_bound():
     )
     assert match, "README states no stack bound"
     bound, alone, desk = (int(group.replace(",", "")) for group in match.groups())
-    desk_cell = harness._step_elements(TrainConfig(), load_datasets(DataSpec())[0])
+    desk_cell = grid._step_elements(TrainConfig(), load_datasets(DataSpec())[0])
     assert (bound, alone, desk) == (
         grid._STACK_ELEMENTS, grid._STACK_ELEMENTS // 2, desk_cell
     )

@@ -1,5 +1,7 @@
-"""tools/code_lines.py, the code-line counter that CHANGES.md and ROADMAP.md quote."""
+"""The tools: code_lines.py, the code-line counter that CHANGES.md and ROADMAP.md quote,
+and ab.py, the paired benchmark runs against a git revision."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,29 @@ def test_against_a_revision_counts_both_trees(tmp_path):
     ]
     assert code_lines(tmp_path, "--against", "HEAD")[-1] == "total 4 5"
     assert code_lines(tmp_path) == ["kept.py 3", "new.py 2", "total 5"]
+
+
+def test_ab_pairs_a_tree_with_its_own_head(tmp_path):
+    # A repository of the benchmark and the package, whose working tree is its
+    # HEAD: one verify pair must see equal digests.
+    tree = tmp_path / "repo"
+    tree.mkdir()
+    skip = shutil.ignore_patterns("__pycache__", ".bench_work")
+    for name in ("src", "bench"):
+        shutil.copytree(ROOT / name, tree / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tree)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], capture_output=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "HEAD",
+         "--workload", "verify", "--pairs", "1", "--seconds", "0.5"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pair, summary, *medians = proc.stdout.splitlines()[1:]
+    assert pair.startswith("verify pair 1 (this tree first): min wall_s ")
+    assert summary.startswith("verify: this tree won ") and summary.endswith("digests agree")
+    assert [line.split()[2] for line in medians] == [
+        "wall_s", "setup_s", "peak_rss_mb", "cells_per_min", "steps_per_s", "final_test_acc",
+    ]
