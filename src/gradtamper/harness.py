@@ -554,9 +554,15 @@ def _fd_logit_grad(z: np.ndarray, q: np.ndarray, scale: float = 1.0) -> np.ndarr
     ``z +- _FD_STEP e_k`` are a (C, C) block, whose scaled log-softmax is
     taken once for every set of targets; rows go in (rows, C, C) blocks of at
     most 2^16 elements (at least one row), which stay in cache: 50 rows at
-    C=100 took 20 ms as one block, 8 ms so split.  The perturbed logits are
+    C=100 took 20 ms as one block, 8 ms so split.  Not ``_VERIFY_BLOCK``:
+    alone, 2^15-element blocks were as fast, with the same bits, but in a
+    default ``verify`` on 2 vCPUs, where the oracle job shares the pool with
+    the row-block jobs, they lost 8 of 10 alternating bench pairs against
+    2^16, at a median ``wall_s`` ratio of 1.049.  The perturbed logits are
     built in one buffer that every block reuses, so a block allocates only
-    the loss's own temporaries.
+    the loss's own temporaries: a 7-row call at C=700 took 118-213 ms so and
+    151-283 ms with a fresh block each time (fastest of 30 calls, in six runs
+    over three processes).
     """
     z2 = np.atleast_2d(z)
     n, c = z2.shape

@@ -20,17 +20,12 @@ from gradtamper.harness import (
     TrainConfig,
     load_datasets,
     train,
+    verify_claims,
     write_metrics_csv,
     METRICS_HEADER,
 )
-from gradtamper.lossgrad import softmax
 from gradtamper.schedule import ScheduleSpec
-from gradtamper.transform import (
-    TamperSpec,
-    power_transform_rows,
-    stationary_threshold,
-    threshold_monotonicity_check,
-)
+from gradtamper.transform import TamperSpec, power_transform_rows, threshold_monotonicity_check
 from helpers import analytic_param_grad, fd_param_grad, kink_free_case, max_rel_err
 
 CLASS_COUNTS = (2, 10, 100)
@@ -44,15 +39,17 @@ def _verdict(num, label, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def simplex_bank():
-    rng = np.random.default_rng(2024)
-    return {c: rng.dirichlet(np.ones(c), size=N_VECTORS) for c in CLASS_COUNTS}
+def verified():
+    """One ``verify_claims`` report's properties by name, and the call's wall time."""
+    t0 = time.perf_counter()
+    report = verify_claims(seed=2024, trials=N_VECTORS, class_counts=CLASS_COUNTS)
+    return {p.name: p for p in report.properties}, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def logit_bank():
-    rng = np.random.default_rng(777)
-    return {c: rng.normal(0.0, 3.0, size=(N_VECTORS, c)) for c in CLASS_COUNTS}
+def simplex_bank():
+    rng = np.random.default_rng(2024)
+    return {c: rng.dirichlet(np.ones(c), size=N_VECTORS) for c in CLASS_COUNTS}
 
 
 @pytest.fixture(scope="module")
@@ -60,50 +57,30 @@ def desk_data():
     return load_datasets(DataSpec())  # 10 classes x 100 points, seeded
 
 
-def test_c01_transform_correctness(simplex_bank):
-    t0 = time.perf_counter()
-    alphas = np.round(np.arange(0.0, 1.0 + 1e-9, 0.1), 10)
-    worst_norm = 0.0
-    worst_ident = 0.0
-    uniform_ok = True
-    order_bad = 0
-    cases = 0
-    for c, bank in simplex_bank.items():
-        order = np.argsort(bank, axis=1, kind="stable")
-        for alpha in alphas:
-            out = power_transform_rows(bank, alpha)
-            cases += len(bank)
-            worst_norm = max(worst_norm, float(np.abs(out.sum(axis=1) - 1.0).max()))
-            if alpha == 1.0:
-                worst_ident = max(worst_ident, float(np.abs(out - bank).max()))
-            if alpha == 0.0:
-                uniform_ok &= np.array_equal(out, np.full_like(bank, 1.0 / c))
-            else:
-                # strictly monotone reweighting: the sort order must survive exactly
-                got = np.argsort(out, axis=1, kind="stable")
-                order_bad += int(np.count_nonzero(np.any(got != order, axis=1)))
-    dt = time.perf_counter() - t0
-    ok = worst_norm < 1e-12 and worst_ident < 1e-15 and uniform_ok and order_bad == 0 and dt < 5.0
+def test_c01_transform_correctness(verified):
+    props, dt = verified
+    norm, ident, uniform = (props[name].observed for name in (
+        "normalization", "identity-at-alpha-1", "uniform-at-alpha-0"))
+    order = props["order-preservation"]
+    ok = norm < 1e-12 and ident < 1e-15 and uniform == 0.0 and order.observed == 0.0 and dt < 5.0
     _verdict(
         1, "transform correctness", ok,
-        f"max |sum-1| {worst_norm:.2e} (<1e-12), max alpha=1 drift {worst_ident:.2e} "
-        f"(<1e-15), alpha=0 exactly uniform: {uniform_ok}, order flips {order_bad}/{cases}, "
-        f"{dt:.2f}s (<5s)",
+        f"max |sum-1| {norm:.2e} (<1e-12), max alpha=1 drift {ident:.2e} (<1e-15), alpha=0 "
+        f"exactly uniform: {uniform == 0.0}, order flips {order.failures}/{order.samples}, "
+        f"verify {dt:.2f}s (<5s)",
     )
 
 
 def test_c02_threshold_bisection(simplex_bank):
+    # Exact signs with no dead-band, stricter than verify's threshold-sign-agreement.
     t0 = time.perf_counter()
     alphas = np.round(np.arange(0.0, 0.95, 0.1), 10)  # [0, 1) grid
-    disagreements = 0
-    entries = 0
-    for _, bank in simplex_bank.items():
-        for alpha in alphas:
-            out = power_transform_rows(bank, alpha)
-            taus = np.array([stationary_threshold(row, alpha) for row in bank])
-            agree = np.sign(out - bank) == np.sign(taus[:, None] - bank)
-            disagreements += int(agree.size - np.count_nonzero(agree))
-            entries += agree.size
+    disagreements = entries = 0
+    for bank in simplex_bank.values():
+        taus = threshold_monotonicity_check(bank, alphas).thresholds.T[:, :, None]
+        moved = np.stack([power_transform_rows(bank, alpha) for alpha in alphas]) - bank
+        disagreements += int(np.count_nonzero(np.sign(moved) != np.sign(taus - bank)))
+        entries += moved.size
     dt = time.perf_counter() - t0
     ok = disagreements == 0 and dt < 5.0
     _verdict(
@@ -113,39 +90,22 @@ def test_c02_threshold_bisection(simplex_bank):
     )
 
 
-def test_c03_threshold_monotone_in_alpha(simplex_bank):
-    t0 = time.perf_counter()
-    grid = np.round(np.arange(0.01, 0.99 + 1e-9, 0.01), 10)
-    min_diff = np.inf
-    failed = 0
-    rows = 0
-    for _, bank in simplex_bank.items():
-        for row in bank:
-            rep = threshold_monotonicity_check(row, grid)
-            min_diff = min(min_diff, rep.min_successive_diff)
-            failed += int(not rep.passed)
-            rows += 1
-    dt = time.perf_counter() - t0
-    ok = failed == 0 and min_diff >= -1e-10 and dt < 10.0
+def test_c03_threshold_monotone_in_alpha(verified):
+    mono, dt = verified[0]["threshold-monotonicity"], verified[1]
+    ok = mono.failures == 0 and mono.observed >= -1e-10 and dt < 10.0
     _verdict(
         3, "threshold monotonicity", ok,
-        f"{rows} distributions x {grid.size}-point alpha grid, min successive diff "
-        f"{min_diff:.3e} (>=-1e-10), {failed} failures, {dt:.2f}s (<10s)",
+        f"{mono.samples} distributions x alpha grid 0, 0.01, ..., 0.99, min successive diff "
+        f"{mono.observed:.3e} (>=-1e-10), {mono.failures} failures, verify {dt:.2f}s (<10s)",
     )
 
 
-def test_c04_temperature_equivalence(logit_bank):
-    worst = 0.0
-    for _, zb in logit_bank.items():
-        probs = softmax(zb)
-        for alpha in np.round(np.arange(0.1, 1.0 + 1e-9, 0.1), 10):
-            direct = softmax(alpha * zb)
-            worst = max(worst, float(np.abs(power_transform_rows(probs, alpha) - direct).max()))
-    ok = worst < 1e-10
+def test_c04_temperature_equivalence(verified):
+    equiv = verified[0]["temperature-equivalence"]
     _verdict(
-        4, "temperature equivalence", ok,
-        f"max |transform(softmax(z)) - softmax(alpha z)| = {worst:.2e} (<1e-10) "
-        f"over {N_VECTORS} logit vectors x {len(CLASS_COUNTS)} widths x 10 alphas",
+        4, "temperature equivalence", equiv.observed < 1e-10,
+        f"max |transform(softmax(z)) - softmax(alpha z)| = {equiv.observed:.2e} (<1e-10) "
+        f"over {equiv.samples} (logit vector, alpha) pairs, {len(CLASS_COUNTS)} widths",
     )
 
 

@@ -1,6 +1,7 @@
 """The tools: code_lines.py, the code-line counter that CHANGES.md and ROADMAP.md quote,
 and ab.py, the paired benchmark runs against a git revision."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -87,6 +88,9 @@ def test_ab_pairs_a_tree_with_its_own_head(tmp_path):
     pair, summary, *medians = proc.stdout.splitlines()[1:]
     assert pair.startswith("verify pair 1 (this tree first): min wall_s ")
     assert summary.startswith("verify: this tree won ") and summary.endswith("digests agree")
+    # One pair's ratio is its median and both its quartiles.
+    ratios = re.search(r"median ratio (\S+) \(quartiles (\S+) to (\S+)\)", summary)
+    assert ratios[1] == ratios[2] == ratios[3]
     assert [line.split()[2] for line in medians] == [
         "wall_s", "setup_s", "peak_rss_mb", "cells_per_min", "steps_per_s", "final_test_acc",
     ]

@@ -14,8 +14,9 @@ Per pair it prints each side's fastest repetition (the minimum of the
 than their median), their ratio (the working tree's over REV's, so below 1
 is faster) and each side's minor page faults, counted over the run and its
 workers (``RUSAGE_CHILDREN``).  Per workload it then prints the pairs the
-working tree won, the median ratio, whether the two sides' output digests
-(``result.json``) agree, and each side's median of every end-to-end metric.
+working tree won, the median ratio and the ratios' quartiles, whether the
+two sides' output digests (``result.json``) agree, and each side's median of
+every end-to-end metric.
 Exit status: 0, 1 when some workload's digests differ, 2 when a run fails.
 """
 
@@ -94,8 +95,12 @@ def compare(tree: Path, other: Path, rev: str, workload: str, args) -> bool:
               f"min wall_s {wall:.4f} vs {rev_wall:.4f}, "
               f"ratio {ratios[-1]:.4f}; minor faults {faults} vs {rev_faults}", flush=True)
     won = sum(ratio < 1.0 for ratio in ratios)
+    # Quartiles within the pairs' range; one pair is its own quartiles.
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
+                 else ratios * 3)
     print(f"{workload}: this tree won {won}/{len(ratios)} pairs against {rev}, median ratio "
-          f"{statistics.median(ratios):.4f}, digests {'agree' if agree else 'DIFFER'}")
+          f"{statistics.median(ratios):.4f} (quartiles {q1:.4f} to {q3:.4f}), "
+          f"digests {'agree' if agree else 'DIFFER'}")
     for name in runs[tree][0]:
         this, theirs = (statistics.median(m[name] for m in runs[path]) for path in (tree, other))
         print(f"{workload}: median {name} {this:.6g} vs {theirs:.6g}", flush=True)
